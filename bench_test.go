@@ -85,9 +85,9 @@ func runRow(b *testing.B, e benchnets.Entry, gens int) {
 
 // TestBenchJSONArtifact validates the committed BENCH_5.json against the
 // rsnrobust-bench/v5 schema (per-stage wall clock, worker and job
-// counts, memoization counters, the delta/full evaluation split,
-// steady-state allocation rate, and the objective list of K-objective
-// rows). Regenerate the artifact with
+// counts, the delta/full evaluation split, steady-state allocation
+// rate, and the objective list of K-objective rows). Regenerate the
+// artifact with
 //
 //	go run ./cmd/table1 -quick -maxprims 60000 -jobs 1 -benchjson BENCH_5.json
 //
@@ -115,8 +115,6 @@ func TestBenchJSONArtifact(t *testing.T) {
 			Evaluations int64   `json:"evaluations"`
 			DeltaEvals  int64   `json:"delta_evals"`
 			FullEvals   int64   `json:"full_evals"`
-			CacheHits   int64   `json:"cache_hits"`
-			CacheMisses int64   `json:"cache_misses"`
 			AnalysisMS  float64 `json:"analysis_ms"`
 			SPEA2MS     float64 `json:"spea2_ms"`
 			TotalMS     float64 `json:"total_ms"`
@@ -166,15 +164,6 @@ func TestBenchJSONArtifact(t *testing.T) {
 		}
 		if r.Generations <= 0 || r.Evaluations <= 0 || r.FrontSize <= 0 {
 			t.Errorf("row %q: non-positive counters %+v", r.Network, r)
-		}
-		// With memoization on (the table1 default), Evaluations counts
-		// true evaluations only — exactly the cache misses.
-		if r.CacheMisses != r.Evaluations {
-			t.Errorf("row %q: cache_misses %d != evaluations %d",
-				r.Network, r.CacheMisses, r.Evaluations)
-		}
-		if r.CacheHits < 0 {
-			t.Errorf("row %q: negative cache_hits %d", r.Network, r.CacheHits)
 		}
 		// The incremental path splits the evaluation count exactly; a
 		// zero delta share on a committed artifact would mean the delta

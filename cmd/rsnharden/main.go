@@ -229,8 +229,8 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 	logger.Info("synthesis done", "generations", s.Generations,
-		"evaluations", s.Evaluations, "cache_hits", s.CacheHits,
-		"front", len(s.Front), "interrupted", s.Interrupted,
+		"evaluations", s.Evaluations, "front", len(s.Front),
+		"interrupted", s.Interrupted,
 		"elapsed_ms", float64(s.Elapsed)/float64(time.Millisecond), "workers", s.Workers)
 
 	st := net.Stats()
@@ -452,8 +452,6 @@ type sweepConfig struct {
 type seedResult struct {
 	seed             int64
 	gens, evals      int
-	cacheHits        int64
-	cacheMisses      int64
 	frontSize        int
 	costD10, dmgD10  int64
 	costC10, dmgC10  int64
@@ -479,7 +477,7 @@ func runSeedSweep(ctx context.Context, cfg sweepConfig, tel *telemetry.Collector
 	}
 	// Wall clock goes to stderr, like the single-seed path: stdout stays
 	// byte-identical for the same seeds at every job count.
-	tb := report.New("seed", "gens", "evals", "hits", "misses", "front",
+	tb := report.New("seed", "gens", "evals", "front",
 		"cost|d10", "dmg|d10", "cost|c10", "dmg|c10")
 	var (
 		results     []seedResult
@@ -501,7 +499,7 @@ func runSeedSweep(ctx context.Context, cfg sweepConfig, tel *telemetry.Collector
 		if r.interrupted {
 			interrupted++
 		}
-		tb.Add(r.seed, r.gens, r.evals, r.cacheHits, r.cacheMisses, r.frontSize,
+		tb.Add(r.seed, r.gens, r.evals, r.frontSize,
 			r.costD10, r.dmgD10, r.costC10, r.dmgC10)
 		results = append(results, r)
 		sumEvolv += r.evolveT
@@ -583,8 +581,6 @@ func runOneSeed(ctx context.Context, cfg sweepConfig, seed int64, tel *telemetry
 	}
 	res.gens = s.Generations
 	res.evals = s.Evaluations
-	res.cacheHits = s.CacheHits
-	res.cacheMisses = s.CacheMisses
 	res.frontSize = len(s.Front)
 	res.interrupted = s.Interrupted
 	res.elapsed = s.Elapsed

@@ -62,14 +62,16 @@ func runCoordinator(opt coordOptions) error {
 	}
 	httpSrv := &http.Server{Handler: coord.Handler()}
 
+	// Register before announcing the address, as in worker mode.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	fmt.Printf("rsnserve: listening on %s\n", ln.Addr())
 	opt.logger.Info("coordinator listening", "addr", ln.Addr().String(), "workers", urls)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Printf("rsnserve: %s, draining (grace %s)\n", sig, opt.grace)

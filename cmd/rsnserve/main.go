@@ -135,6 +135,11 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 
+	// Register before announcing the address: a signal sent as soon as
+	// the listening line is read must drain, not kill.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	// The printed address is the resolved one (":0" picks a port), so
 	// wrappers and tests can parse where to connect.
 	fmt.Printf("rsnserve: listening on %s\n", ln.Addr())
@@ -143,8 +148,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Printf("rsnserve: %s, draining (grace %s)\n", sig, *grace)

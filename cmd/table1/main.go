@@ -222,8 +222,6 @@ func main() {
 			Evaluations: row.evaluations,
 			DeltaEvals:  row.deltaEvals,
 			FullEvals:   row.fullEvals,
-			CacheHits:   row.cacheHits,
-			CacheMisses: row.cacheMisses,
 			AnalysisMS:  durMS(row.analysisTime),
 			SPEA2MS:     durMS(row.evolveTime),
 			TotalMS:     durMS(row.elapsed),
@@ -276,11 +274,11 @@ func main() {
 // trajectory: where the time went (exact analysis vs. SPEA-2) and how
 // much evolutionary effort was spent. Since rsnrobust-bench/v2 every
 // row also carries the per-stage wall clock split; v3 adds the
-// evaluation-cache counters (evaluations counts only true, non-cached
-// evaluations) and the allocation rate of the generation loop; v4 adds
-// the canonical objective list of non-default K-objective runs (empty
-// = the default damage/cost pair) so perf gates can compare
-// like-for-like rows.
+// allocation rate of the generation loop; v4 adds the canonical
+// objective list of non-default K-objective runs (empty = the default
+// damage/cost pair) so perf gates can compare like-for-like rows; v5
+// adds the delta/full split of evaluations, which counts every genome
+// evaluated.
 type benchRow struct {
 	Network     string `json:"network"`
 	Objectives  string `json:"objectives,omitempty"`
@@ -292,14 +290,12 @@ type benchRow struct {
 	// DeltaEvals and FullEvals split Evaluations by path: children
 	// scored incrementally from their parent versus full evaluations.
 	// Their sum equals Evaluations; both are worker-invariant.
-	DeltaEvals  int     `json:"delta_evals"`
-	FullEvals   int     `json:"full_evals"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	AnalysisMS  float64 `json:"analysis_ms"`
-	SPEA2MS     float64 `json:"spea2_ms"`
-	TotalMS     float64 `json:"total_ms"`
-	Stages      stageMS `json:"stages"`
+	DeltaEvals int     `json:"delta_evals"`
+	FullEvals  int     `json:"full_evals"`
+	AnalysisMS float64 `json:"analysis_ms"`
+	SPEA2MS    float64 `json:"spea2_ms"`
+	TotalMS    float64 `json:"total_ms"`
+	Stages     stageMS `json:"stages"`
 	// AllocsPerGen is the heap-allocation count of the whole synthesis
 	// divided by its generations, from runtime.MemStats deltas. Only
 	// meaningful at -jobs 1 (concurrent rows share the allocator).
@@ -373,8 +369,6 @@ type rowResult struct {
 	evaluations        int
 	deltaEvals         int
 	fullEvals          int
-	cacheHits          int64
-	cacheMisses        int64
 	allocsPerGen       float64
 	frontSize          int
 	costD10, dmgD10    int64
@@ -484,8 +478,6 @@ func runRow(ctx context.Context, e benchnets.Entry, ro rowOpts, telWriter io.Wri
 	res.evaluations = s.Evaluations
 	res.deltaEvals = s.DeltaEvals
 	res.fullEvals = s.FullEvals
-	res.cacheHits = s.CacheHits
-	res.cacheMisses = s.CacheMisses
 	if s.Generations > 0 {
 		res.allocsPerGen = float64(ms1.Mallocs-ms0.Mallocs) / float64(s.Generations)
 	}

@@ -46,15 +46,15 @@ func (p *testProblem) Evaluate(g moea.Genome, out []float64) {
 	out[1] = float64(c)
 }
 
-func params(seed int64, workers int, memoize bool) moea.Params {
+func params(seed int64, workers int) moea.Params {
 	return moea.Params{
 		Population: 30, Generations: 20, PCrossover: 0.95, PMutateBit: 0.02,
-		Seed: seed, Workers: workers, Memoize: memoize,
+		Seed: seed, Workers: workers,
 	}
 }
 
 func fingerprint(res *moea.Result) string {
-	s := fmt.Sprintf("gens=%d evals=%d hits=%d misses=%d;", res.Generations, res.Evaluations, res.CacheHits, res.CacheMisses)
+	s := fmt.Sprintf("gens=%d evals=%d;", res.Generations, res.Evaluations)
 	for _, in := range res.Front {
 		s += fmt.Sprintf("%x|%v;", in.G, in.Obj)
 	}
@@ -79,7 +79,7 @@ func TestChaosGracefulPanic(t *testing.T) {
 		base := runtime.NumGoroutine()
 		tel := telemetry.New()
 		prob := New(newTestProblem(3, 40), Options{PanicAtEval: 250})
-		par := params(9, workers, false)
+		par := params(9, workers)
 		par.Telemetry = tel
 		res, err := moea.SPEA2(prob, par)
 		if res != nil || err == nil {
@@ -112,7 +112,7 @@ func TestChaosGracefulPanic(t *testing.T) {
 func TestChaosGracefulBatchPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	prob := NewBatch(newTestProblem(3, 40), Options{PanicAtBatch: 5})
-	_, err := moea.SPEA2(prob, params(9, 4, false))
+	_, err := moea.SPEA2(prob, params(9, 4))
 	var pe *moea.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("batch panic surfaced as %v, want *moea.PanicError", err)
@@ -126,7 +126,7 @@ func TestChaosGracefulCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		base := runtime.NumGoroutine()
 		ctx, onGen := CancelAtGeneration(5)
-		par := params(9, workers, true)
+		par := params(9, workers)
 		par.Context = ctx
 		par.OnGeneration = onGen
 		res, err := moea.SPEA2(newTestProblem(3, 40), par)
@@ -154,7 +154,7 @@ func TestChaosGracefulCancel(t *testing.T) {
 // island state or the ring schedule.
 func TestChaosGracefulCancelIslands(t *testing.T) {
 	mkPar := func(workers int) moea.Params {
-		par := params(9, workers, true)
+		par := params(9, workers)
 		par.Generations = 16
 		par.Islands = 3
 		par.MigrationEvery = 4
@@ -222,13 +222,13 @@ func TestChaosGracefulCancelIslands(t *testing.T) {
 // checks that timing perturbation cannot change the result — the
 // determinism guarantee extends to slow, jittery evaluation.
 func TestChaosDelayInvariance(t *testing.T) {
-	ref, err := moea.SPEA2(newTestProblem(3, 40), params(9, 4, true))
+	ref, err := moea.SPEA2(newTestProblem(3, 40), params(9, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	delayed, err := moea.SPEA2(
 		NewBatch(newTestProblem(3, 40), Options{DelayBatch: 3, DelayEval: 77, Delay: 2 * time.Millisecond}),
-		params(9, 4, true))
+		params(9, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +343,13 @@ func TestChaosCheckpointPowerLoss(t *testing.T) {
 // the resumed run must finish with a result byte-identical to a run
 // that never crashed.
 func TestChaosResumeEquivalence(t *testing.T) {
-	clean, err := moea.SPEA2(newTestProblem(3, 40), params(9, 1, false))
+	clean, err := moea.SPEA2(newTestProblem(3, 40), params(9, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	par := params(9, 1, false)
+	par := params(9, 1)
 	par.CheckpointEvery = 10
 	par.CheckpointFn = func(cp *moea.Checkpoint) error { return moea.SaveCheckpoint(path, cp) }
 	// 30 init evals + 10 generations × 30 puts the checkpoint at eval
@@ -364,7 +364,7 @@ func TestChaosResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint written before the crash does not load: %v", err)
 	}
-	rpar := params(9, 1, false)
+	rpar := params(9, 1)
 	rpar.Resume = cp
 	resumed, err := moea.SPEA2(newTestProblem(3, 40), rpar)
 	if err != nil {
@@ -380,7 +380,7 @@ func TestChaosResumeEquivalence(t *testing.T) {
 // cancelled, resumed, cancelled again, and resumed to completion; the
 // final result must still be byte-identical to the uninterrupted run.
 func TestChaosCancelDuringResume(t *testing.T) {
-	clean, err := moea.SPEA2(newTestProblem(5, 36), params(2, 1, true))
+	clean, err := moea.SPEA2(newTestProblem(5, 36), params(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestChaosCancelDuringResume(t *testing.T) {
 	var resume *moea.Checkpoint
 	for _, stopAt := range []int{4, 11} {
 		ctx, onGen := CancelAtGeneration(stopAt)
-		par := params(2, 1, true)
+		par := params(2, 1)
 		par.Context = ctx
 		par.OnGeneration = onGen
 		par.CheckpointEvery = 1
@@ -405,7 +405,7 @@ func TestChaosCancelDuringResume(t *testing.T) {
 			t.Fatalf("stop at %d: %v", stopAt, err)
 		}
 	}
-	par := params(2, 1, true)
+	par := params(2, 1)
 	par.Resume = resume
 	final, err := moea.SPEA2(newTestProblem(5, 36), par)
 	if err != nil {

@@ -104,11 +104,6 @@ type Options struct {
 	// generations — the practical alternative to the paper's fixed
 	// per-design generation budgets (Table I column 6).
 	Stagnation int
-	// Memoize enables the evolutionary engine's genome-evaluation cache.
-	// Results are bit-identical with or without it; Evaluations then
-	// counts only true (non-cached) evaluations. DefaultOptions enables
-	// it.
-	Memoize bool
 	// Context, if non-nil, cooperatively cancels the synthesis: the
 	// evolutionary run stops at the next generation or evaluation-chunk
 	// boundary and Synthesize returns a valid partial result with
@@ -135,7 +130,7 @@ type Options struct {
 	// Resume, if non-nil, restores the evolutionary run from a
 	// checkpoint instead of initializing a fresh population. The
 	// checkpoint must match the run (algorithm, seed, genome size,
-	// population, memoization); Stagnation cannot be combined with
+	// population); Stagnation cannot be combined with
 	// Resume — the early-stop state is not checkpointed.
 	Resume *moea.Checkpoint
 	// OnGeneration, if non-nil, receives progress callbacks.
@@ -167,21 +162,14 @@ func DefaultOptions(generations int, seed int64) Options {
 		Seed:        seed,
 		Algorithm:   AlgoSPEA2,
 		Analysis:    faults.DefaultOptions(),
-		Memoize:     true,
 	}
 }
 
 // Progress is one per-generation report handed to Options.OnProgress:
-// the standard convergence record plus the run's exact memoization
-// counters. Every field is computed from this run's own state — nothing
-// is read from shared telemetry instruments, so concurrent runs cannot
-// pollute each other's reports.
-type Progress struct {
-	telemetry.Generation
-	// CacheHits and CacheMisses are the run's cumulative memoization
-	// counters (both zero without Options.Memoize).
-	CacheHits, CacheMisses int64
-}
+// the standard convergence record of this run. Every field is computed
+// from this run's own state — nothing is read from shared telemetry
+// instruments, so concurrent runs cannot pollute each other's reports.
+type Progress = telemetry.Generation
 
 // Solution is one hardening decision with its evaluated objectives.
 type Solution struct {
@@ -220,7 +208,7 @@ type Synthesis struct {
 	// Front is the close-to-Pareto-optimal front, sorted by damage.
 	Front []Solution
 	// Generations and Evaluations record the evolutionary effort;
-	// Evaluations counts true (non-cached) objective evaluations.
+	// Evaluations counts every genome evaluated.
 	Generations int
 	Evaluations int
 	// DeltaEvals and FullEvals split Evaluations by path: children whose
@@ -232,10 +220,6 @@ type Synthesis struct {
 	// Islands is the island count the run used (0 or 1: single
 	// population).
 	Islands int
-	// CacheHits and CacheMisses are the evaluation-cache counts (both
-	// zero when Options.Memoize is off).
-	CacheHits   int64
-	CacheMisses int64
 	// Elapsed is the wall-clock synthesis time (Table I column 11).
 	Elapsed time.Duration
 	// AnalysisTime is the wall-clock time of the exact criticality
@@ -817,7 +801,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	params.Seed = opt.Seed
 	params.Telemetry = tel
-	params.Memoize = opt.Memoize
 	if opt.Workers != 0 {
 		params.Workers = opt.Workers
 	}
@@ -901,8 +884,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 		DeltaEvals:   res.DeltaEvals,
 		FullEvals:    res.FullEvals,
 		Islands:      max(params.Islands, 1),
-		CacheHits:    res.CacheHits,
-		CacheMisses:  res.CacheMisses,
 		AnalysisTime: analysisTime,
 		EvolveTime:   evolveTime,
 		TreeTime:     treeTime,
@@ -993,18 +974,14 @@ func progressHook(ref []float64, user func(Progress) bool) func(moea.Progress, [
 			bestD, bestC = 0, 0
 		}
 		return user(Progress{
-			Generation: telemetry.Generation{
-				Gen:         p.Gen,
-				Front:       len(front),
-				Hypervolume: moea.Hypervolume(front, ref),
-				NormHV:      moea.NormalizedHypervolume(front, ref),
-				BestDamage:  bestD,
-				BestCost:    bestC,
-				Evaluations: int64(p.Evaluations),
-				ElapsedMS:   genMS,
-			},
-			CacheHits:   p.CacheHits,
-			CacheMisses: p.CacheMisses,
+			Gen:         p.Gen,
+			Front:       len(front),
+			Hypervolume: moea.Hypervolume(front, ref),
+			NormHV:      moea.NormalizedHypervolume(front, ref),
+			BestDamage:  bestD,
+			BestCost:    bestC,
+			Evaluations: int64(p.Evaluations),
+			ElapsedMS:   genMS,
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,45 +81,6 @@ func TestConstrainedPicks(t *testing.T) {
 	}
 	if float64(sol2.Cost) > 0.10*float64(s.MaxCost) {
 		t.Errorf("picked cost %d exceeds 10%% of %d", sol2.Cost, s.MaxCost)
-	}
-}
-
-// TestMemoOracle validates the evaluation cache at the core.Problem
-// level (the moea-level oracle runs on knapsack fixtures): a Synthesize
-// run with memoization must be bit-identical to the uncached run, and
-// the cache accounting must be exact against the uncached evaluation
-// count.
-func TestMemoOracle(t *testing.T) {
-	fingerprint := func(s *Synthesis) string {
-		out := ""
-		for _, sol := range s.Front {
-			out += fmt.Sprintf("%d/%d:%v;", sol.Cost, sol.Damage, sol.Hardened)
-		}
-		return out
-	}
-	for _, algo := range []Algorithm{AlgoSPEA2, AlgoNSGA2} {
-		base := DefaultOptions(60, 11)
-		base.Algorithm = algo
-		base.Memoize = false
-		plain := synthesizeExample(t, base)
-		memo := base
-		memo.Memoize = true
-		cached := synthesizeExample(t, memo)
-		if fingerprint(cached) != fingerprint(plain) {
-			t.Errorf("%v: memoized front differs from uncached front", algo)
-		}
-		if plain.CacheHits != 0 || plain.CacheMisses != 0 {
-			t.Errorf("%v: uncached run reports cache traffic %d/%d", algo, plain.CacheHits, plain.CacheMisses)
-		}
-		if got := cached.CacheHits + cached.CacheMisses; got != int64(plain.Evaluations) {
-			t.Errorf("%v: hits+misses = %d, want %d (uncached evaluations)", algo, got, plain.Evaluations)
-		}
-		if int64(cached.Evaluations) != cached.CacheMisses {
-			t.Errorf("%v: Evaluations = %d, want misses %d", algo, cached.Evaluations, cached.CacheMisses)
-		}
-		if cached.CacheHits == 0 {
-			t.Errorf("%v: no cache hits on the paper example", algo)
-		}
 	}
 }
 
@@ -469,12 +429,10 @@ func TestWorkerDeterminism(t *testing.T) {
 func TestOptionsPopulation(t *testing.T) {
 	optSmall := DefaultOptions(20, 1)
 	optSmall.Population = 8
-	optSmall.Memoize = false
 	small := synthesizeExample(t, optSmall)
 
 	optBig := DefaultOptions(20, 1)
 	optBig.Population = 32
-	optBig.Memoize = false
 	big := synthesizeExample(t, optBig)
 
 	if small.Evaluations >= big.Evaluations {

@@ -9,20 +9,19 @@ import (
 	"path/filepath"
 )
 
-// This file is the checkpoint subsystem: a versioned, checksummed
-// snapshot of an evolutionary run at a generation boundary, sufficient
-// to resume the run so that the continuation is bit-identical to the
-// uninterrupted run — same front, same evaluation and cache accounting,
-// same stdout when driven by the CLIs.
+// This file is the checkpoint subsystem: a checksummed snapshot of an
+// evolutionary run at a generation boundary, sufficient to resume the
+// run so that the continuation is bit-identical to the uninterrupted
+// run — same front, same evaluation accounting, same stdout when driven
+// by the CLIs.
 //
 // The captured state is exactly what the generation loop reads at its
 // top: the population and archive (genomes, objectives and the
 // algorithm scratch NSGA-II's tournament consumes), the RNG position
 // expressed as a draw count (replayed on resume — math/rand sources
-// are not serializable), the exact evaluation count, and the full
-// evaluation-cache contents. The cache must travel with the run:
-// resuming with an empty cache would turn previously-hit genomes into
-// misses and change the reported evaluation count.
+// are not serializable) and the exact evaluation counts. Nothing else
+// is carried, so a checkpoint's size is fixed by the run's shape and
+// does not grow with the generation it was taken at.
 
 // Checkpoint is the resumable state of a run at the top of a
 // generation. Instances handed to Params.CheckpointFn alias live engine
@@ -33,52 +32,38 @@ type Checkpoint struct {
 	// Algorithm is "spea2" or "nsga2"; a checkpoint resumes only the
 	// algorithm that wrote it.
 	Algorithm string
-	// Seed, NumBits, Population and Memoized identify the run; resuming
-	// under different values is a mismatch, not a continuation.
+	// Seed, NumBits and Population identify the run; resuming under
+	// different values is a mismatch, not a continuation.
 	Seed       int64
 	NumBits    int
 	Population int
-	Memoized   bool
 	// NumObjectives is the objective-vector length of every serialized
-	// individual and cache entry. Since format version 2 the engine
-	// writes it explicitly, so an empty population cannot misreport the
-	// run's objective count; when zero, the encoder falls back to
-	// inferring it from the first serialized vector (the v1 behavior,
-	// kept for hand-built checkpoints).
+	// individual. It is part of the header, so an empty population
+	// cannot misreport the run's objective count; when zero, the encoder
+	// infers it from the first serialized vector (for hand-built
+	// checkpoints).
 	NumObjectives int
-	// version is the format version the checkpoint was decoded from
-	// (zero for in-memory checkpoints, which encode to the current
-	// version); re-encoding preserves it so decode∘encode is the
-	// identity on valid inputs of either version.
-	version byte
 	// Generation is the loop index the checkpoint was captured at; the
 	// resumed run re-enters the loop there.
 	Generation int
 	// RNGDraws is the number of values drawn from the seeded source so
 	// far; resume replays exactly this many draws.
 	RNGDraws uint64
-	// Evaluations, CacheHits and CacheMisses restore the exact
-	// accounting of the interrupted prefix.
-	Evaluations            int
-	CacheHits, CacheMisses int64
-	// DeltaEvals and FullEvals split Evaluations by evaluation path
-	// (format version 3; zero when decoded from older checkpoints, which
-	// predate delta evaluation).
+	// Evaluations restores the exact accounting of the interrupted
+	// prefix; DeltaEvals and FullEvals split it by evaluation path.
+	Evaluations           int
 	DeltaEvals, FullEvals int
-	// Islands is the island count of an island-model run (format
-	// version 3; zero for a classic single-population checkpoint). An
-	// island checkpoint carries the whole lockstep state in IslandCkpts
-	// — one nested single-population checkpoint per island, in ring
-	// order — and its own Pop/Archive/Memo are empty: the top level
-	// records only the aggregate accounting.
+	// Islands is the island count of an island-model run (zero for a
+	// classic single-population checkpoint). An island checkpoint
+	// carries the whole lockstep state in IslandCkpts — one nested
+	// single-population checkpoint per island, in ring order — and its
+	// own Pop/Archive are empty: the top level records only the
+	// aggregate accounting.
 	Islands     int
 	IslandCkpts []*Checkpoint
 	// Pop and Archive are the live individuals at the loop top (Archive
 	// is empty for NSGA-II).
 	Pop, Archive []CheckpointIndividual
-	// Memo is the evaluation cache contents (empty when Memoized is
-	// false).
-	Memo []MemoEntry
 }
 
 // CheckpointIndividual is one serialized individual: genome, objectives
@@ -90,26 +75,20 @@ type CheckpointIndividual struct {
 	Fitness, Density float64
 }
 
-// MemoEntry is one serialized evaluation-cache entry.
-type MemoEntry struct {
-	Genome Genome
-	Obj    []float64
-}
-
-// ckptMagic identifies the format; the trailing byte is the current
-// version. Version 2 made the header objective count authoritative
-// (v1 inferred it from the first serialized individual at encode time,
-// which misreports on an empty population). Version 3 added the
-// delta/full evaluation split to the header and, for island-model runs,
-// an island section: a count after the memo count and one
-// length-prefixed nested checkpoint blob per island after the memo
-// entries. The decoder accepts all three versions and re-encoding
-// preserves the decoded version, so decode∘encode stays the identity.
-var ckptMagic = [8]byte{'R', 'S', 'N', 'C', 'K', 'P', 'T', ckptVersion}
+// ckptMagic identifies the format; the trailing byte is its version.
+// There is one format, version 4: the header (algorithm, the
+// fixed-width run and accounting fields, then the population, archive
+// and island counts), the population and archive individuals, one
+// length-prefixed nested checkpoint blob per island, and a trailing
+// FNV-1a checksum. Any other version byte is rejected as corrupt.
+var ckptMagic = [8]byte{'R', 'S', 'N', 'C', 'K', 'P', 'T', 4}
 
 const (
-	ckptVersion    = 3
-	ckptVersionMin = 1
+	// ckptFixedBytes is the size of a checkpoint without its algorithm
+	// name, individuals and island blobs: magic and version (8), the
+	// algorithm-name length (1), the fixed-width header fields (68) and
+	// the checksum (8).
+	ckptFixedBytes = 8 + 1 + 68 + 8
 	// ckptMaxIslands bounds the island count accepted by the decoder;
 	// far above any real configuration.
 	ckptMaxIslands = 4096
@@ -120,96 +99,63 @@ const (
 // allocations before the size consistency check.
 const ckptMaxBits = 1 << 28
 
+// ckptIndividualBytes is the serialized size of one individual: the
+// genome words, the objective vector, fitness and density.
+func ckptIndividualBytes(numBits, m int) int {
+	return (numBits+63)/64*8 + m*8 + 16
+}
+
 // EncodeCheckpoint serializes a checkpoint: magic+version, the header,
-// the individuals and cache entries, and a trailing FNV-1a checksum
-// over everything before it.
+// the individuals, the island blobs and a trailing FNV-1a checksum over
+// everything before it.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
-	ver := cp.version
-	if ver == 0 {
-		ver = ckptVersion
-	}
 	nwords := (cp.NumBits + 63) / 64
 	m := cp.headerObjectives()
-	indSize := nwords*8 + m*8 + 16
-	size := len(ckptMagic) + 1 + len(cp.Algorithm) + 89 +
-		(len(cp.Pop)+len(cp.Archive))*indSize + len(cp.Memo)*(nwords*8+m*8) + 8
+	size := ckptFixedBytes + len(cp.Algorithm) +
+		(len(cp.Pop)+len(cp.Archive))*ckptIndividualBytes(cp.NumBits, m)
 	b := make([]byte, 0, size)
-	b = append(b, ckptMagic[:7]...)
-	b = append(b, ver)
+	b = append(b, ckptMagic[:]...)
 	b = append(b, byte(len(cp.Algorithm)))
 	b = append(b, cp.Algorithm...)
 	b = le64(b, uint64(cp.Seed))
 	b = le32(b, uint32(cp.NumBits))
 	b = le32(b, uint32(cp.Population))
 	b = le32(b, uint32(m))
-	if cp.Memoized {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	b = le32(b, uint32(cp.Generation))
 	b = le64(b, cp.RNGDraws)
 	b = le64(b, uint64(cp.Evaluations))
-	b = le64(b, uint64(cp.CacheHits))
-	b = le64(b, uint64(cp.CacheMisses))
-	if ver >= 3 {
-		b = le64(b, uint64(cp.DeltaEvals))
-		b = le64(b, uint64(cp.FullEvals))
-	}
+	b = le64(b, uint64(cp.DeltaEvals))
+	b = le64(b, uint64(cp.FullEvals))
 	b = le32(b, uint32(len(cp.Pop)))
 	b = le32(b, uint32(len(cp.Archive)))
-	b = le32(b, uint32(len(cp.Memo)))
-	if ver >= 3 {
-		b = le32(b, uint32(len(cp.IslandCkpts)))
-	}
-	for _, in := range cp.Pop {
-		b = appendGenome(b, in.Genome, nwords)
-		b = appendFloats(b, in.Obj)
-		b = le64(b, math.Float64bits(in.Fitness))
-		b = le64(b, math.Float64bits(in.Density))
-	}
-	for _, in := range cp.Archive {
-		b = appendGenome(b, in.Genome, nwords)
-		b = appendFloats(b, in.Obj)
-		b = le64(b, math.Float64bits(in.Fitness))
-		b = le64(b, math.Float64bits(in.Density))
-	}
-	for _, e := range cp.Memo {
-		b = appendGenome(b, e.Genome, nwords)
-		b = appendFloats(b, e.Obj)
-	}
-	if ver >= 3 {
-		for _, ic := range cp.IslandCkpts {
-			blob := EncodeCheckpoint(ic)
-			b = le32(b, uint32(len(blob)))
-			b = append(b, blob...)
+	b = le32(b, uint32(len(cp.IslandCkpts)))
+	for _, set := range [][]CheckpointIndividual{cp.Pop, cp.Archive} {
+		for _, in := range set {
+			b = appendGenome(b, in.Genome, nwords)
+			b = appendFloats(b, in.Obj)
+			b = le64(b, math.Float64bits(in.Fitness))
+			b = le64(b, math.Float64bits(in.Density))
 		}
+	}
+	for _, ic := range cp.IslandCkpts {
+		blob := EncodeCheckpoint(ic)
+		b = le32(b, uint32(len(blob)))
+		b = append(b, blob...)
 	}
 	return le64(b, fnv1a(b))
 }
 
 // headerObjectives is the objective count written into the header: the
-// explicit field when set, otherwise inferred from the first serialized
+// explicit field when set, otherwise the length of the first serialized
 // vector.
 func (cp *Checkpoint) headerObjectives() int {
 	if cp.NumObjectives > 0 {
 		return cp.NumObjectives
 	}
-	return cp.numObjectives()
-}
-
-// numObjectives infers the objective count from the first serialized
-// vector (populations are never empty in a valid checkpoint; an empty
-// one infers m=0, which is exactly the misreport the explicit
-// NumObjectives header field exists to prevent).
-func (cp *Checkpoint) numObjectives() int {
 	for _, set := range [][]CheckpointIndividual{cp.Pop, cp.Archive} {
 		if len(set) > 0 {
 			return len(set[0].Obj)
 		}
-	}
-	if len(cp.Memo) > 0 {
-		return len(cp.Memo[0].Obj)
 	}
 	return 0
 }
@@ -229,8 +175,7 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	if len(data) < len(ckptMagic)+8 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCheckpointCorrupt, len(data))
 	}
-	if [7]byte(data[:7]) != [7]byte(ckptMagic[:7]) ||
-		data[7] < ckptVersionMin || data[7] > ckptVersion {
+	if [8]byte(data[:8]) != ckptMagic {
 		return nil, fmt.Errorf("%w: bad magic or version", ErrCheckpointCorrupt)
 	}
 	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
@@ -238,7 +183,7 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
 	}
 	r := ckptReader{b: body[8:]}
-	cp := &Checkpoint{version: data[7]}
+	cp := &Checkpoint{}
 	alen := int(r.u8())
 	cp.Algorithm = string(r.take(alen))
 	cp.Seed = int64(r.u64())
@@ -246,23 +191,14 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	cp.Population = int(r.u32())
 	m := int(r.u32())
 	cp.NumObjectives = m
-	cp.Memoized = r.u8() != 0
 	cp.Generation = int(r.u32())
 	cp.RNGDraws = r.u64()
 	cp.Evaluations = int(r.u64())
-	cp.CacheHits = int64(r.u64())
-	cp.CacheMisses = int64(r.u64())
-	if cp.version >= 3 {
-		cp.DeltaEvals = int(r.u64())
-		cp.FullEvals = int(r.u64())
-	}
+	cp.DeltaEvals = int(r.u64())
+	cp.FullEvals = int(r.u64())
 	npop := int(r.u32())
 	narch := int(r.u32())
-	nmemo := int(r.u32())
-	nislands := 0
-	if cp.version >= 3 {
-		nislands = int(r.u32())
-	}
+	nislands := int(r.u32())
 	if r.bad {
 		return nil, fmt.Errorf("%w: truncated header", ErrCheckpointCorrupt)
 	}
@@ -276,39 +212,25 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	}
 	cp.Islands = nislands
 	nwords := (cp.NumBits + 63) / 64
-	indSize := uint64(nwords)*8 + uint64(m)*8 + 16
-	memoSize := uint64(nwords)*8 + uint64(m)*8
-	want := uint64(npop)*indSize + uint64(narch)*indSize + uint64(nmemo)*memoSize
-	if cp.version >= 3 {
-		// The island blobs that follow the memo entries are
-		// length-prefixed, so only a lower bound is known here; the
-		// trailing-bytes check below closes the envelope.
-		if uint64(len(r.b)) < want {
-			return nil, fmt.Errorf("%w: payload is %d bytes, header implies at least %d", ErrCheckpointCorrupt, len(r.b), want)
+	// The island blobs that follow the individuals are length-prefixed,
+	// so only a lower bound is known here; the trailing-bytes check
+	// below closes the envelope.
+	want := uint64(npop+narch) * uint64(ckptIndividualBytes(cp.NumBits, m))
+	if uint64(len(r.b)) < want {
+		return nil, fmt.Errorf("%w: payload is %d bytes, header implies at least %d", ErrCheckpointCorrupt, len(r.b), want)
+	}
+	readInds := func(n int) []CheckpointIndividual {
+		ins := make([]CheckpointIndividual, n)
+		for i := range ins {
+			ins[i].Genome = r.genome(nwords)
+			ins[i].Obj = r.floats(m)
+			ins[i].Fitness = math.Float64frombits(r.u64())
+			ins[i].Density = math.Float64frombits(r.u64())
 		}
-	} else if uint64(len(r.b)) != want {
-		return nil, fmt.Errorf("%w: payload is %d bytes, header implies %d", ErrCheckpointCorrupt, len(r.b), want)
+		return ins
 	}
-	readInd := func() CheckpointIndividual {
-		var in CheckpointIndividual
-		in.Genome = r.genome(nwords)
-		in.Obj = r.floats(m)
-		in.Fitness = math.Float64frombits(r.u64())
-		in.Density = math.Float64frombits(r.u64())
-		return in
-	}
-	cp.Pop = make([]CheckpointIndividual, npop)
-	for i := range cp.Pop {
-		cp.Pop[i] = readInd()
-	}
-	cp.Archive = make([]CheckpointIndividual, narch)
-	for i := range cp.Archive {
-		cp.Archive[i] = readInd()
-	}
-	cp.Memo = make([]MemoEntry, nmemo)
-	for i := range cp.Memo {
-		cp.Memo[i] = MemoEntry{Genome: r.genome(nwords), Obj: r.floats(m)}
-	}
+	cp.Pop = readInds(npop)
+	cp.Archive = readInds(narch)
 	if nislands > 0 {
 		cp.IslandCkpts = make([]*Checkpoint, nislands)
 		for i := range cp.IslandCkpts {
@@ -409,8 +331,6 @@ func (e *engine) validateResume(algo string, cp *Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint genome is %d bits, problem has %d", ErrCheckpointMismatch, cp.NumBits, e.nbits)
 	case cp.Population != e.par.Population:
 		return fmt.Errorf("%w: checkpoint population %d, run population %d", ErrCheckpointMismatch, cp.Population, e.par.Population)
-	case cp.Memoized != e.par.Memoize:
-		return fmt.Errorf("%w: checkpoint memoization %v, run %v", ErrCheckpointMismatch, cp.Memoized, e.par.Memoize)
 	case cp.Generation >= e.par.Generations:
 		return fmt.Errorf("%w: checkpoint generation %d is beyond the %d-generation budget", ErrCheckpointMismatch, cp.Generation, e.par.Generations)
 	case len(cp.Pop) == 0:

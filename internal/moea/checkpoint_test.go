@@ -1,7 +1,9 @@
 package moea
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,18 +13,18 @@ import (
 
 // runResultFingerprint folds everything a checkpointed run must
 // reproduce into one comparable string: the front, the generation count
-// and the exact evaluation/cache accounting.
+// and the exact evaluation accounting.
 func runResultFingerprint(res *Result) string {
-	return fmt.Sprintf("front=%s gens=%d evals=%d hits=%d misses=%d interrupted=%v",
+	return fmt.Sprintf("front=%s gens=%d evals=%d delta=%d full=%d interrupted=%v",
 		frontFingerprint(res.Front), res.Generations, res.Evaluations,
-		res.CacheHits, res.CacheMisses, res.Interrupted)
+		res.DeltaEvals, res.FullEvals, res.Interrupted)
 }
 
 // ckptParams is the base configuration of the checkpoint tests.
-func ckptParams(seed int64, workers int, memoize bool) Params {
+func ckptParams(seed int64, workers int) Params {
 	return Params{
 		Population: 30, Generations: 20, PCrossover: 0.95, PMutateBit: 0.02,
-		Seed: seed, Workers: workers, Memoize: memoize,
+		Seed: seed, Workers: workers,
 	}
 }
 
@@ -70,28 +72,25 @@ func captureCheckpoint(t *testing.T, algo string, p Problem, par Params, at int)
 // TestResumeEquivalence is the resume-bit-identity gate: a run
 // checkpointed at a generation boundary and resumed from the decoded
 // bytes produces exactly the result of the uninterrupted run — same
-// front, same generation count, same evaluation and cache accounting —
-// for both algorithms, with and without memoization, and across
-// different worker counts on either side of the interruption.
+// front, same generation count, same evaluation accounting — for both
+// algorithms, and across different worker counts on either side of the
+// interruption.
 func TestResumeEquivalence(t *testing.T) {
 	for _, algo := range []string{"spea2", "nsga2"} {
-		for _, memoize := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/memo=%v", algo, memoize), func(t *testing.T) {
-				prob := newKnapsack(7, 48)
-				par := ckptParams(11, 1, memoize)
-				ref, cp := captureCheckpoint(t, algo, prob, par, 7)
-				want := runResultFingerprint(ref)
-				for _, workers := range []int{1, 4} {
-					rpar := ckptParams(11, workers, memoize)
-					rpar.Resume = cp
-					got := runResultFingerprint(runAlgo(t, algo, prob, rpar))
-					if got != want {
-						t.Errorf("workers=%d: resumed run differs from uninterrupted run\n got %s\nwant %s",
-							workers, got, want)
-					}
+		t.Run(algo, func(t *testing.T) {
+			prob := newKnapsack(7, 48)
+			ref, cp := captureCheckpoint(t, algo, prob, ckptParams(11, 1), 7)
+			want := runResultFingerprint(ref)
+			for _, workers := range []int{1, 4} {
+				rpar := ckptParams(11, workers)
+				rpar.Resume = cp
+				got := runResultFingerprint(runAlgo(t, algo, prob, rpar))
+				if got != want {
+					t.Errorf("workers=%d: resumed run differs from uninterrupted run\n got %s\nwant %s",
+						workers, got, want)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -100,9 +99,8 @@ func TestResumeEquivalence(t *testing.T) {
 // worker count into the trajectory.
 func TestResumeEquivalenceAcrossWorkers(t *testing.T) {
 	prob := newKnapsack(3, 64)
-	par := ckptParams(5, 4, true)
-	ref, cp := captureCheckpoint(t, "spea2", prob, par, 14)
-	rpar := ckptParams(5, 1, true)
+	ref, cp := captureCheckpoint(t, "spea2", prob, ckptParams(5, 4), 14)
+	rpar := ckptParams(5, 1)
 	rpar.Resume = cp
 	if got, want := runResultFingerprint(runAlgo(t, "spea2", prob, rpar)), runResultFingerprint(ref); got != want {
 		t.Errorf("parallel-checkpoint/serial-resume differs\n got %s\nwant %s", got, want)
@@ -110,11 +108,12 @@ func TestResumeEquivalenceAcrossWorkers(t *testing.T) {
 }
 
 // TestCheckpointRoundTrip pins the codec: encode→decode is the
-// identity on every field.
+// identity on every field, and re-encoding the decoded checkpoint
+// reproduces the original bytes.
 func TestCheckpointRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
-		Algorithm: "spea2", Seed: -42, NumBits: 130, Population: 4, Memoized: true,
-		Generation: 9, RNGDraws: 12345, Evaluations: 678, CacheHits: 11, CacheMisses: 22,
+		Algorithm: "spea2", Seed: -42, NumBits: 130, Population: 4, NumObjectives: 2,
+		Generation: 9, RNGDraws: 12345, Evaluations: 678, DeltaEvals: 600, FullEvals: 78,
 		Pop: []CheckpointIndividual{
 			{Genome: Genome{1, 2, 3}, Obj: []float64{1.5, -2.5}, Fitness: 0.25, Density: 3.75},
 			{Genome: Genome{4, 5, 6}, Obj: []float64{0, 7}, Fitness: 1, Density: 0},
@@ -122,28 +121,68 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Archive: []CheckpointIndividual{
 			{Genome: Genome{7, 8, 9}, Obj: []float64{2, 2}, Fitness: 0.5, Density: 0.5},
 		},
-		Memo: []MemoEntry{{Genome: Genome{10, 11, 12}, Obj: []float64{3, 4}}},
 	}
-	got, err := DecodeCheckpoint(EncodeCheckpoint(cp))
+	data := EncodeCheckpoint(cp)
+	got, err := DecodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The decoder materializes the header objective count and the
-	// format version the bytes carried.
-	cp.NumObjectives = 2
-	cp.version = ckptVersion
-	want := fmt.Sprintf("%+v", cp)
-	if fmt.Sprintf("%+v", got) != want {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %s", got, want)
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", cp) {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, cp)
+	}
+	if !bytes.Equal(EncodeCheckpoint(got), data) {
+		t.Error("decoded checkpoint does not re-encode to its input")
 	}
 }
 
-// TestCheckpointEmptyPopObjectives is the regression test for the v2
-// header: with an empty population the v1 codec inferred m=0 from the
-// (missing) first individual, so a crafted empty-pop checkpoint
-// misreported the run's objective count. The explicit header field must
-// survive the round trip even when nothing else in the payload records
-// it, and resume validation must use it.
+// TestCheckpointSizeIsFixed: a checkpoint carries only the population
+// and archive, so one run's checkpoints have the same length at every
+// generation — the fixed header plus (pop + archive) individuals.
+func TestCheckpointSizeIsFixed(t *testing.T) {
+	prob := newKnapsack(7, 100)
+	par := ckptParams(11, 1)
+	par.Generations = 60
+	par.CheckpointEvery = 5
+	sizes := map[int]int{}
+	par.CheckpointFn = func(c *Checkpoint) error {
+		sizes[c.Generation] = len(EncodeCheckpoint(c))
+		return nil
+	}
+	runAlgo(t, "spea2", prob, par)
+	// SPEA-2 carries the population and an archive of the same size.
+	want := ckptFixedBytes + len("spea2") +
+		2*par.Population*ckptIndividualBytes(prob.NumBits(), prob.NumObjectives())
+	for _, gen := range []int{5, 50} {
+		if sizes[gen] != want {
+			t.Errorf("checkpoint at generation %d is %d bytes, want %d", gen, sizes[gen], want)
+		}
+	}
+}
+
+// TestCheckpointOldVersionRejected: the codec has a single format, so a
+// blob carrying an earlier version byte is corrupt even when its
+// checksum is valid.
+func TestCheckpointOldVersionRejected(t *testing.T) {
+	data := EncodeCheckpoint(&Checkpoint{
+		Algorithm: "spea2", Seed: 1, NumBits: 10, Population: 2, NumObjectives: 2, Generation: 1,
+		Pop: []CheckpointIndividual{{Genome: Genome{3}, Obj: []float64{1, 2}}},
+	})
+	if _, err := DecodeCheckpoint(data); err != nil {
+		t.Fatalf("current-version blob rejected: %v", err)
+	}
+	body := data[:len(data)-8]
+	for _, v := range []byte{1, 2, 3} {
+		body[7] = v
+		old := binary.LittleEndian.AppendUint64(append([]byte(nil), body...), fnv1a(body))
+		if _, err := DecodeCheckpoint(old); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("version %d blob: error %v does not wrap ErrCheckpointCorrupt", v, err)
+		}
+	}
+}
+
+// TestCheckpointEmptyPopObjectives: the objective count is a header
+// field, so it survives the round trip even when no individual in the
+// payload records it, and resume validation uses it.
 func TestCheckpointEmptyPopObjectives(t *testing.T) {
 	cp := &Checkpoint{
 		Algorithm: "spea2", Seed: 5, NumBits: 12, Population: 4,
@@ -156,22 +195,9 @@ func TestCheckpointEmptyPopObjectives(t *testing.T) {
 	if got.NumObjectives != 3 {
 		t.Errorf("empty-pop checkpoint decoded NumObjectives = %d, want 3", got.NumObjectives)
 	}
-	if got.numObjectives() != 0 {
-		t.Errorf("inference on empty pop = %d, want 0 (the misreport the header fixes)", got.numObjectives())
-	}
-	// A v1-style checkpoint of the same run (no explicit count) decodes
-	// with the inferred — wrong — zero, proving the field is load-bearing.
-	v1 := &Checkpoint{Algorithm: "spea2", Seed: 5, NumBits: 12, Population: 4, Generation: 1}
-	gotV1, err := DecodeCheckpoint(EncodeCheckpoint(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotV1.NumObjectives != 0 {
-		t.Errorf("inferred empty-pop checkpoint decoded NumObjectives = %d, want 0", gotV1.NumObjectives)
-	}
-	// Resume validation reads the explicit header count: a 3-objective
+	// Resume validation reads the header count: a 3-objective
 	// checkpoint must not validate against a 2-objective engine.
-	e := &engine{par: &Params{Seed: 5, Population: 4, Memoize: false, Generations: 9}, nbits: 12, m: 2}
+	e := &engine{par: &Params{Seed: 5, Population: 4, Generations: 9}, nbits: 12, m: 2}
 	got.Pop = []CheckpointIndividual{{Genome: Genome{1}, Obj: []float64{1, 2, 3}}}
 	if err := e.validateResume("spea2", got); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("3-objective checkpoint against 2-objective engine: err = %v, want ErrCheckpointMismatch", err)
@@ -224,7 +250,7 @@ func TestCheckpointDecodeCorrupt(t *testing.T) {
 // a different run are rejected with ErrCheckpointMismatch.
 func TestResumeValidation(t *testing.T) {
 	prob := newKnapsack(7, 48)
-	par := ckptParams(11, 1, true)
+	par := ckptParams(11, 1)
 	_, cp := captureCheckpoint(t, "spea2", prob, par, 7)
 	mutate := []struct {
 		name string
@@ -234,13 +260,12 @@ func TestResumeValidation(t *testing.T) {
 		{"seed", func(c Checkpoint) Checkpoint { c.Seed++; return c }},
 		{"numbits", func(c Checkpoint) Checkpoint { c.NumBits++; return c }},
 		{"population", func(c Checkpoint) Checkpoint { c.Population++; return c }},
-		{"memoized", func(c Checkpoint) Checkpoint { c.Memoized = false; return c }},
 		{"generation", func(c Checkpoint) Checkpoint { c.Generation = par.Generations; return c }},
 		{"empty-pop", func(c Checkpoint) Checkpoint { c.Pop = nil; return c }},
 	}
 	for _, m := range mutate {
 		bad := m.mut(*cp)
-		rpar := ckptParams(11, 1, true)
+		rpar := ckptParams(11, 1)
 		rpar.Resume = &bad
 		if _, err := SPEA2(prob, rpar); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s: error %v does not wrap ErrCheckpointMismatch", m.name, err)
@@ -256,10 +281,10 @@ func TestCancelPartialResult(t *testing.T) {
 	for _, algo := range []string{"spea2", "nsga2"} {
 		for _, workers := range []int{1, 4} {
 			prob := newKnapsack(7, 48)
-			full := runAlgo(t, algo, prob, ckptParams(11, workers, true))
+			full := runAlgo(t, algo, prob, ckptParams(11, workers))
 
 			ctx, cancel := context.WithCancel(context.Background())
-			par := ckptParams(11, workers, true)
+			par := ckptParams(11, workers)
 			par.Context = ctx
 			par.OnGeneration = func(gen int, front []Individual) bool {
 				if gen == 5 {
@@ -292,7 +317,7 @@ func TestCancelPartialResult(t *testing.T) {
 func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	par := ckptParams(1, 1, true)
+	par := ckptParams(1, 1)
 	par.Context = ctx
 	res := runAlgo(t, "spea2", newKnapsack(1, 32), par)
 	if !res.Interrupted {

@@ -21,7 +21,7 @@ var ErrCheckpointCorrupt = errors.New("moea: checkpoint corrupt")
 
 // ErrCheckpointMismatch marks a structurally valid checkpoint that does
 // not belong to the run being resumed: different algorithm, seed,
-// genome size, population or memoization setting. Test with errors.Is.
+// genome size or population. Test with errors.Is.
 var ErrCheckpointMismatch = errors.New("moea: checkpoint mismatch")
 
 // PanicError is a panic recovered inside a worker pool — an evaluation

@@ -19,14 +19,8 @@ const minParallelChunk = 16
 // across a pool of workers. Result slots are fixed by individual index
 // before any worker starts, so the outcome is bit-for-bit identical at
 // every worker count — parallelism changes only who computes a slot,
-// never what is computed or where it lands.
-//
-// With memoization enabled, a lookup pass (also spread over the
-// workers) resolves previously seen genomes from the cache and only the
-// misses are evaluated; the cache is exact (full genome comparison on
-// every hit) and evaluation is pure, so the results are bit-identical
-// to the uncached run. Evaluate is not safe for concurrent calls on the
-// same Executor — each optimizer run owns one.
+// never what is computed or where it lands. Evaluate is not safe for
+// concurrent calls on the same Executor — each optimizer run owns one.
 //
 // The executor is also the failure domain of evaluation: a cancelled
 // context stops the batch at the next chunk boundary (completed chunks
@@ -41,21 +35,11 @@ type Executor struct {
 	dp      DeltaProblem // non-nil when p offers delta evaluation
 	m       int
 	workers int
-	memo    *memoCache // non-nil when memoization is enabled
 
 	// Reused per-batch scratch: the flattened genome/objective views
-	// handed to BatchProblem, the per-index hash/hit arrays of the memo
-	// lookup pass, the compacted miss list (with its original indices
-	// and evaluation bases), and the per-index evaluation-completed
-	// mask of the failure paths.
-	gsBuf    []Genome
-	outsBuf  [][]float64
-	hashBuf  []uint64
-	hitBuf   []bool
-	missBuf  []Individual
-	missIdx  []int32
-	missBase []EvalBase
-	okBuf    []bool
+	// handed to BatchProblem.
+	gsBuf   []Genome
+	outsBuf [][]float64
 
 	evals     *telemetry.Counter   // moea.evaluations
 	deltas    *telemetry.Counter   // moea.delta.evaluations
@@ -67,9 +51,8 @@ type Executor struct {
 
 // NewExecutor builds an executor over the problem. A nil ctx never
 // cancels. workers <= 0 selects GOMAXPROCS. A nil collector disables
-// the executor metrics at the cost of one nil check per batch. memoize
-// enables the per-run evaluation cache.
-func NewExecutor(ctx context.Context, p Problem, workers int, tel *telemetry.Collector, memoize bool) *Executor {
+// the executor metrics at the cost of one nil check per batch.
+func NewExecutor(ctx context.Context, p Problem, workers int, tel *telemetry.Collector) *Executor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -89,9 +72,6 @@ func NewExecutor(ctx context.Context, p Problem, workers int, tel *telemetry.Col
 	if dp, ok := p.(DeltaProblem); ok && dp.CanDelta() {
 		e.dp = dp
 	}
-	if memoize {
-		e.memo = newMemoCache(tel)
-	}
 	tel.Gauge("moea.executor.workers").Set(float64(workers))
 	return e
 }
@@ -99,22 +79,18 @@ func NewExecutor(ctx context.Context, p Problem, workers int, tel *telemetry.Col
 // Workers returns the resolved worker count.
 func (e *Executor) Workers() int { return e.workers }
 
-// MemoStats returns the exact cumulative cache hit and miss counts
-// (zero without memoization).
-func (e *Executor) MemoStats() (hits, misses int64) { return e.memo.Stats() }
-
 // cancelled reports whether the run's context has been cancelled.
 func (e *Executor) cancelled() bool { return e.ctx != nil && e.ctx.Err() != nil }
 
 // Evaluate fills the objective vector of every individual in the batch
-// and returns the number of true (non-cached) objective evaluations
-// performed — exactly the completed ones, even on failure — and how
-// many of those were resolved incrementally from their evaluation base
-// (always 0 unless the problem offers delta evaluation and bases are
-// provided; bases, when non-nil, is indexed like batch). The error is
-// ErrInterrupted when the context cancelled the batch (some objective
-// slots are then unwritten and the batch must be discarded), or a
-// *PanicError when an evaluation panicked.
+// and returns the number of objective evaluations performed — exactly
+// the completed ones, even on failure — and how many of those were
+// resolved incrementally from their evaluation base (always 0 unless
+// the problem offers delta evaluation and bases are provided; bases,
+// when non-nil, is indexed like batch). The error is ErrInterrupted
+// when the context cancelled the batch (some objective slots are then
+// unwritten and the batch must be discarded), or a *PanicError when an
+// evaluation panicked.
 func (e *Executor) Evaluate(batch []Individual, bases []EvalBase) (evaluated, delta int, err error) {
 	n := len(batch)
 	if n == 0 {
@@ -129,92 +105,21 @@ func (e *Executor) Evaluate(batch []Individual, bases []EvalBase) (evaluated, de
 		}
 	}
 	e.batchSize.Set(float64(n))
-	if e.memo == nil {
-		_, evaluated, delta, err := e.evaluateAll(batch, bases)
-		e.evals.Add(int64(evaluated))
-		e.deltas.Add(int64(delta))
-		return evaluated, delta, err
-	}
-	return e.evaluateMemo(batch, bases)
-}
-
-// evaluateMemo is the memoized batch path: a parallel lookup pass
-// resolves hits straight from the cache, the misses are compacted (in
-// batch order, so chunking stays deterministic) and evaluated, and the
-// new results are stored in this serial section, visible to the
-// lock-free lookups of later batches. On interruption or panic only the
-// chunks that completed are stored and accounted. Delta evaluation only
-// accelerates the miss evaluations, so the hit/miss accounting is
-// untouched by it.
-func (e *Executor) evaluateMemo(batch []Individual, bases []EvalBase) (int, int, error) {
-	n := len(batch)
-	if cap(e.hashBuf) < n {
-		e.hashBuf = make([]uint64, n)
-		e.hitBuf = make([]bool, n)
-	}
-	hashes, hits := e.hashBuf[:n], e.hitBuf[:n]
-	parallelFor(n, e.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			h := hashGenome(batch[i].G)
-			hashes[i] = h
-			obj, ok := e.memo.lookup(h, batch[i].G)
-			if ok {
-				copy(batch[i].Obj, obj)
-			}
-			hits[i] = ok
-		}
-	})
-	miss := e.missBuf[:0]
-	missIdx := e.missIdx[:0]
-	missBase := e.missBase[:0]
-	for i := range hits {
-		if !hits[i] {
-			miss = append(miss, batch[i])
-			missIdx = append(missIdx, int32(i))
-			if bases != nil {
-				missBase = append(missBase, bases[i])
-			}
-		}
-	}
-	if bases == nil {
-		missBase = nil
-	}
-	ok, evaluated, delta, err := e.evaluateAll(miss, missBase)
-	for j := range miss {
-		if ok[j] {
-			e.memo.store(hashes[missIdx[j]], miss[j].G, miss[j].Obj)
-		}
-	}
+	evaluated, delta, err = e.evaluateAll(batch, bases)
 	e.evals.Add(int64(evaluated))
 	e.deltas.Add(int64(delta))
-	e.memo.account(int64(n-len(miss)), int64(evaluated))
-	clear(miss) // drop genome references; the backing arrays are reused
-	e.missBuf, e.missIdx = miss[:0], missIdx[:0]
-	if missBase != nil {
-		clear(missBase)
-		e.missBase = missBase[:0]
-	}
 	return evaluated, delta, err
 }
 
 // evaluateAll evaluates the batch, splitting it across the worker pool
 // when it is large enough. Batches below 2*minParallelChunk (and all
-// batches at workers=1) run on the calling goroutine. ok[i] reports
-// whether slot i was evaluated (all true on a nil error); evaluated is
-// the exact count and delta the number of evaluations resolved
-// incrementally (only completed chunks count toward either). A panic
-// outranks an interruption in the returned error, and the pool always
-// drains before returning.
-func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (ok []bool, evaluated, delta int, err error) {
+// batches at workers=1) run on the calling goroutine. evaluated is the
+// exact count of completed evaluations and delta the number of them
+// resolved incrementally (only completed chunks count toward either).
+// A panic outranks an interruption in the returned error, and the pool
+// always drains before returning.
+func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (evaluated, delta int, err error) {
 	n := len(batch)
-	if cap(e.okBuf) < n {
-		e.okBuf = make([]bool, n)
-	}
-	ok = e.okBuf[:n]
-	clear(ok)
-	if n == 0 {
-		return ok, 0, 0, nil
-	}
 	if cap(e.gsBuf) < n {
 		e.gsBuf = make([]Genome, n)
 		e.outsBuf = make([][]float64, n)
@@ -235,15 +140,11 @@ func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (ok []bool,
 		return bases[lo:hi]
 	}
 	if e.workers == 1 || n < 2*minParallelChunk {
-		if e.cancelled() {
-			return ok, 0, 0, ErrInterrupted
-		}
 		d, perr := e.evaluateRange(gs, outs, baseSlice(0, n), 0)
 		if perr != nil {
-			return ok, 0, 0, perr
+			return 0, 0, perr
 		}
-		markEvaluated(ok, 0, n)
-		return ok, n, d, nil
+		return n, d, nil
 	}
 	chunk := (n + e.workers - 1) / e.workers
 	if chunk < minParallelChunk {
@@ -257,35 +158,26 @@ func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (ok []bool,
 	var wg sync.WaitGroup
 	for w := 0; w < spawned; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			// The chunk boundary is the cancellation point: a chunk
-			// either runs to completion or not at all, so ok/evaluated
-			// stay exact.
+			// either runs to completion or not at all, so evaluated
+			// stays exact.
 			if e.cancelled() {
 				errs[w] = ErrInterrupted
 				return
 			}
 			t0 := time.Now()
-			if dcount[w], errs[w] = e.evaluateRange(gs[lo:hi], outs[lo:hi], baseSlice(lo, hi), lo); errs[w] == nil {
-				markEvaluated(ok, lo, hi) // disjoint ranges: no contention
-			}
+			dcount[w], errs[w] = e.evaluateRange(gs[lo:hi], outs[lo:hi], baseSlice(lo, hi), lo)
 			busy[w] = time.Since(t0)
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	for i := range ok {
-		if ok[i] {
-			evaluated++
-		}
-	}
 	for w := range errs {
 		if errs[w] == nil {
+			evaluated += min(chunk, n-w*chunk)
 			delta += dcount[w]
 		}
 	}
@@ -304,19 +196,12 @@ func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (ok []bool,
 		switch cerr.(type) {
 		case nil:
 		case *PanicError:
-			return ok, evaluated, delta, cerr
+			return evaluated, delta, cerr
 		default:
 			interrupted = cerr
 		}
 	}
-	return ok, evaluated, delta, interrupted
-}
-
-// markEvaluated flips the completed range of the evaluation mask.
-func markEvaluated(ok []bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ok[i] = true
-	}
+	return evaluated, delta, interrupted
 }
 
 // evaluateRange evaluates one contiguous sub-batch on the calling

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -137,6 +138,33 @@ func TestExecutorTelemetry(t *testing.T) {
 	}
 	if got := tel.Gauge("moea.executor.batch_size").Value(); got != 64 {
 		t.Errorf("moea.executor.batch_size gauge = %v, want 64", got)
+	}
+}
+
+// TestMemoTelemetryCounters checks the run's evaluation counters now
+// that no genome memo sits in front of the executor: moea.evaluations
+// equals Result.Evaluations, every genome of every generation is
+// evaluated (duplicate children included), and no moea.memo.* counter
+// is registered.
+func TestMemoTelemetryCounters(t *testing.T) {
+	tel := telemetry.New()
+	p := newKnapsack(11, 40)
+	const pop, gens = 30, 15
+	res, err := SPEA2(p, Params{Population: pop, Generations: gens, PCrossover: 0.95, PMutateBit: 0.02,
+		Seed: 1, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Counter("moea.evaluations").Value(); got != int64(res.Evaluations) {
+		t.Errorf("moea.evaluations = %d, want %d", got, res.Evaluations)
+	}
+	if res.Evaluations != gens*pop {
+		t.Errorf("Result.Evaluations = %d, want %d (every genome evaluated)", res.Evaluations, gens*pop)
+	}
+	for name := range tel.Snapshot().Counters {
+		if strings.HasPrefix(name, "moea.memo.") {
+			t.Errorf("counter %s registered; the run has no genome memo", name)
+		}
 	}
 }
 

@@ -15,16 +15,16 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// systematic damage: truncation, a flipped header bit, a flipped
 	// payload bit, and a forged length field.
 	seeds := [][]byte{
-		EncodeCheckpoint(&Checkpoint{Algorithm: "spea2", Seed: 1, NumBits: 40, Population: 2, Generation: 3,
+		EncodeCheckpoint(&Checkpoint{Algorithm: "spea2", Seed: 1, NumBits: 40, Population: 2,
+			NumObjectives: 2, Generation: 3,
 			Pop: []CheckpointIndividual{
 				{Genome: Genome{1}, Obj: []float64{1, 2}, Fitness: 0.5, Density: 1},
 				{Genome: Genome{2}, Obj: []float64{3, 4}, Fitness: 1, Density: 0},
 			},
 			Archive: []CheckpointIndividual{{Genome: Genome{3}, Obj: []float64{5, 6}}},
-			Memo:    []MemoEntry{{Genome: Genome{4}, Obj: []float64{7, 8}}},
 		}),
 		EncodeCheckpoint(&Checkpoint{Algorithm: "nsga2", Seed: -9, NumBits: 130, Population: 2,
-			Memoized: true, Generation: 1, RNGDraws: 77, Evaluations: 60, CacheHits: 5, CacheMisses: 55,
+			NumObjectives: 2, Generation: 1, RNGDraws: 77, Evaluations: 60, DeltaEvals: 55, FullEvals: 5,
 			Pop: []CheckpointIndividual{
 				{Genome: Genome{1, 2, 3}, Obj: []float64{0, 0}},
 				{Genome: Genome{4, 5, 6}, Obj: []float64{1, 1}},
@@ -42,9 +42,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("RSNCKPT\x01"))
+	f.Add([]byte("RSNCKPT\x04"))
 	// A forged genome-length field claiming gigabytes of payload.
-	forged := append([]byte("RSNCKPT\x01"), bytes.Repeat([]byte{0xFF}, 64)...)
+	forged := append([]byte("RSNCKPT\x04"), bytes.Repeat([]byte{0xFF}, 64)...)
 	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

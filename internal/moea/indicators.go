@@ -18,14 +18,6 @@ func RefPoint(maxes ...float64) []float64 {
 	return ref
 }
 
-// RefPoint2 is the fixed-arity forerunner of RefPoint.
-//
-// Deprecated: use RefPoint, which takes one extreme value per
-// objective.
-func RefPoint2(maxObj0, maxObj1 float64) []float64 {
-	return RefPoint(maxObj0, maxObj1)
-}
-
 // NormalizedHypervolume returns the dominated hypervolume as a fraction
 // of the reference box volume (the product of the ref coordinates), in
 // [0, 1]. It is the scale-free convergence indicator recorded per

@@ -209,10 +209,6 @@ func TestRefPoint(t *testing.T) {
 	if !(0 < ref[0] && 50 < ref[1]) || !(100 < ref[0] && 0 < ref[1]) {
 		t.Errorf("extreme solutions not inside box %v", ref)
 	}
-	// The deprecated fixed-arity shim agrees with the variadic form.
-	if shim := RefPoint2(100, 50); shim[0] != ref[0] || shim[1] != ref[1] {
-		t.Errorf("RefPoint2(100, 50) = %v, want %v", shim, ref)
-	}
 }
 
 func TestNormalizedHypervolume(t *testing.T) {

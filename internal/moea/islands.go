@@ -13,12 +13,12 @@ import (
 // lockstep, exchanging their best individuals along a ring every
 // MigrationEvery generations, with the final front the merged
 // nondominated set. Each island is a complete single-population run —
-// its own engine, RNG stream, executor, memo cache and buffer arena —
-// so islands can run their phases on concurrent goroutines without
-// sharing state, and the whole run is a pure function of
-// (Seed, Islands): island k is seeded with islandSeed(Seed, k), the
-// lockstep schedule and the migration decisions depend only on island
-// state (never on timing or the RNG), and fronts merge in ring order.
+// its own engine, RNG stream, executor and buffer arena — so islands
+// can run their phases on concurrent goroutines without sharing state,
+// and the whole run is a pure function of (Seed, Islands): island k is
+// seeded with islandSeed(Seed, k), the lockstep schedule and the
+// migration decisions depend only on island state (never on timing or
+// the RNG), and fronts merge in ring order.
 // Bit-identical output at any worker count follows from the same
 // property of the per-island runs.
 
@@ -144,9 +144,6 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 			res.Evaluations += e.res.Evaluations
 			res.DeltaEvals += e.res.DeltaEvals
 			res.FullEvals += e.res.FullEvals
-			hits, misses := e.exec.MemoStats()
-			res.CacheHits += hits
-			res.CacheMisses += misses
 			if e.res.Generations > res.Generations {
 				res.Generations = e.res.Generations
 			}
@@ -171,7 +168,6 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 			Seed:          par.Seed,
 			NumBits:       p.NumBits(),
 			Population:    par.Population,
-			Memoized:      par.Memoize,
 			NumObjectives: p.NumObjectives(),
 			Generation:    gen,
 			Islands:       K,
@@ -183,8 +179,6 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 			cp.Evaluations += ic.Evaluations
 			cp.DeltaEvals += ic.DeltaEvals
 			cp.FullEvals += ic.FullEvals
-			cp.CacheHits += ic.CacheHits
-			cp.CacheMisses += ic.CacheMisses
 		}
 		if err := par.CheckpointFn(cp); err != nil {
 			return fmt.Errorf("moea: checkpoint at generation %d: %w", gen, err)
@@ -281,10 +275,7 @@ func islandHooks(gen int, par *Params, runs []islandRun, engines []*engine) bool
 	if par.OnProgress != nil {
 		p := Progress{Gen: gen}
 		for _, e := range engines {
-			ep := e.progress(gen)
-			p.Evaluations += ep.Evaluations
-			p.CacheHits += ep.CacheHits
-			p.CacheMisses += ep.CacheMisses
+			p.Evaluations += e.res.Evaluations
 		}
 		cont = par.OnProgress(p, front)
 	}
@@ -392,8 +383,6 @@ func validateIslandResume(algo string, cp *Checkpoint, par *Params, p Problem) e
 		return fmt.Errorf("%w: checkpoint genome is %d bits, problem has %d", ErrCheckpointMismatch, cp.NumBits, p.NumBits())
 	case cp.Population != par.Population:
 		return fmt.Errorf("%w: checkpoint population %d, run population %d", ErrCheckpointMismatch, cp.Population, par.Population)
-	case cp.Memoized != par.Memoize:
-		return fmt.Errorf("%w: checkpoint memoization %v, run %v", ErrCheckpointMismatch, cp.Memoized, par.Memoize)
 	case cp.Generation >= par.Generations:
 		return fmt.Errorf("%w: checkpoint generation %d is beyond the %d-generation budget", ErrCheckpointMismatch, cp.Generation, par.Generations)
 	}

@@ -62,68 +62,66 @@ func popcount(x uint64) int {
 // bit-identical to the plain run — same front, same accounting — while
 // actually taking the incremental path, the delta/full split sums to
 // the evaluation count, and the split is identical at every worker
-// count and with memoization on either side.
+// count.
 func TestDeltaOracle(t *testing.T) {
 	plain := newKnapsack(17, 96)
 	for _, algo := range []string{"spea2", "nsga2"} {
-		for _, memoize := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/memo=%v", algo, memoize), func(t *testing.T) {
-				par := Params{Population: 40, Generations: 25, PCrossover: 0.95,
-					PMutateBit: 0.02, Seed: 5, Memoize: memoize}
-				ref := runAlgo(t, algo, plain, par)
-				if ref.DeltaEvals != 0 {
-					t.Errorf("plain problem reports %d delta evaluations", ref.DeltaEvals)
-				}
-				if ref.FullEvals != ref.Evaluations {
-					t.Errorf("plain problem: FullEvals %d != Evaluations %d", ref.FullEvals, ref.Evaluations)
-				}
-				var first *Result
-				for _, workers := range []int{1, 4} {
-					dp := &deltaKnapsack{knapsackProblem: plain, limit: 24}
-					wpar := par
-					wpar.Workers = workers
-					res := runAlgo(t, algo, dp, wpar)
-					if !frontsEqual(ref.Front, res.Front) {
-						t.Errorf("workers=%d: delta-evaluated front differs from plain run", workers)
-					}
-					if res.Evaluations != ref.Evaluations {
-						t.Errorf("workers=%d: evaluations %d, want %d", workers, res.Evaluations, ref.Evaluations)
-					}
-					if res.DeltaEvals == 0 {
-						t.Errorf("workers=%d: incremental path never taken", workers)
-					}
-					if res.DeltaEvals+res.FullEvals != res.Evaluations {
-						t.Errorf("workers=%d: delta %d + full %d != evaluations %d",
-							workers, res.DeltaEvals, res.FullEvals, res.Evaluations)
-					}
-					if dp.declined.Load()+dp.deltaCalls.Load() == 0 {
-						t.Errorf("workers=%d: EvaluateDelta never called", workers)
-					}
-					if first == nil {
-						first = res
-					} else if res.DeltaEvals != first.DeltaEvals || res.FullEvals != first.FullEvals {
-						t.Errorf("workers=%d: delta/full split (%d,%d) differs from serial (%d,%d)",
-							workers, res.DeltaEvals, res.FullEvals, first.DeltaEvals, first.FullEvals)
-					}
-				}
-
-				// A negative cutoff declines every pair (even unmutated
-				// clones, which differ in zero bits): the run must fall
-				// back to full evaluation everywhere and still match.
-				dp := &deltaKnapsack{knapsackProblem: plain, limit: -1}
-				res := runAlgo(t, algo, dp, par)
+		t.Run(algo, func(t *testing.T) {
+			par := Params{Population: 40, Generations: 25, PCrossover: 0.95,
+				PMutateBit: 0.02, Seed: 5}
+			ref := runAlgo(t, algo, plain, par)
+			if ref.DeltaEvals != 0 {
+				t.Errorf("plain problem reports %d delta evaluations", ref.DeltaEvals)
+			}
+			if ref.FullEvals != ref.Evaluations {
+				t.Errorf("plain problem: FullEvals %d != Evaluations %d", ref.FullEvals, ref.Evaluations)
+			}
+			var first *Result
+			for _, workers := range []int{1, 4} {
+				dp := &deltaKnapsack{knapsackProblem: plain, limit: 24}
+				wpar := par
+				wpar.Workers = workers
+				res := runAlgo(t, algo, dp, wpar)
 				if !frontsEqual(ref.Front, res.Front) {
-					t.Error("fallback-only run front differs from plain run")
+					t.Errorf("workers=%d: delta-evaluated front differs from plain run", workers)
 				}
-				if res.DeltaEvals != 0 || res.FullEvals != res.Evaluations {
-					t.Errorf("fallback-only run: delta %d full %d evaluations %d",
-						res.DeltaEvals, res.FullEvals, res.Evaluations)
+				if res.Evaluations != ref.Evaluations {
+					t.Errorf("workers=%d: evaluations %d, want %d", workers, res.Evaluations, ref.Evaluations)
 				}
-				if dp.declined.Load() == 0 {
-					t.Error("fallback-only run: EvaluateDelta never declined")
+				if res.DeltaEvals == 0 {
+					t.Errorf("workers=%d: incremental path never taken", workers)
 				}
-			})
-		}
+				if res.DeltaEvals+res.FullEvals != res.Evaluations {
+					t.Errorf("workers=%d: delta %d + full %d != evaluations %d",
+						workers, res.DeltaEvals, res.FullEvals, res.Evaluations)
+				}
+				if dp.declined.Load()+dp.deltaCalls.Load() == 0 {
+					t.Errorf("workers=%d: EvaluateDelta never called", workers)
+				}
+				if first == nil {
+					first = res
+				} else if res.DeltaEvals != first.DeltaEvals || res.FullEvals != first.FullEvals {
+					t.Errorf("workers=%d: delta/full split (%d,%d) differs from serial (%d,%d)",
+						workers, res.DeltaEvals, res.FullEvals, first.DeltaEvals, first.FullEvals)
+				}
+			}
+
+			// A negative cutoff declines every pair (even unmutated
+			// clones, which differ in zero bits): the run must fall
+			// back to full evaluation everywhere and still match.
+			dp := &deltaKnapsack{knapsackProblem: plain, limit: -1}
+			res := runAlgo(t, algo, dp, par)
+			if !frontsEqual(ref.Front, res.Front) {
+				t.Error("fallback-only run front differs from plain run")
+			}
+			if res.DeltaEvals != 0 || res.FullEvals != res.Evaluations {
+				t.Errorf("fallback-only run: delta %d full %d evaluations %d",
+					res.DeltaEvals, res.FullEvals, res.Evaluations)
+			}
+			if dp.declined.Load() == 0 {
+				t.Error("fallback-only run: EvaluateDelta never declined")
+			}
+		})
 	}
 }
 
@@ -141,7 +139,7 @@ func TestIslandWorkerInvariance(t *testing.T) {
 				dp := &deltaKnapsack{knapsackProblem: plain, limit: 20}
 				par := Params{Population: 48, Generations: 24, PCrossover: 0.95,
 					PMutateBit: 0.02, Seed: 9, Islands: islands, MigrationEvery: 5,
-					Workers: workers, Memoize: true}
+					Workers: workers}
 				res := runAlgo(t, algo, dp, par)
 				if len(res.Front) == 0 {
 					t.Fatalf("%s islands=%d workers=%d: empty front", algo, islands, workers)
@@ -160,12 +158,9 @@ func TestIslandWorkerInvariance(t *testing.T) {
 				if !frontsEqual(ref.Front, res.Front) {
 					t.Errorf("%s islands=%d workers=%d: front differs from serial run", algo, islands, workers)
 				}
-				if res.Evaluations != ref.Evaluations || res.DeltaEvals != ref.DeltaEvals ||
-					res.CacheHits != ref.CacheHits || res.CacheMisses != ref.CacheMisses {
-					t.Errorf("%s islands=%d workers=%d: accounting (%d,%d,%d,%d) differs from serial (%d,%d,%d,%d)",
-						algo, islands, workers,
-						res.Evaluations, res.DeltaEvals, res.CacheHits, res.CacheMisses,
-						ref.Evaluations, ref.DeltaEvals, ref.CacheHits, ref.CacheMisses)
+				if res.Evaluations != ref.Evaluations || res.DeltaEvals != ref.DeltaEvals {
+					t.Errorf("%s islands=%d workers=%d: accounting (%d,%d) differs from serial (%d,%d)",
+						algo, islands, workers, res.Evaluations, res.DeltaEvals, ref.Evaluations, ref.DeltaEvals)
 				}
 			}
 			evalsByIslands[islands] = ref.Evaluations
@@ -200,7 +195,7 @@ func TestIslandResumeEquivalence(t *testing.T) {
 	for _, algo := range []string{"spea2", "nsga2"} {
 		t.Run(algo, func(t *testing.T) {
 			prob := newKnapsack(7, 48)
-			par := ckptParams(11, 1, true)
+			par := ckptParams(11, 1)
 			par.Islands = 3
 			par.MigrationEvery = 4
 			ref, cp := captureCheckpoint(t, algo, prob, par, 6)
@@ -209,7 +204,7 @@ func TestIslandResumeEquivalence(t *testing.T) {
 			}
 			want := runResultFingerprint(ref)
 			for _, workers := range []int{1, 4} {
-				rpar := ckptParams(11, workers, true)
+				rpar := ckptParams(11, workers)
 				rpar.Islands = 3
 				rpar.MigrationEvery = 4
 				rpar.Resume = cp
@@ -226,27 +221,27 @@ func TestIslandResumeEquivalence(t *testing.T) {
 // island/single mismatch and the island-count check.
 func TestIslandResumeValidation(t *testing.T) {
 	prob := newKnapsack(7, 48)
-	par := ckptParams(11, 1, true)
+	par := ckptParams(11, 1)
 	par.Islands = 2
 	_, cp := captureCheckpoint(t, "spea2", prob, par, 6)
 
 	// Island checkpoint into a single-population run.
-	rpar := ckptParams(11, 1, true)
+	rpar := ckptParams(11, 1)
 	rpar.Resume = cp
 	if _, err := SPEA2(prob, rpar); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("island checkpoint into single run: %v, want ErrCheckpointMismatch", err)
 	}
 	// Wrong island count.
-	rpar = ckptParams(11, 1, true)
+	rpar = ckptParams(11, 1)
 	rpar.Islands = 4
 	rpar.Resume = cp
 	if _, err := SPEA2(prob, rpar); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("2-island checkpoint into 4-island run: %v, want ErrCheckpointMismatch", err)
 	}
 	// Single-population checkpoint into an island run.
-	spar := ckptParams(11, 1, true)
+	spar := ckptParams(11, 1)
 	_, scp := captureCheckpoint(t, "spea2", prob, spar, 6)
-	rpar = ckptParams(11, 1, true)
+	rpar = ckptParams(11, 1)
 	rpar.Islands = 2
 	rpar.Resume = scp
 	if _, err := SPEA2(prob, rpar); !errors.Is(err, ErrCheckpointMismatch) {
@@ -263,7 +258,7 @@ func TestIslandCancelPartialResult(t *testing.T) {
 	prob := newKnapsack(7, 48)
 	ctx, cancel := context.WithCancel(context.Background())
 	var cp *Checkpoint
-	par := ckptParams(11, 2, true)
+	par := ckptParams(11, 2)
 	par.Islands = 2
 	par.MigrationEvery = 3
 	par.Context = ctx
@@ -294,12 +289,12 @@ func TestIslandCancelPartialResult(t *testing.T) {
 		t.Fatal("no cancellation checkpoint written")
 	}
 	full := func() *Result {
-		fpar := ckptParams(11, 1, true)
+		fpar := ckptParams(11, 1)
 		fpar.Islands = 2
 		fpar.MigrationEvery = 3
 		return runAlgo(t, "spea2", prob, fpar)
 	}()
-	rpar := ckptParams(11, 1, true)
+	rpar := ckptParams(11, 1)
 	rpar.Islands = 2
 	rpar.MigrationEvery = 3
 	rpar.Resume = cp
@@ -309,12 +304,12 @@ func TestIslandCancelPartialResult(t *testing.T) {
 	}
 }
 
-// TestIslandCheckpointRoundTrip pins the v3 codec on a combined island
+// TestIslandCheckpointRoundTrip pins the codec on a combined island
 // checkpoint: encode→decode is the identity, including nested states.
 func TestIslandCheckpointRoundTrip(t *testing.T) {
 	inner := func(seed int64) *Checkpoint {
 		return &Checkpoint{
-			Algorithm: "spea2", Seed: seed, NumBits: 70, Population: 2, Memoized: true,
+			Algorithm: "spea2", Seed: seed, NumBits: 70, Population: 2, NumObjectives: 2,
 			Generation: 4, RNGDraws: 99, Evaluations: 10, DeltaEvals: 6, FullEvals: 4,
 			Pop: []CheckpointIndividual{
 				{Genome: Genome{1, 2}, Obj: []float64{1, 2}, Fitness: 0.5, Density: 1.5},
@@ -322,7 +317,7 @@ func TestIslandCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	cp := &Checkpoint{
-		Algorithm: "spea2", Seed: 42, NumBits: 70, Population: 4, Memoized: true,
+		Algorithm: "spea2", Seed: 42, NumBits: 70, Population: 4,
 		NumObjectives: 2, Generation: 4, Evaluations: 20, DeltaEvals: 12, FullEvals: 8,
 		Islands:     2,
 		IslandCkpts: []*Checkpoint{inner(42), inner(-7)},
@@ -338,7 +333,7 @@ func TestIslandCheckpointRoundTrip(t *testing.T) {
 		t.Errorf("decoded delta/full = %d/%d, want 12/8", got.DeltaEvals, got.FullEvals)
 	}
 	for k, ic := range got.IslandCkpts {
-		want := fmt.Sprintf("%+v", withDecodedDefaults(inner([]int64{42, -7}[k])))
+		want := fmt.Sprintf("%+v", inner([]int64{42, -7}[k]))
 		if fmt.Sprintf("%+v", ic) != want {
 			t.Errorf("island %d state mismatch:\n got %+v\nwant %s", k, ic, want)
 		}
@@ -353,14 +348,6 @@ func TestIslandCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("bit flip at offset %d: error %v does not wrap ErrCheckpointCorrupt", i, err)
 		}
 	}
-}
-
-// withDecodedDefaults mirrors what the decoder materializes on a
-// checkpoint that was encoded from a sparse literal.
-func withDecodedDefaults(cp *Checkpoint) *Checkpoint {
-	cp.NumObjectives = 2
-	cp.version = ckptVersion
-	return cp
 }
 
 // TestIslandParamsValidation pins the island-specific Params checks.

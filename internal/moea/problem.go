@@ -146,20 +146,13 @@ type Params struct {
 	// its ring successor per migration (default: a tenth of the island
 	// population, at least 1; clamped to the island size).
 	MigrationCount int
-	// Memoize enables the per-run genome-evaluation cache: repeated
-	// genomes (archive survivors, unmutated clones) are resolved from a
-	// content-hashed cache instead of re-evaluated. Results are
-	// bit-identical either way; Result.Evaluations counts only true
-	// evaluations, so enabling it changes the reported count.
-	Memoize bool
 	// Telemetry, if non-nil, receives the executor's instruments
-	// (evaluation counters, batch-size gauge, utilization histogram,
-	// memo hit/miss counters).
+	// (evaluation counters, batch-size gauge, utilization histogram).
 	Telemetry *telemetry.Collector
 	// Context, if non-nil, cooperatively cancels the run: cancellation
 	// is observed at generation boundaries and between evaluation
 	// chunks, and the run returns a valid partial Result — the best
-	// front so far with Interrupted set and exact evaluation/cache
+	// front so far with Interrupted set and exact evaluation
 	// accounting for the work that completed. A nil context never
 	// cancels.
 	Context context.Context
@@ -174,7 +167,7 @@ type Params struct {
 	CheckpointFn func(*Checkpoint) error
 	// Resume, if non-nil, restores the run from a checkpoint instead of
 	// initializing a fresh population. The checkpoint must match the
-	// run (algorithm, seed, genome size, population, memoization) or
+	// run (algorithm, seed, genome size, population) or
 	// the run fails with ErrCheckpointMismatch. A resumed run is
 	// bit-identical to the uninterrupted run from the same parameters.
 	Resume *Checkpoint
@@ -202,11 +195,8 @@ type Params struct {
 type Progress struct {
 	// Gen is the zero-based generation index just completed.
 	Gen int
-	// Evaluations counts true (non-cached) objective evaluations so far.
+	// Evaluations counts the objective evaluations so far.
 	Evaluations int
-	// CacheHits and CacheMisses are the run's memoization counters
-	// (both zero without Memoize).
-	CacheHits, CacheMisses int64
 }
 
 // Defaults returns the paper's parameters for a problem with the given
@@ -274,14 +264,9 @@ type Result struct {
 	Front []Individual
 	// Generations is the number of generations actually run.
 	Generations int
-	// Evaluations is the number of true (non-cached) objective
-	// evaluations performed. Without memoization every submitted
-	// individual counts; with it, cache hits are excluded.
+	// Evaluations is the number of objective evaluations performed:
+	// every genome submitted for evaluation counts once.
 	Evaluations int
-	// CacheHits and CacheMisses are the exact evaluation-cache counts
-	// of the run (both zero without memoization). CacheMisses equals
-	// Evaluations when memoization is enabled.
-	CacheHits, CacheMisses int64
 	// DeltaEvals and FullEvals split Evaluations by path: evaluations
 	// resolved incrementally from a parent (DeltaProblem) versus full
 	// genome scans. They always sum to Evaluations; both values are

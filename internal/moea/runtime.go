@@ -70,7 +70,7 @@ func newEngine(p Problem, par *Params) (*engine, error) {
 		ctx:   par.Context,
 		src:   src,
 		rng:   rand.New(src),
-		exec:  NewExecutor(par.Context, p, par.Workers, par.Telemetry, par.Memoize),
+		exec:  NewExecutor(par.Context, p, par.Workers, par.Telemetry),
 		res:   &Result{},
 		nbits: p.NumBits(),
 		m:     p.NumObjectives(),
@@ -78,12 +78,12 @@ func newEngine(p Problem, par *Params) (*engine, error) {
 	}, nil
 }
 
-// evaluate batch-evaluates the individuals, accounting only true
-// (non-cached) objective evaluations in Result.Evaluations — exactly
-// the completed ones even when the batch is interrupted or panics —
-// and splitting them into delta versus full evaluations. bases, when
-// non-nil, is indexed like pop and offers each individual's breeding
-// parent as an incremental-evaluation base.
+// evaluate batch-evaluates the individuals, accounting every objective
+// evaluation in Result.Evaluations — exactly the completed ones even
+// when the batch is interrupted or panics — and splitting them into
+// delta versus full evaluations. bases, when non-nil, is indexed like
+// pop and offers each individual's breeding parent as an
+// incremental-evaluation base.
 func (e *engine) evaluate(pop []Individual, bases []EvalBase) error {
 	n, d, err := e.exec.Evaluate(pop, bases)
 	e.res.Evaluations += n
@@ -110,9 +110,6 @@ func (e *engine) start(algo string) (pop, archive []Individual, gen0 int, err er
 		e.res.FullEvals = cp.FullEvals
 		e.res.Generations = cp.Generation
 		e.src.skip(cp.RNGDraws)
-		if err := e.exec.restoreMemo(cp); err != nil {
-			return nil, nil, 0, err
-		}
 		return restoreIndividuals(cp.Pop, e.m), restoreIndividuals(cp.Archive, e.m), cp.Generation, nil
 	}
 	pop, err = e.initialPopulation()
@@ -154,24 +151,19 @@ func (e *engine) writeCheckpoint(algo string, gen int, pop, archive []Individual
 // evolving. The island driver uses it directly to collect per-island
 // sub-checkpoints.
 func (e *engine) snapshot(algo string, gen int, pop, archive []Individual) *Checkpoint {
-	hits, misses := e.exec.MemoStats()
 	return &Checkpoint{
 		Algorithm:     algo,
 		Seed:          e.par.Seed,
 		NumBits:       e.nbits,
 		Population:    e.par.Population,
-		Memoized:      e.par.Memoize,
 		NumObjectives: e.m,
 		Generation:    gen,
 		RNGDraws:      e.src.draws,
 		Evaluations:   e.res.Evaluations,
-		CacheHits:     hits,
-		CacheMisses:   misses,
 		DeltaEvals:    e.res.DeltaEvals,
 		FullEvals:     e.res.FullEvals,
 		Pop:           snapshotIndividuals(pop),
 		Archive:       snapshotIndividuals(archive),
-		Memo:          e.exec.memoSnapshot(),
 	}
 }
 
@@ -380,20 +372,6 @@ func (e *engine) vary(dst []Individual, pa, pb *Individual) []Individual {
 	return dst
 }
 
-// progress reads the engine's exact per-run accounting — evaluation and
-// memo-cache counters that, unlike collector-global telemetry, cannot
-// be polluted by concurrent runs sharing a collector. The island driver
-// sums it across islands.
-func (e *engine) progress(gen int) Progress {
-	hits, misses := e.exec.MemoStats()
-	return Progress{
-		Gen:         gen,
-		Evaluations: e.res.Evaluations,
-		CacheHits:   hits,
-		CacheMisses: misses,
-	}
-}
-
 // hooks invokes the user callbacks (if any) on the current
 // nondominated front; it reports whether the run should continue. The
 // generation counter itself is advanced by the algorithms' selection
@@ -406,7 +384,7 @@ func (e *engine) hooks(gen int, current []Individual) bool {
 	front := ParetoFilter(current)
 	cont := true
 	if e.par.OnProgress != nil {
-		cont = e.par.OnProgress(e.progress(gen), front)
+		cont = e.par.OnProgress(Progress{Gen: gen, Evaluations: e.res.Evaluations}, front)
 	}
 	if e.par.OnGeneration != nil && !e.par.OnGeneration(gen, front) {
 		cont = false
@@ -414,10 +392,9 @@ func (e *engine) hooks(gen int, current []Individual) bool {
 	return cont
 }
 
-// finish extracts the final nondominated front, folds in the cache
-// statistics, and returns the accumulated result.
+// finish extracts the final nondominated front and returns the
+// accumulated result.
 func (e *engine) finish(final []Individual) *Result {
 	e.res.Front = ParetoFilter(final)
-	e.res.CacheHits, e.res.CacheMisses = e.exec.MemoStats()
 	return e.res
 }

@@ -31,7 +31,7 @@ func runSweep(t *testing.T, workers int) sweepOutcome {
 		rs.Add(fmt.Sprintf("knap%d-s%d", job.n, job.seed), func(context.Context, *telemetry.Span) (*Result, error) {
 			return SPEA2(newKnapsack(int64(job.n), job.n), Params{
 				Population: 30, Generations: 12, PCrossover: 0.95, PMutateBit: 0.02,
-				Seed: job.seed, Memoize: true,
+				Seed: job.seed,
 			})
 		})
 	}

@@ -24,8 +24,8 @@ import (
 //  3. binary-tournament mating selection on the archive, one-point
 //     crossover and per-bit mutation produce the next population.
 //
-// Population initialization, batched (optionally parallel and memoized)
-// objective evaluation, evaluation accounting, buffer recycling,
+// Population initialization, batched (optionally parallel and
+// incremental) objective evaluation, evaluation accounting, buffer recycling,
 // checkpointing, cancellation and the OnGeneration protocol live in the
 // shared engine runtime. Cancellation (Params.Context) is observed at
 // the loop top and at evaluation-chunk boundaries; an interrupted run

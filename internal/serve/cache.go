@@ -14,13 +14,11 @@ import (
 
 // resultCache is the content-addressed harden result cache: a
 // fixed-capacity LRU keyed by FNV-1a over the canonical request bytes
-// (network source, spec selector, evolutionary options, seed). It sits
-// above the per-run genome memo cache of the optimizer — the memo
-// dedups evaluations inside one run, this dedups whole runs across
-// requests. Only completed (uninterrupted) results are stored, so a
-// deadline-truncated front can never shadow the real one; the deadline
-// itself is deliberately not part of the key, because it bounds effort
-// rather than defining the result.
+// (network source, spec selector, evolutionary options, seed): it
+// dedups whole runs across requests. Only completed (uninterrupted)
+// results are stored, so a deadline-truncated front can never shadow
+// the real one; the deadline itself is deliberately not part of the
+// key, because it bounds effort rather than defining the result.
 type resultCache struct {
 	mu      sync.Mutex
 	entries map[uint64]*list.Element

@@ -65,7 +65,7 @@ func TestStreamedHardenEmitsCheckpoints(t *testing.T) {
 // yields blobs; feeding any of them back as options.resume to a FRESH
 // server (no shared state whatsoever) must produce a terminal response
 // byte-identical (mod wall clock) to the uninterrupted run: same front,
-// same picks, same exact evaluation and memo accounting.
+// same picks, same exact evaluation accounting.
 func TestHTTPResumeEquivalence(t *testing.T) {
 	_, tsA := newTestServer(t, Config{Workers: 1})
 

@@ -124,9 +124,9 @@ type HardenOptions struct {
 	// Resume, if non-empty, is a base64-encoded checkpoint blob
 	// (as emitted by a "checkpoint" event): the run restores from it and
 	// continues bit-identically to an uninterrupted run with the same
-	// parameters — same front, same exact evaluation and memo
-	// accounting. The request's options must match the checkpointed run
-	// (algorithm, seed, population, islands); a mismatch is a 400.
+	// parameters — same front, same exact evaluation accounting. The
+	// request's options must match the checkpointed run (algorithm,
+	// seed, population, islands); a mismatch is a 400.
 	// Resumed requests bypass the result cache in both directions.
 	Resume string `json:"resume,omitempty"`
 }
@@ -170,8 +170,6 @@ type HardenResponse struct {
 	MaxDamage   int64  `json:"max_damage"`
 	Generations int    `json:"generations"`
 	Evaluations int    `json:"evaluations"`
-	MemoHits    int64  `json:"memo_hits"`
-	MemoMisses  int64  `json:"memo_misses"`
 	// Islands is the island count of the run, present only for
 	// multi-island requests.
 	Islands int `json:"islands,omitempty"`

@@ -347,8 +347,6 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 				Hypervolume: p.Hypervolume,
 				NormHV:      p.NormHV,
 				Evaluations: p.Evaluations,
-				CacheHits:   p.CacheHits,
-				CacheMisses: p.CacheMisses,
 				ElapsedMS:   p.ElapsedMS,
 			})
 		}
@@ -469,8 +467,6 @@ func (s *Server) harden(ctx context.Context, req *HardenRequest, span *telemetry
 		MaxDamage:   syn.MaxDamage,
 		Generations: syn.Generations,
 		Evaluations: syn.Evaluations,
-		MemoHits:    syn.CacheHits,
-		MemoMisses:  syn.CacheMisses,
 		Interrupted: syn.Interrupted,
 		ElapsedMS:   float64(syn.Elapsed) / float64(time.Millisecond),
 	}

@@ -24,8 +24,7 @@
 // timed-out request returns the best front at the last completed
 // generation boundary with "interrupted": true rather than an error.
 // Completed (uninterrupted) harden results land in a content-addressed
-// LRU cache keyed by FNV-1a over (network bytes, spec, options, seed),
-// layered above the per-run genome memo cache.
+// LRU cache keyed by FNV-1a over (network bytes, spec, options, seed).
 package serve
 
 import (

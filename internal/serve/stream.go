@@ -88,8 +88,6 @@ type generationEvent struct {
 	Hypervolume float64 `json:"hypervolume"`
 	NormHV      float64 `json:"norm_hv"`
 	Evaluations int64   `json:"evaluations"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
 }
 
