@@ -2,9 +2,17 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache fuzz bench bench-smoke benchjson bench-compare clean
+.PHONY: ci fmt vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache fuzz bench bench-smoke benchjson bench-compare clean
 
-ci: vet lint build race determinism serve-smoke chaos-fleet chaos-cache bench-compare
+ci: fmt vet lint build race determinism serve-smoke chaos-fleet chaos-cache bench-compare
+
+# Formatting gate: fails when gofmt would rewrite any tracked Go file,
+# naming the files.
+GOFMT ?= gofmt
+
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -36,9 +44,11 @@ race:
 # incremental (delta) evaluation against the full-evaluation oracle,
 # across checkpoint/resume boundaries, and under injected faults.
 # WorkerInvariance also matches the island-count invariance matrix
-# (islands x workers).
+# (islands x workers); SelectionMatchesReference holds SPEA-2 selection
+# (density only for the archive, 2-D chain truncation) to the
+# brute-force whole-union oracle bit for bit.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,

@@ -284,12 +284,12 @@ func TestDedupe(t *testing.T) {
 	mk := func(cost, damage int64) core.Solution { return core.Solution{Cost: cost, Damage: damage} }
 	in := []core.Solution{
 		mk(0, 100),
-		mk(0, 90),  // same cost, less damage: replaces the previous
-		mk(5, 90),  // more cost, same damage: dominated, dropped
-		mk(5, 80),  // same cost as the dropped one: kept
-		mk(7, 80),  // no damage reduction: dropped
+		mk(0, 90), // same cost, less damage: replaces the previous
+		mk(5, 90), // more cost, same damage: dominated, dropped
+		mk(5, 80), // same cost as the dropped one: kept
+		mk(7, 80), // no damage reduction: dropped
 		mk(9, 10),
-		mk(9, 10),  // exact duplicate: dropped
+		mk(9, 10), // exact duplicate: dropped
 		mk(12, 0),
 	}
 	want := []core.Solution{mk(0, 90), mk(5, 80), mk(9, 10), mk(12, 0)}

@@ -169,12 +169,16 @@ func TestMemoTelemetryCounters(t *testing.T) {
 }
 
 // TestAssignFitness2MatchesReference cross-checks the two-objective
-// fitness fast path against an independent brute-force implementation of
-// the SPEA-2 definition, bit for bit. Half the trials quantize the
-// objectives to a handful of integer levels, forcing per-coordinate
-// ties and exact duplicate points — the cases the Fenwick-sweep
-// strength/raw-fitness computation must count exactly like the
-// pairwise definition (equal points dominate neither way).
+// fitness kernels — the Fenwick sweep for raw fitness and the grid
+// search for density — against an independent brute-force
+// implementation of the SPEA-2 definition, bit for bit, with density
+// computed for every union member: a capacity above the union size
+// makes selection fill an underfull archive, which ranks every member
+// by F. Half the trials quantize the objectives to a handful of integer
+// levels, forcing per-coordinate ties and exact duplicate points — the
+// cases the Fenwick-sweep strength/raw-fitness computation must count
+// exactly like the pairwise definition (equal points dominate neither
+// way).
 func TestAssignFitness2MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 40; trial++ {
@@ -193,7 +197,7 @@ func TestAssignFitness2MatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			got := make([]Individual, n)
 			copy(got, union)
-			assignFitness(got, 2, workers, nil)
+			environmentalSelection(got, n+1, 2, workers, nil)
 			for i := range got {
 				if got[i].fitness != ref[i].fitness || got[i].density != ref[i].density {
 					t.Fatalf("trial %d workers %d: individual %d fitness/density (%v,%v), want (%v,%v)",
@@ -209,6 +213,7 @@ func TestAssignFitness2MatchesReference(t *testing.T) {
 // neighbour, generic Dominates, objDist2 distances.
 func referenceFitness(union []Individual) {
 	n := len(union)
+	m := len(union[0].Obj)
 	strength := make([]int, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -217,7 +222,7 @@ func referenceFitness(union []Individual) {
 			}
 		}
 	}
-	_, invRange := normalizeRanges(union, 2)
+	_, invRange := normalizeRanges(union, m)
 	k := kNearest(n)
 	for i := 0; i < n; i++ {
 		raw := 0

@@ -5,28 +5,36 @@ import (
 	"testing"
 )
 
-// BenchmarkAssignFitness2 exercises the two-objective fitness fast path
-// on a union shaped like a converged selective-hardening population:
-// obj0 spread over a wide integer range, obj1 over a narrow one, both
-// with heavy ties and exact duplicates.
-func BenchmarkAssignFitness2(b *testing.B) {
-	for _, n := range []int{128, 416} {
-		b.Run(itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			union := make([]Individual, n)
-			for i := range union {
-				base := float64(rng.Intn(n / 4))
-				union[i] = Individual{Obj: []float64{
-					1e6 * base * (1 + rng.Float64()*0.001),
-					float64(rng.Intn(80)),
-				}}
-			}
-			var s fitScratch
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				assignFitness(union, 2, 1, &s)
-			}
-		})
+// BenchmarkSelection exercises SPEA-2's whole selection step — raw
+// fitness, archive choice, truncation and density — on two-objective
+// unions shaped like a converged selective-hardening population: obj0
+// spread over a wide integer range with heavy ties and exact
+// duplicates. In the underfull case obj1 takes a narrow independent
+// range, so few members are nondominated and the archive of capacity
+// n/2 is filled by F, which needs every member's density. In the
+// truncate case obj1 falls as obj0 rises, so nearly every member is
+// nondominated and the same capacity truncates along the front chain.
+func BenchmarkSelection(b *testing.B) {
+	for _, shape := range []string{"truncate", "underfull"} {
+		for _, n := range []int{128, 416} {
+			b.Run(shape+"/"+itoa(n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(7))
+				union := make([]Individual, n)
+				for i := range union {
+					obj0 := 1e6 * float64(rng.Intn(n/4)) * (1 + rng.Float64()*0.001)
+					obj1 := float64(rng.Intn(80))
+					if shape == "truncate" {
+						obj1 = 80 - obj0/(1e6*float64(n/4))*80
+					}
+					union[i] = Individual{Obj: []float64{obj0, obj1}}
+				}
+				var s selScratch
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					environmentalSelection(union, n/2, 2, 1, &s)
+				}
+			})
+		}
 	}
 }
 

@@ -295,20 +295,55 @@ func TestSeedsEnterInitialPopulation(t *testing.T) {
 	}
 }
 
+// TestTruncateKeepsCapacityAndExtremes truncates mutually
+// nondominated sets — points on the plane where the objectives sum to
+// one — on the two-objective chain path and the three-objective path:
+// the archive must hold exactly the capacity and keep each objective's
+// minimum.
 func TestTruncateKeepsCapacityAndExtremes(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 20 + rng.Intn(60)
-		set := make([]Individual, n)
-		for i := range set {
-			set[i] = Individual{Obj: []float64{rng.Float64(), rng.Float64()}}
+	for _, m := range []int{2, 3} {
+		check := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := 20 + rng.Intn(60)
+			set := make([]Individual, n)
+			lo := make([]float64, m)
+			for k := range lo {
+				lo[k] = math.Inf(1)
+			}
+			for i := range set {
+				obj := make([]float64, m)
+				rest := 1.0
+				for k := 0; k < m-1; k++ {
+					obj[k] = rest * rng.Float64()
+					rest -= obj[k]
+				}
+				obj[m-1] = rest
+				for k, v := range obj {
+					lo[k] = math.Min(lo[k], v)
+				}
+				set[i] = Individual{Obj: obj}
+			}
+			capacity := 5 + rng.Intn(10)
+			out := environmentalSelection(set, capacity, m, 1, nil)
+			if len(out) != capacity {
+				t.Logf("m=%d seed %d: archive size %d, want %d", m, seed, len(out), capacity)
+				return false
+			}
+			for k := range lo {
+				kept := false
+				for _, in := range out {
+					kept = kept || in.Obj[k] == lo[k]
+				}
+				if !kept {
+					t.Logf("m=%d seed %d: minimum %v of objective %d truncated", m, seed, lo[k], k)
+					return false
+				}
+			}
+			return true
 		}
-		capacity := 5 + rng.Intn(10)
-		out := truncate(append([]Individual(nil), set...), capacity, 2, new(selScratch))
-		return len(out) == capacity
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
 	}
 }
 
@@ -321,8 +356,7 @@ func TestEnvironmentalSelectionFillsUnderfullArchive(t *testing.T) {
 		{Obj: []float64{2, 2}},
 		{Obj: []float64{3, 3}},
 	}
-	assignFitness(union, 2, 1, nil)
-	arch := environmentalSelection(union, 3, 2, nil)
+	arch := environmentalSelection(union, 3, 2, 1, nil)
 	if len(arch) != 3 {
 		t.Fatalf("archive size = %d, want 3", len(arch))
 	}

@@ -43,7 +43,6 @@ type engine struct {
 	live       map[*uint64]struct{} // survivor identity during recycle
 	union      []Individual
 	bases      []EvalBase // per-offspring evaluation bases, parallel to dst
-	fit        fitScratch
 	sel        selScratch
 	nsga       nsgaScratch
 }

@@ -20,7 +20,8 @@ import (
 //     enter the next archive; an overfull archive is truncated by
 //     iteratively removing the individual with the smallest
 //     nearest-neighbour distance, an underfull one is filled with the
-//     best dominated individuals;
+//     best dominated individuals (the density is computed only for the
+//     individuals whose F selection or the archive reads);
 //  3. binary-tournament mating selection on the archive, one-point
 //     crossover and per-bit mutation produce the next population.
 //
@@ -108,8 +109,7 @@ func newSPEA2Run(e *engine) (*spea2Run, int, error) {
 func (r *spea2Run) selectPhase(gen int) error {
 	e := r.e
 	union := e.unionInto(r.pop, r.archive)
-	assignFitness(union, e.m, e.exec.Workers(), &e.fit)
-	r.archive = environmentalSelection(union, e.par.Archive, e.m, &e.sel)
+	r.archive = environmentalSelection(union, e.par.Archive, e.m, e.exec.Workers(), &e.sel)
 	r.lastUnion = union
 	e.res.Generations = gen + 1
 	return nil
@@ -158,8 +158,9 @@ func spea2Tournament(archive []Individual, par *Params, rng *rand.Rand) func() *
 }
 
 // fitScratch is the reusable per-generation scratch of the fitness
-// assignment: dominance bookkeeping plus the sweep-order arrays of the
-// two-objective fast path.
+// kernels: dominance bookkeeping of the pairwise raw fitness, the
+// sweep-order arrays of the two-objective fast path, and the grouping
+// and grid of the two-objective density search.
 type fitScratch struct {
 	strength   []int
 	domBy      [][]int32
@@ -167,18 +168,26 @@ type fitScratch struct {
 	ord        []int
 	// Fenwick-sweep scratch of the two-objective strength/raw-fitness
 	// computation: sorted/deduped obj1 values, y ranks, the tree itself,
-	// duplicate counts and the per-individual raw fitness.
+	// duplicate counts and the per-individual raw fitness (also the
+	// pairwise path's output).
 	ys        []float64
 	rank      []int
 	fen       []int
 	dup, rawf []int
-	// Distinct-point grouping of the density loop: group start offsets
-	// into ord (ng+1 entries), group coordinates and multiplicities,
-	// plus the uniform-grid buckets of the k-NN ring search (CSR cell
+	// dens holds the density of the members the last density call was
+	// asked for, indexed like the union.
+	dens []float64
+	// Distinct-point grouping of the density search: group coordinates
+	// and multiplicities, each member's group, and the queried groups (a
+	// membership mask, the query list and each group's density). Then
+	// the uniform-grid buckets of the k-NN ring search (CSR cell
 	// offsets, the points of each cell, and each point's cell).
-	gs        []int
 	g0, g1    []float64
 	gcnt      []int
+	grp       []int32
+	gwant     []bool
+	gq        []int32
+	gdens     []float64
 	cellStart []int
 	cellPts   []int32
 	cellIdx   []int32
@@ -202,21 +211,47 @@ func (s *fitScratch) domByFor(n int) [][]int32 {
 	return s.domBy
 }
 
-// assignFitness computes the SPEA-2 fitness F = R + D for every
-// individual of the union. The k-NN density loop is independent per
-// individual and is spread over the workers; the result is identical at
-// any worker count. A nil scratch allocates fresh buffers.
-func assignFitness(union []Individual, m, workers int, s *fitScratch) {
-	if s == nil {
-		s = &fitScratch{}
-	}
-	if m == 2 {
-		assignFitness2(union, workers, s)
-		return
-	}
+// rawFitness computes the SPEA-2 raw fitness R(i) of every union
+// member — the sum of the strengths of i's dominators — and returns it
+// (aliasing s.rawf). Two objectives take the Fenwick sweep, leaving the
+// union's (obj0, obj1) sweep order in s.ord for the density search and
+// the chain truncation; other objective counts take the pairwise
+// definition.
+func (s *fitScratch) rawFitness(union []Individual, m int) []int {
 	n := len(union)
-	s.strength = grow(s.strength, n)
-	strength := s.strength
+	if m == 2 {
+		s.obj0, s.obj1 = grow(s.obj0, n), grow(s.obj1, n)
+		obj0, obj1 := s.obj0, s.obj1
+		for i := range union {
+			obj0[i] = union[i].Obj[0]
+			obj1[i] = union[i].Obj[1]
+		}
+		// Sweep order: indices sorted lexicographically by (obj0, obj1)
+		// — the x-grouped, duplicate-contiguous order of the
+		// strength/raw-fitness sweep, the distinct-point grouping of the
+		// density search and the front chain of truncation.
+		s.ord = grow(s.ord, n)
+		ord := s.ord
+		for i := range ord {
+			ord[i] = i
+		}
+		slices.SortFunc(ord, func(a, b int) int {
+			switch {
+			case obj0[a] < obj0[b]:
+				return -1
+			case obj0[a] > obj0[b]:
+				return 1
+			case obj1[a] < obj1[b]:
+				return -1
+			case obj1[a] > obj1[b]:
+				return 1
+			}
+			return 0
+		})
+		return sweepFitness2(obj0, obj1, ord, s)
+	}
+	s.strength, s.rawf = grow(s.strength, n), grow(s.rawf, n)
+	strength, rawf := s.strength, s.rawf
 	clear(strength)
 	domBy := s.domByFor(n) // dominators of i
 	for i := 0; i < n; i++ {
@@ -230,66 +265,57 @@ func assignFitness(union []Individual, m, workers int, s *fitScratch) {
 			}
 		}
 	}
+	for i := range union {
+		raw := 0
+		for _, j := range domBy[i] {
+			raw += strength[j]
+		}
+		rawf[i] = raw
+	}
+	return rawf
+}
+
+// density computes the SPEA-2 density D(i) = 1/(σ_i^k + 2) of the
+// union members listed in want into s.dens (indexed like the union):
+// σ_i^k is the distance to the k-th nearest neighbour among all other
+// union members in range-normalized objective space, k = sqrt(|union|).
+// Queries are independent and spread over the workers; the result is
+// identical at any worker count and for any want that lists i. Two
+// objectives take the grid search over the sweep order the preceding
+// rawFitness call left.
+func (s *fitScratch) density(union []Individual, want []int32, m, workers int) {
+	n := len(union)
+	s.dens = grow(s.dens, n)
+	if m == 2 {
+		s.density2(union, want, workers)
+		return
+	}
+	dens := s.dens
 	_, invRange := normalizeRanges(union, m)
 	k := kNearest(n)
-	parallelFor(n, workers, func(lo, hi int) {
+	parallelFor(len(want), workers, func(lo, hi int) {
 		sel := getKSelect(k)
 		defer putKSelect(sel)
-		for i := lo; i < hi; i++ {
-			raw := 0
-			for _, j := range domBy[i] {
-				raw += strength[j]
-			}
+		for _, i := range want[lo:hi] {
 			sel.reset()
-			for j := 0; j < n; j++ {
-				if j != i {
+			for j := range union {
+				if j != int(i) {
 					sel.offer(objDist2(union[i].Obj, union[j].Obj, invRange), 1)
 				}
 			}
-			sigma := sel.kth()
-			union[i].density = 1 / (math.Sqrt(sigma) + 2)
-			union[i].fitness = float64(raw) + union[i].density
+			dens[i] = 1 / (math.Sqrt(sel.kth()) + 2)
 		}
 	})
 }
 
-// assignFitness2 is the two-objective specialization of assignFitness —
-// the shape of the selective-hardening problem and the hot path of the
-// whole optimizer. It produces bit-identical fitness values: dominance
-// unrolls to direct comparisons, and the k-th-nearest-neighbour
-// distance comes from a bounded max-heap scan (the same multiset value
-// the quickselect returned) with the distance arithmetic of objDist2.
-func assignFitness2(union []Individual, workers int, s *fitScratch) {
+// density2 is the two-objective density search — the hot path of the
+// whole optimizer. It produces bit-identical values to the pairwise
+// definition: the k-th-nearest-neighbour distance comes from a bounded
+// max-heap scan (the same multiset value a full sort returns) with the
+// distance arithmetic of objDist2.
+func (s *fitScratch) density2(union []Individual, want []int32, workers int) {
 	n := len(union)
-	s.obj0, s.obj1 = grow(s.obj0, n), grow(s.obj1, n)
-	obj0, obj1 := s.obj0, s.obj1
-	for i := range union {
-		obj0[i] = union[i].Obj[0]
-		obj1[i] = union[i].Obj[1]
-	}
-	// Sweep order: indices sorted lexicographically by (obj0, obj1) —
-	// the x-grouped, duplicate-contiguous order of both the
-	// strength/raw-fitness sweep and the distinct-point grouping of the
-	// density search below.
-	s.ord = grow(s.ord, n)
-	ord := s.ord
-	for i := range ord {
-		ord[i] = i
-	}
-	slices.SortFunc(ord, func(a, b int) int {
-		switch {
-		case obj0[a] < obj0[b]:
-			return -1
-		case obj0[a] > obj0[b]:
-			return 1
-		case obj1[a] < obj1[b]:
-			return -1
-		case obj1[a] > obj1[b]:
-			return 1
-		}
-		return 0
-	})
-	rawf := sweepFitness2(obj0, obj1, ord, s)
+	obj0, obj1, ord := s.obj0, s.obj1, s.ord
 	inv0, inv1 := invRange2(obj0), invRange2(obj1)
 	k := kNearest(n)
 
@@ -299,10 +325,9 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 	// Runs of equal (obj0, obj1) are adjacent in ord; the k-NN search
 	// then expands over distinct points only, offering each with its
 	// multiplicity (duplicates of the query contribute exact zeros).
-	s.gs = grow(s.gs, n+1)
 	s.g0, s.g1 = grow(s.g0, n), grow(s.g1, n)
-	s.gcnt = grow(s.gcnt, n)
-	gs, g0, g1, gcnt := s.gs, s.g0, s.g1, s.gcnt
+	s.gcnt, s.grp = grow(s.gcnt, n), grow(s.grp, n)
+	g0, g1, gcnt, grp := s.g0, s.g1, s.gcnt, s.grp
 	ng := 0
 	for st := 0; st < n; {
 		i0 := ord[st]
@@ -310,11 +335,30 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 		for en < n && obj0[ord[en]] == obj0[i0] && obj1[ord[en]] == obj1[i0] {
 			en++
 		}
-		gs[ng], g0[ng], g1[ng], gcnt[ng] = st, obj0[i0], obj1[i0], en-st
+		g0[ng], g1[ng], gcnt[ng] = obj0[i0], obj1[i0], en-st
+		for p := st; p < en; p++ {
+			grp[ord[p]] = int32(ng)
+		}
 		ng++
 		st = en
 	}
-	gs[ng] = n
+
+	// Query each distinct point holding a wanted member once, in sweep
+	// order, so consecutive queries expand over neighbouring cells as
+	// in a pass over every point.
+	s.gwant, s.gdens = grow(s.gwant, ng), grow(s.gdens, ng)
+	gwant, gdens := s.gwant, s.gdens
+	clear(gwant)
+	for _, i := range want {
+		gwant[grp[i]] = true
+	}
+	q := s.gq[:0]
+	for g, ok := range gwant {
+		if ok {
+			q = append(q, int32(g))
+		}
+	}
+	s.gq = q
 
 	// Uniform grid over the normalized objective plane, ~1 distinct
 	// point per cell. A query expands Chebyshev rings of cells around
@@ -378,7 +422,7 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 	cellStart[0] = 0
 
 	invG2 := 1 / float64(G*G)
-	parallelFor(ng, workers, func(lo, hi int) {
+	parallelFor(len(q), workers, func(lo, hi int) {
 		sel := getKSelect(k)
 		defer putKSelect(sel)
 		scan := func(t int, a0, a1 float64, c int) {
@@ -415,7 +459,8 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 			}
 			return float64(dx*dx+dy*dy) * invG2
 		}
-		for t := lo; t < hi; t++ {
+		for _, g := range q[lo:hi] {
+			t := int(g)
 			a0, a1 := g0[t], g1[t]
 			sel.reset()
 			if c := gcnt[t] - 1; c > 0 {
@@ -473,15 +518,12 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 					}
 				}
 			}
-			sigma := sel.kth()
-			dens := 1 / (math.Sqrt(sigma) + 2)
-			for p := gs[t]; p < gs[t+1]; p++ {
-				i := ord[p]
-				union[i].density = dens
-				union[i].fitness = float64(rawf[i]) + dens
-			}
+			gdens[t] = 1 / (math.Sqrt(sel.kth()) + 2)
 		}
 	})
+	for _, i := range want {
+		s.dens[i] = gdens[grp[i]]
+	}
 }
 
 // sweepFitness2 computes the SPEA-2 strength and raw fitness of a
@@ -642,7 +684,7 @@ func invRange2(v []float64) float64 {
 // heap is warm, and kth returns the k-th smallest of the expanded
 // multiset — the exact value a full sort over all copies would
 // produce. Weighting is what makes the duplicate-grouped density loop
-// of assignFitness2 affordable: a group of m identical points is one
+// of density2 affordable: a group of m identical points is one
 // offer, not m. Warm-up (total < k) is a plain append; the buffer is
 // heapified once, the moment it first fills — a Floyd heapify is O(k)
 // where keeping the buffer sorted would pay an insertion per early
@@ -795,81 +837,136 @@ func (s *kSelect) kth() float64 {
 }
 
 // selScratch is the reusable scratch of environmental selection: the
-// archive under construction, the dominated spill, and truncation's
-// liveness/nearest-neighbour bookkeeping. The returned archive aliases
-// the next buffer; the engine guarantees the previous archive is dead
-// (copied into the union) before the next selection runs.
+// fitness kernels' scratch, the archive under construction with each
+// entry's union index, the dominated spill of the fill, and
+// truncation's bookkeeping — liveness, protected extremes, nearest-
+// neighbour distances, and the flat coordinates and chain links of the
+// two-objective path. The returned archive aliases the next buffer; the
+// engine guarantees the previous archive is dead (copied into the
+// union) before the next selection runs.
 type selScratch struct {
+	fitScratch
 	next      []Individual
+	nd        []int32 // union index of each next entry
+	all       []int32 // 0..n-1, the fill's density request
 	dominated []Individual
 	alive     []bool
 	protected []bool
 	nn        []int
 	nnD       []float64
 	o0, o1    []float64
+	pos       []int32 // union index → next position (nondominated only)
+	prev      []int32
+	succ      []int32
 }
 
-// environmentalSelection builds the next archive of the given capacity.
-// A nil scratch allocates fresh buffers.
-func environmentalSelection(union []Individual, capacity, m int, s *selScratch) []Individual {
+// environmentalSelection assigns SPEA-2 fitness over the union and
+// builds the next archive of the given capacity, computing only what
+// is read afterwards. Raw fitness comes first, for every member; the
+// nondominated members (R = 0, so F < 1) are the archive candidates.
+// An overfull candidate set is truncated, a full one is the archive as
+// is, and either way the density — the k-NN query over the whole union
+// — runs only for the survivors: every other member is recycled right
+// after selection, and no tournament, migration, checkpoint or hook
+// reads its fitness. An underfull archive is filled with the best
+// dominated members by F, which needs every member's density. Two
+// objectives swap in the Fenwick, grid and chain kernels. A nil scratch
+// allocates fresh buffers.
+func environmentalSelection(union []Individual, capacity, m, workers int, s *selScratch) []Individual {
 	if s == nil {
 		s = &selScratch{}
 	}
+	raw := s.rawFitness(union, m)
+	nd := s.nd[:0]
+	for i, r := range raw {
+		if r == 0 {
+			nd = append(nd, int32(i))
+		}
+	}
+	s.nd = nd
+	if len(nd) < capacity {
+		return s.fill(union, capacity, m, workers)
+	}
+	next := s.next[:0]
+	for _, i := range nd {
+		next = append(next, union[i])
+	}
+	if len(next) > capacity {
+		if m == 2 {
+			s.truncateChain(next, capacity)
+		} else {
+			s.truncate(next, capacity, m)
+		}
+		j := 0
+		for p := range next {
+			if s.alive[p] {
+				next[j], nd[j] = next[p], nd[p]
+				j++
+			}
+		}
+		next, nd = next[:j], nd[:j]
+	}
+	s.density(union, nd, m, workers)
+	for p, i := range nd {
+		next[p].density = s.dens[i]
+		next[p].fitness = float64(raw[i]) + s.dens[i]
+	}
+	s.next = next
+	return next
+}
+
+// fill is environmental selection into an archive the nondominated
+// members cannot fill: every member gets F = R + D, the nondominated
+// all enter, and the best dominated by F take the remaining places.
+func (s *selScratch) fill(union []Individual, capacity, m, workers int) []Individual {
+	n := len(union)
+	s.all = grow(s.all, n)
+	for i := range s.all {
+		s.all[i] = int32(i)
+	}
+	s.density(union, s.all, m, workers)
 	next := s.next[:0]
 	dominated := s.dominated[:0]
 	for i := range union {
-		if union[i].fitness < 1 {
+		union[i].density = s.dens[i]
+		union[i].fitness = float64(s.rawf[i]) + s.dens[i]
+		if s.rawf[i] == 0 {
 			next = append(next, union[i])
 		} else {
 			dominated = append(dominated, union[i])
 		}
 	}
-	switch {
-	case len(next) > capacity:
-		next = truncate(next, capacity, m, s)
-	case len(next) < capacity:
-		slices.SortFunc(dominated, func(a, b Individual) int {
-			switch {
-			case a.fitness < b.fitness:
-				return -1
-			case a.fitness > b.fitness:
-				return 1
-			}
-			return 0
-		})
-		need := capacity - len(next)
-		if need > len(dominated) {
-			need = len(dominated)
+	slices.SortFunc(dominated, func(a, b Individual) int {
+		switch {
+		case a.fitness < b.fitness:
+			return -1
+		case a.fitness > b.fitness:
+			return 1
 		}
-		next = append(next, dominated[:need]...)
-	}
+		return 0
+	})
+	need := min(capacity-len(next), len(dominated))
+	next = append(next, dominated[:need]...)
 	s.next = next
 	clear(dominated) // drop genome references until the next generation
 	s.dominated = dominated[:0]
 	return next
 }
 
-// truncate iteratively removes the individual with the smallest
-// nearest-neighbour distance in normalized objective space until the
-// set fits the capacity, then compacts the survivors in place. (SPEA-2
-// breaks nearest-neighbour ties by the next distances; with
-// floating-point objective distances exact ties are rare and
-// first-neighbour truncation preserves the boundary points just as
-// well, at a fraction of the cost.)
-func truncate(set []Individual, capacity, m int, s *selScratch) []Individual {
-	_, invRange := normalizeRanges(set, m)
+// startTruncation marks every member of the set alive and protects the
+// per-objective extremes (the first minimum of each objective), like
+// NSGA-II's infinite boundary crowding: losing a corner of the front is
+// never worth a density gain. Nothing is protected when the capacity
+// cannot hold every corner. s.nnD is sized for the victim keys: a live,
+// unprotected member's nearest-neighbour distance, +Inf for every other
+// member, so the victim scan reads a single array.
+func (s *selScratch) startTruncation(set []Individual, capacity, m int) {
 	n := len(set)
-	s.alive = grow(s.alive, n)
-	alive := s.alive
-	for i := range alive {
-		alive[i] = true
+	s.alive, s.protected = grow(s.alive, n), grow(s.protected, n)
+	for i := range s.alive {
+		s.alive[i] = true
 	}
-	// Protect the per-objective extremes, like NSGA-II's infinite
-	// boundary crowding: losing a corner of the front is never worth a
-	// density gain.
-	s.protected = grow(s.protected, n)
-	protected := s.protected
-	clear(protected)
+	clear(s.protected)
 	for k := 0; k < m && capacity >= m; k++ {
 		best := 0
 		for i := 1; i < n; i++ {
@@ -877,81 +974,147 @@ func truncate(set []Individual, capacity, m int, s *selScratch) []Individual {
 				best = i
 			}
 		}
-		protected[best] = true
+		s.protected[best] = true
 	}
-	s.nn, s.nnD = grow(s.nn, n), grow(s.nnD, n)
-	nn := s.nn   // index of current nearest neighbour
-	nnD := s.nnD // distance to it
-	// Two-objective fast path: flat coordinate mirrors so the pairwise
-	// scans below read contiguous floats instead of indexing objective
-	// slices per pair. The distance expression matches objDist2's
-	// accumulation (0 + x² + y²) bit for bit.
-	var o0, o1 []float64
-	var iv0, iv1 float64
-	if m == 2 {
-		s.o0, s.o1 = grow(s.o0, n), grow(s.o1, n)
-		o0, o1 = s.o0, s.o1
-		for i := range set {
-			o0[i] = set[i].Obj[0]
-			o1[i] = set[i].Obj[1]
+	s.nnD = grow(s.nnD, n)
+}
+
+// victim returns the live, unprotected member with the smallest
+// nearest-neighbour distance — the smallest finite key in s.nnD — the
+// lowest index on ties, or -1 when only protected extremes are left.
+func (s *selScratch) victim() int {
+	v, best := -1, math.Inf(1)
+	for i, d := range s.nnD {
+		if d < best {
+			v, best = i, d
 		}
-		iv0, iv1 = invRange[0], invRange[1]
 	}
+	return v
+}
+
+// truncate marks in s.alive the members of a nondominated set that
+// survive truncation to the capacity: it iteratively removes the
+// member with the smallest nearest-neighbour distance in the set's
+// range-normalized objective space. (SPEA-2 breaks nearest-neighbour
+// ties by the next distances; with floating-point objective distances
+// exact ties are rare and first-neighbour truncation preserves the
+// boundary points just as well, at a fraction of the cost.)
+func (s *selScratch) truncate(set []Individual, capacity, m int) {
+	_, invRange := normalizeRanges(set, m)
+	n := len(set)
+	s.startTruncation(set, capacity, m)
+	alive, protected := s.alive, s.protected
+	s.nn = grow(s.nn, n)
+	nn := s.nn   // index of current nearest neighbour
+	nnD := s.nnD // victim key: distance to it
 	recompute := func(i int) {
 		bi, bd := -1, math.Inf(1)
-		if o0 != nil {
-			a0, a1 := o0[i], o1[i]
-			for j := 0; j < n; j++ {
-				if j == i || !alive[j] {
-					continue
-				}
-				x := (a0 - o0[j]) * iv0
-				y := (a1 - o1[j]) * iv1
-				if d := x*x + y*y; d < bd {
-					bi, bd = j, d
-				}
+		for j := 0; j < n; j++ {
+			if j == i || !alive[j] {
+				continue
 			}
-		} else {
-			for j := 0; j < n; j++ {
-				if j == i || !alive[j] {
-					continue
-				}
-				if d := objDist2(set[i].Obj, set[j].Obj, invRange); d < bd {
-					bi, bd = j, d
-				}
+			if d := objDist2(set[i].Obj, set[j].Obj, invRange); d < bd {
+				bi, bd = j, d
 			}
+		}
+		if protected[i] {
+			bd = math.Inf(1)
 		}
 		nn[i], nnD[i] = bi, bd
 	}
 	for i := 0; i < n; i++ {
 		recompute(i)
 	}
-	remaining := n
-	for remaining > capacity {
-		victim := -1
-		best := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if alive[i] && !protected[i] && nnD[i] < best {
-				best = nnD[i]
-				victim = i
-			}
+	for remaining := n; remaining > capacity; remaining-- {
+		v := s.victim()
+		if v < 0 {
+			break
 		}
-		if victim < 0 {
-			break // only protected extremes left
-		}
-		alive[victim] = false
-		remaining--
+		alive[v], nnD[v] = false, math.Inf(1)
 		for i := 0; i < n; i++ {
-			if alive[i] && nn[i] == victim {
+			if alive[i] && nn[i] == v {
 				recompute(i)
 			}
 		}
 	}
-	out := set[:0]
-	for i := 0; i < n; i++ {
-		if alive[i] {
-			out = append(out, set[i])
+}
+
+// truncateChain is truncate for two objectives, along the front chain.
+// Sorted by (obj0, obj1), a mutually nondominated 2-D set has obj0
+// never decreasing and obj1 never increasing, so both coordinate gaps
+// grow monotonically away from a member along the chain — and, IEEE
+// rounding being monotone, so does the normalized distance. A member's
+// nearest live neighbour is therefore its live predecessor or
+// successor: each removal recomputes only the victim's two neighbours,
+// and every nearest-neighbour distance, hence the victim sequence, is
+// bit-identical to truncate's full rescan. The set is the union's
+// nondominated members in union order (s.nd), and the chain is the
+// sweep order the preceding rawFitness call left.
+func (s *selScratch) truncateChain(set []Individual, capacity int) {
+	n := len(set)
+	s.startTruncation(set, capacity, 2)
+	alive, protected, nnD := s.alive, s.protected, s.nnD
+	s.o0, s.o1 = grow(s.o0, n), grow(s.o1, n)
+	o0, o1 := s.o0, s.o1
+	for p := range set {
+		o0[p], o1[p] = set[p].Obj[0], set[p].Obj[1]
+	}
+	iv0, iv1 := invRange2(o0), invRange2(o1)
+	s.pos = grow(s.pos, len(s.rawf))
+	for p, i := range s.nd {
+		s.pos[i] = int32(p)
+	}
+	s.prev, s.succ = grow(s.prev, n), grow(s.succ, n)
+	prev, succ := s.prev, s.succ
+	last := int32(-1)
+	for _, i := range s.ord {
+		if s.rawf[i] != 0 {
+			continue
+		}
+		p := s.pos[i]
+		prev[p] = last
+		if last >= 0 {
+			succ[last] = p
+		}
+		last = p
+	}
+	succ[last] = -1
+	// recompute takes the nearer live chain neighbour, with the
+	// distance expression of objDist2 (0 + x² + y²).
+	recompute := func(p int32) {
+		bd := math.Inf(1)
+		for _, q := range [2]int32{prev[p], succ[p]} {
+			if q < 0 {
+				continue
+			}
+			x := (o0[p] - o0[q]) * iv0
+			y := (o1[p] - o1[q]) * iv1
+			if d := x*x + y*y; d < bd {
+				bd = d
+			}
+		}
+		if protected[p] {
+			bd = math.Inf(1)
+		}
+		nnD[p] = bd
+	}
+	for p := range set {
+		recompute(int32(p))
+	}
+	for remaining := n; remaining > capacity; remaining-- {
+		v := s.victim()
+		if v < 0 {
+			break
+		}
+		alive[v], nnD[v] = false, math.Inf(1)
+		a, b := prev[v], succ[v]
+		if a >= 0 {
+			succ[a] = b
+			recompute(a)
+		}
+		if b >= 0 {
+			prev[b] = a
+			recompute(b)
 		}
 	}
-	return out
 }

@@ -137,8 +137,8 @@ type FlightSnapshot struct {
 	Recorded uint64 `json:"recorded"`
 	// PendingTraces counts traces with spans awaiting completion;
 	// DroppedSpans counts spans discarded at the bounds.
-	PendingTraces int        `json:"pending_traces"`
-	DroppedSpans  uint64     `json:"dropped_spans"`
+	PendingTraces int         `json:"pending_traces"`
+	DroppedSpans  uint64      `json:"dropped_spans"`
 	Jobs          []FlightJob `json:"jobs"`
 }
 

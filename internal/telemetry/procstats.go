@@ -16,7 +16,7 @@ var procSamples = []struct {
 	{"/memory/classes/heap/objects:bytes", "proc.heap_bytes"},
 	{"/memory/classes/total:bytes", "proc.mem_total_bytes"},
 	{"/gc/cycles/total:gc-cycles", "proc.gc_cycles"},
-	{"/gc/pauses:seconds", ""},      // histogram, handled below
+	{"/gc/pauses:seconds", ""},       // histogram, handled below
 	{"/sched/latencies:seconds", ""}, // histogram, handled below
 }
 

@@ -30,12 +30,12 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // wrong version
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // all-zero trace
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // all-zero span
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase hex
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // bad flags
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // wrong version
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",     // missing flags
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // all-zero trace
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // all-zero span
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",  // bad flags
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // trailing junk
 	}
 	for _, h := range bad {
