@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache fuzz bench bench-smoke benchjson bench-compare clean
+.PHONY: ci fmt vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache perfbench fuzz bench bench-smoke benchjson bench-compare clean
 
-ci: fmt vet lint build race determinism serve-smoke chaos-fleet chaos-cache bench-compare
+ci: fmt vet lint build race determinism serve-smoke chaos-fleet chaos-cache perfbench bench-compare
 
 # Formatting gate: fails when gofmt would rewrite any tracked Go file,
 # naming the files.
@@ -76,6 +76,13 @@ chaos-fleet:
 # worker-side cache-key/disabled-cache semantics.
 chaos-cache:
 	$(GO) test -race -run 'FleetCache|Rendezvous|Affinity|RegistryMark|RetryAfter|ResultCacheDisabled|CacheKey' ./internal/fleet ./internal/serve
+
+# Benchmark gate: perfbench is a module of its own, so ./... above never
+# compiles it, yet it calls icl, benchnets, rsn, spec, serve and core
+# directly. Vet it and run its self-tests, so an API change that breaks
+# only the benchmark fails here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz pass over the hostile-input decoders: the ICL parser and
 # the checkpoint codec.

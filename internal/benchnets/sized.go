@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"rsnrobust/internal/rsn"
 )
@@ -119,6 +121,12 @@ func Sized(opt SizedOptions) (*rsn.Network, error) {
 	}
 
 	b := rsn.NewBuilder(opt.Name)
+	// Every section is a fan-out and a mux around its chain, so the
+	// network holds exactly the segments, two nodes per mux and the two
+	// ports, of which the scan-in already exists.
+	b.Network().Grow(opt.Segments + 2*opt.Muxes + 1)
+	g.instrs = make([]rsn.Instrument, opt.Segments)
+	g.names = segmentNames(opt.Segments)
 	g.render(b, roots)
 	net := b.Finish()
 
@@ -138,6 +146,24 @@ type sizedGen struct {
 	nSIB  int
 	nMux  int
 	nFork int
+	// instrs holds the instrument of every segment, in emission order.
+	instrs []rsn.Instrument
+	// names is "i1i2...iN"; the next segment's name starts at nameOff.
+	names   string
+	nameOff int
+}
+
+// segmentNames returns the names "i1" ... "in" concatenated, so that
+// each segment's name is a substring of one string.
+func segmentNames(n int) string {
+	var sb strings.Builder
+	sb.Grow(n * (1 + digitCount(n)))
+	var digits [20]byte
+	for i := 1; i <= n; i++ {
+		sb.WriteByte('i')
+		sb.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	return sb.String()
 }
 
 // extra returns the number of instrument segments to distribute.
@@ -340,6 +366,19 @@ func (g *sizedGen) emitInstrument(sb *rsn.Builder) {
 	if span := g.opt.MaxSegLen - g.opt.MinSegLen; span > 0 {
 		length += g.rng.Intn(span + 1)
 	}
-	name := fmt.Sprintf("i%d", g.nSeg)
-	sb.Segment(name, length, &rsn.Instrument{Name: name})
+	end := g.nameOff + 1 + digitCount(g.nSeg)
+	name := g.names[g.nameOff:end]
+	g.nameOff = end
+	in := &g.instrs[g.nSeg-1]
+	in.Name = name
+	sb.Segment(name, length, in)
+}
+
+// digitCount returns the number of decimal digits of v > 0.
+func digitCount(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }

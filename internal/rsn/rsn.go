@@ -17,6 +17,7 @@ package rsn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -134,9 +135,17 @@ type Network struct {
 	ScanOut NodeID
 
 	nodes []Node
-	succ  [][]NodeID
-	pred  [][]NodeID // for a mux, pred order is the port order
+	// succ and pred locate each node's successor and predecessor list
+	// (for a mux, pred order is the port order) in pool, which holds
+	// every list of the network so that building one allocates per
+	// network instead of per node.
+	succ, pred []span
+	pool       []NodeID
 }
+
+// span is one adjacency list: pool[off:off+len], with room to grow in
+// place up to off+cap.
+type span struct{ off, len, cap int32 }
 
 // NewNetwork returns an empty network with the given name and no nodes.
 // Most callers should use NewBuilder instead.
@@ -153,8 +162,8 @@ func (n *Network) AddNode(node Node) NodeID {
 		node.Partner = None
 	}
 	n.nodes = append(n.nodes, node)
-	n.succ = append(n.succ, nil)
-	n.pred = append(n.pred, nil)
+	n.succ = append(n.succ, span{})
+	n.pred = append(n.pred, span{})
 	switch node.Kind {
 	case KindScanIn:
 		n.ScanIn = id
@@ -164,11 +173,49 @@ func (n *Network) AddNode(node Node) NodeID {
 	return id
 }
 
+// Grow reserves room for nodes more nodes and their adjacency lists,
+// so that adding them does not reallocate the network's storage. Like
+// slices.Grow, it changes no content and panics if nodes is negative.
+func (n *Network) Grow(nodes int) {
+	n.nodes = slices.Grow(n.nodes, nodes)
+	n.succ = slices.Grow(n.succ, nodes)
+	n.pred = slices.Grow(n.pred, nodes)
+	// One successor and one predecessor entry per node, plus slack for
+	// the lists of fan-outs and multiplexers, which hold two or more.
+	n.pool = slices.Grow(n.pool, 3*nodes)
+}
+
 // AddEdge adds a directed edge. For multiplexer targets the insertion
 // order of incoming edges defines the port order.
 func (n *Network) AddEdge(from, to NodeID) {
-	n.succ[from] = append(n.succ[from], to)
-	n.pred[to] = append(n.pred[to], from)
+	n.push(&n.succ[from], to)
+	n.push(&n.pred[to], from)
+}
+
+// push appends v to the list s. A full list grows in place when it ends
+// the pool and otherwise moves to the end with twice its capacity. The
+// slots a list leaves behind are never written again, so a slice handed
+// out by Succ or Pred stays a valid snapshot of its list.
+func (n *Network) push(s *span, v NodeID) {
+	if s.len == s.cap {
+		end := int32(len(n.pool))
+		if s.off+s.cap != end {
+			n.pool = append(n.pool, n.pool[s.off:s.off+s.len]...)
+			s.off = end
+		}
+		more := max(s.cap, 1)
+		n.pool = slices.Grow(n.pool, int(more))[:len(n.pool)+int(more)]
+		s.cap += more
+	}
+	n.pool[s.off+s.len] = v
+	s.len++
+}
+
+// list returns the entries of s, capped so that appending to the
+// result copies it instead of overwriting the list stored after it.
+func (n *Network) list(s span) []NodeID {
+	end := s.off + s.len
+	return n.pool[s.off:end:end]
 }
 
 // NumNodes returns the number of vertices.
@@ -179,11 +226,11 @@ func (n *Network) Node(id NodeID) *Node { return &n.nodes[id] }
 
 // Succ returns the successor list of id. The returned slice must not be
 // modified.
-func (n *Network) Succ(id NodeID) []NodeID { return n.succ[id] }
+func (n *Network) Succ(id NodeID) []NodeID { return n.list(n.succ[id]) }
 
 // Pred returns the predecessor list of id (port order for a mux). The
 // returned slice must not be modified.
-func (n *Network) Pred(id NodeID) []NodeID { return n.pred[id] }
+func (n *Network) Pred(id NodeID) []NodeID { return n.list(n.pred[id]) }
 
 // Nodes calls fn for every node in ID order.
 func (n *Network) Nodes(fn func(*Node)) {
@@ -248,7 +295,7 @@ func (n *Network) Stats() Stats {
 		case KindFanout:
 			s.Fanouts++
 		}
-		s.Edges += len(n.succ[i])
+		s.Edges += int(n.succ[i].len)
 	}
 	return s
 }
@@ -269,7 +316,7 @@ func (n *Network) Lookup(name string) NodeID {
 func (n *Network) TopoOrder() ([]NodeID, error) {
 	indeg := make([]int, len(n.nodes))
 	for _, ss := range n.succ {
-		for _, t := range ss {
+		for _, t := range n.list(ss) {
 			indeg[t]++
 		}
 	}
@@ -284,7 +331,7 @@ func (n *Network) TopoOrder() ([]NodeID, error) {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, t := range n.succ[v] {
+		for _, t := range n.Succ(v) {
 			indeg[t]--
 			if indeg[t] == 0 {
 				queue = append(queue, t)
@@ -306,7 +353,7 @@ func (n *Network) ReachableFrom(start NodeID) []bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, t := range n.succ[v] {
+		for _, t := range n.Succ(v) {
 			if !seen[t] {
 				seen[t] = true
 				stack = append(stack, t)
@@ -325,7 +372,7 @@ func (n *Network) CoReachableTo(end NodeID) []bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, t := range n.pred[v] {
+		for _, t := range n.Pred(v) {
 			if !seen[t] {
 				seen[t] = true
 				stack = append(stack, t)
@@ -338,7 +385,7 @@ func (n *Network) CoReachableTo(end NodeID) []bool {
 // PortOf returns the input port index of the edge from pred into mux, or
 // -1 if pred is not a predecessor of mux.
 func (n *Network) PortOf(mux, pred NodeID) int {
-	for i, p := range n.pred[mux] {
+	for i, p := range n.Pred(mux) {
 		if p == pred {
 			return i
 		}
@@ -360,7 +407,7 @@ func (n *Network) AllPaths() [][]NodeID {
 			copy(cp, cur)
 			out = append(out, cp)
 		} else {
-			for _, t := range n.succ[v] {
+			for _, t := range n.Succ(v) {
 				rec(t)
 			}
 		}

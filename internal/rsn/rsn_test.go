@@ -2,6 +2,8 @@ package rsn
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -220,6 +222,66 @@ func TestReachability(t *testing.T) {
 	for i := 0; i < net.NumNodes(); i++ {
 		if !fwd[i] || !bwd[i] {
 			t.Errorf("node %q not on any scan path", net.Node(NodeID(i)).Name)
+		}
+	}
+}
+
+// TestAdjacencySlicesAreCapped appends to the lists Succ and Pred return
+// and checks that no other node's list changes.
+func TestAdjacencySlicesAreCapped(t *testing.T) {
+	net := buildExample(t)
+	var succ, pred [][]NodeID
+	for i := 0; i < net.NumNodes(); i++ {
+		succ = append(succ, slices.Clone(net.Succ(NodeID(i))))
+		pred = append(pred, slices.Clone(net.Pred(NodeID(i))))
+	}
+	for i := 0; i < net.NumNodes(); i++ {
+		_ = append(net.Succ(NodeID(i)), 99)
+		_ = append(net.Pred(NodeID(i)), 99)
+	}
+	for i := 0; i < net.NumNodes(); i++ {
+		if !slices.Equal(net.Succ(NodeID(i)), succ[i]) || !slices.Equal(net.Pred(NodeID(i)), pred[i]) {
+			t.Errorf("node %q: lists %v/%v after appends, want %v/%v",
+				net.Node(NodeID(i)).Name, net.Succ(NodeID(i)), net.Pred(NodeID(i)), succ[i], pred[i])
+		}
+	}
+}
+
+// TestAdjacencyMatchesModel adds random edges, with and without Grow,
+// and after each one compares every list with a per-node model. Slices
+// taken before an edge was added must keep the contents they had.
+func TestAdjacencyMatchesModel(t *testing.T) {
+	for _, grow := range []int{0, 10, 1000} {
+		rng := rand.New(rand.NewSource(int64(grow)))
+		net := NewNetwork("model")
+		net.Grow(grow)
+		var succ, pred [][]NodeID
+		type snap struct {
+			got, want []NodeID
+		}
+		var snaps []snap
+		for step := 0; step < 600; step++ {
+			if net.NumNodes() < 2 || rng.Intn(4) == 0 {
+				net.AddNode(Node{Kind: KindSegment, Length: 1})
+				succ, pred = append(succ, nil), append(pred, nil)
+				continue
+			}
+			from, to := NodeID(rng.Intn(net.NumNodes())), NodeID(rng.Intn(net.NumNodes()))
+			net.AddEdge(from, to)
+			succ[from] = append(succ[from], to)
+			pred[to] = append(pred[to], from)
+			for i := range succ {
+				if !slices.Equal(net.Succ(NodeID(i)), succ[i]) || !slices.Equal(net.Pred(NodeID(i)), pred[i]) {
+					t.Fatalf("grow %d, step %d: node %d lists %v/%v, want %v/%v",
+						grow, step, i, net.Succ(NodeID(i)), net.Pred(NodeID(i)), succ[i], pred[i])
+				}
+			}
+			snaps = append(snaps, snap{net.Succ(from), slices.Clone(succ[from])}, snap{net.Pred(to), slices.Clone(pred[to])})
+		}
+		for i, s := range snaps {
+			if !slices.Equal(s.got, s.want) {
+				t.Fatalf("grow %d: snapshot %d changed to %v, want %v", grow, i, s.got, s.want)
+			}
 		}
 	}
 }

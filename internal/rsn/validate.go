@@ -35,7 +35,7 @@ func Validate(n *Network) error {
 	for i := range n.nodes {
 		nd := &n.nodes[i]
 		id := NodeID(i)
-		in, out := len(n.pred[i]), len(n.succ[i])
+		in, out := int(n.pred[i].len), int(n.succ[i].len)
 		switch nd.Kind {
 		case KindScanIn:
 			scanIns++

@@ -171,7 +171,7 @@ func Generate(net *rsn.Network, opt GenOptions) (*Spec, error) {
 	markCritical := func(dst []int64, frac float64, critFlag func(*rsn.Instrument, bool)) {
 		perm := rng.Perm(len(instr))
 		k := int(float64(len(instr))*frac + 0.5)
-		crit := make(map[rsn.NodeID]bool, k)
+		crit := make([]bool, net.NumNodes())
 		for _, pi := range perm[:k] {
 			crit[instr[pi]] = true
 		}

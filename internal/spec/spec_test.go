@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -124,6 +126,28 @@ func TestGenerateDeterministic(t *testing.T) {
 		if sA.DObs[i] != sB.DObs[i] || sA.DSet[i] != sB.DSet[i] || sA.Cost[i] != sB.Cost[i] {
 			t.Fatalf("generation is not deterministic at node %d", i)
 		}
+	}
+
+	// The specification of a Table I row is pinned: weights, costs and
+	// critical flags depend only on the seed's draw order.
+	net, err := benchnets.Generate("MBIST_5_20_20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Generate(net, PaperGenOptions(12345))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for i := range s.Cost {
+		fmt.Fprintf(h, "%d %d %d\n", s.DObs[i], s.DSet[i], s.Cost[i])
+	}
+	for _, id := range net.Instruments() {
+		in := net.Node(id).Instr
+		fmt.Fprintf(h, "%d %t %t\n", id, in.CriticalObs, in.CriticalSet)
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "dce5bebc40bafe8b"; got != want {
+		t.Errorf("MBIST_5_20_20 spec at seed 12345: digest %s, want %s", got, want)
 	}
 }
 
