@@ -45,10 +45,13 @@ race:
 # across checkpoint/resume boundaries, and under injected faults.
 # WorkerInvariance also matches the island-count invariance matrix
 # (islands x workers); SelectionMatchesReference holds SPEA-2 selection
-# (density only for the archive, 2-D chain truncation) to the
-# brute-force whole-union oracle bit for bit.
+# (density only where the archive or the fill's sort reads it, 2-D chain
+# truncation) to the brute-force whole-union oracle bit for bit;
+# ParetoFilterMatchesPairwise holds the 2-D front sweep to the pairwise
+# scan; SynthesizeFingerprints pins the fronts, evaluation counts and
+# progress records of underfull and overfull Table I rows by hash.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,
@@ -84,11 +87,13 @@ chaos-cache:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz pass over the hostile-input decoders: the ICL parser and
-# the checkpoint codec.
+# Short fuzz pass over the hostile-input decoders — the ICL parser and
+# the checkpoint codec — and over the 2-D front sweep against the
+# pairwise filter.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseICL -fuzztime=30s ./internal/icl
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/moea
+	$(GO) test -run=NONE -fuzz=FuzzParetoFilter -fuzztime=30s ./internal/moea
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -909,9 +909,8 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 }
 
 // telemetryProgress composes a convergence-recording callback with an
-// optional user callback: after every generation it records front size,
-// hypervolume (raw and normalized to the reference box), the two
-// per-objective bests, the cumulated evaluation count and the
+// optional user callback: after every generation it records the front
+// statistics (frontStats), the cumulated evaluation count and the
 // generation wall time.
 func telemetryProgress(tel *telemetry.Collector, ref []float64, evals *telemetry.Counter, user func(int, []moea.Individual) bool) func(int, []moea.Individual) bool {
 	genHist := tel.Histogram("moea.gen_ms")
@@ -920,29 +919,9 @@ func telemetryProgress(tel *telemetry.Collector, ref []float64, evals *telemetry
 		now := time.Now()
 		genMS := float64(now.Sub(last)) / float64(time.Millisecond)
 		last = now
-		hv := moea.Hypervolume(front, ref)
-		bestD, bestC := math.Inf(1), math.Inf(1)
-		for i := range front {
-			if front[i].Obj[0] < bestD {
-				bestD = front[i].Obj[0]
-			}
-			if front[i].Obj[1] < bestC {
-				bestC = front[i].Obj[1]
-			}
-		}
-		if len(front) == 0 {
-			bestD, bestC = 0, 0
-		}
-		tel.RecordGeneration(telemetry.Generation{
-			Gen:         gen,
-			Front:       len(front),
-			Hypervolume: hv,
-			NormHV:      moea.NormalizedHypervolume(front, ref),
-			BestDamage:  bestD,
-			BestCost:    bestC,
-			Evaluations: evals.Value(),
-			ElapsedMS:   genMS,
-		})
+		g := frontStats(front, ref)
+		g.Gen, g.Evaluations, g.ElapsedMS = gen, evals.Value(), genMS
+		tel.RecordGeneration(g)
 		genHist.Observe(genMS)
 		if user != nil {
 			return user(gen, front)
@@ -952,38 +931,40 @@ func telemetryProgress(tel *telemetry.Collector, ref []float64, evals *telemetry
 }
 
 // progressHook adapts Options.OnProgress to the optimizer's exact
-// per-run progress protocol: convergence quality (front size,
-// hypervolume, per-objective bests) is computed here from the live
-// front, effort counters come verbatim from the engine's accounting.
+// per-run progress protocol: convergence quality is computed here from
+// the live front (frontStats), effort counters come verbatim from the
+// engine's accounting.
 func progressHook(ref []float64, user func(Progress) bool) func(moea.Progress, []moea.Individual) bool {
 	last := time.Now()
 	return func(p moea.Progress, front []moea.Individual) bool {
 		now := time.Now()
 		genMS := float64(now.Sub(last)) / float64(time.Millisecond)
 		last = now
-		bestD, bestC := math.Inf(1), math.Inf(1)
-		for i := range front {
-			if front[i].Obj[0] < bestD {
-				bestD = front[i].Obj[0]
-			}
-			if front[i].Obj[1] < bestC {
-				bestC = front[i].Obj[1]
-			}
-		}
-		if len(front) == 0 {
-			bestD, bestC = 0, 0
-		}
-		return user(Progress{
-			Gen:         p.Gen,
-			Front:       len(front),
-			Hypervolume: moea.Hypervolume(front, ref),
-			NormHV:      moea.NormalizedHypervolume(front, ref),
-			BestDamage:  bestD,
-			BestCost:    bestC,
-			Evaluations: int64(p.Evaluations),
-			ElapsedMS:   genMS,
-		})
+		g := frontStats(front, ref)
+		g.Gen, g.Evaluations, g.ElapsedMS = p.Gen, int64(p.Evaluations), genMS
+		return user(g)
 	}
+}
+
+// frontStats is the convergence part of a generation record: the front
+// size, its hypervolume — measured once, raw and normalized to the
+// reference box — and the per-objective bests (0 for an empty front).
+func frontStats(front []moea.Individual, ref []float64) telemetry.Generation {
+	hv := moea.Hypervolume(front, ref)
+	g := telemetry.Generation{Front: len(front), Hypervolume: hv, NormHV: moea.NormalizeHypervolume(hv, ref)}
+	if len(front) == 0 {
+		return g
+	}
+	g.BestDamage, g.BestCost = math.Inf(1), math.Inf(1)
+	for i := range front {
+		if front[i].Obj[0] < g.BestDamage {
+			g.BestDamage = front[i].Obj[0]
+		}
+		if front[i].Obj[1] < g.BestCost {
+			g.BestCost = front[i].Obj[1]
+		}
+	}
+	return g
 }
 
 // stagnationStop composes a hypervolume-stagnation early stop with an

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,6 +16,7 @@ import (
 	"rsnrobust/internal/rsn"
 	"rsnrobust/internal/spec"
 	"rsnrobust/internal/sptree"
+	"rsnrobust/internal/telemetry"
 )
 
 func synthesizeExample(t *testing.T, opt Options) *Synthesis {
@@ -420,6 +425,103 @@ func TestWorkerDeterminism(t *testing.T) {
 		if ok1 != ok4 || q1.Cost != q4.Cost || q1.Damage != q4.Damage {
 			t.Errorf("MinDamageWithCostAtMost(%v) differs across worker counts", frac)
 		}
+	}
+}
+
+// TestSynthesizeFingerprints pins the search's output on rows whose
+// selection takes each path — p34392 and t512505 fill an underfull
+// archive, q12710 and MBIST_2_5_20 truncate an overfull one — at the
+// quick budget, seeds 1 and 7, one population and three islands: an
+// FNV-64a hash of the final front (cost, damage, hardened IDs) and the
+// evaluation count. One more run attaches a collector and OnProgress and
+// also hashes the deterministic fields of every progress record, so a
+// change to the fronts handed to the hooks shows as well. Work saved in
+// selection or in the front filter must leave every hash unchanged.
+func TestSynthesizeFingerprints(t *testing.T) {
+	want := map[string]uint64{
+		"p34392/1/1":        0xdeb851d3e8bef2ee,
+		"p34392/1/3":        0xdbf95a112186a296,
+		"p34392/7/1":        0x22bdaae7e4effe02,
+		"p34392/7/3":        0xfe9620613d57890f,
+		"t512505/1/1":       0x81739ba72c371fa5,
+		"t512505/1/3":       0x296986d2ee78ef50,
+		"t512505/7/1":       0x5bd5ed3361a4aa32,
+		"t512505/7/3":       0x44e803559d5e4391,
+		"q12710/1/1":        0x79326d6d3589379e,
+		"q12710/1/3":        0x2f044ab52eedfd56,
+		"q12710/7/1":        0x06cd90bd6d428c13,
+		"q12710/7/3":        0xfb09cdf303684e66,
+		"MBIST_2_5_20/1/1":  0x6945745c9269c169,
+		"MBIST_2_5_20/1/3":  0xf269481b254ea08e,
+		"MBIST_2_5_20/7/1":  0xe9602d5a5733aa68,
+		"MBIST_2_5_20/7/3":  0xb6e75508420fa40a,
+		"p34392/1/1/hooked": 0xd6a7955a55309c0f,
+	}
+	run := func(name string, seed int64, islands int, hooked bool) uint64 {
+		e, ok := benchnets.Lookup(name)
+		if !ok {
+			t.Fatalf("no Table I row %s", name)
+		}
+		net, err := benchnets.GenerateEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := spec.Generate(net, spec.PaperGenOptions(12345))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := 150 // the quick budget of table1 and perfbench
+		if e.Segments+e.Muxes > 10000 {
+			gens = 60
+		}
+		opt := DefaultOptions(min(e.Generations, gens), seed)
+		opt.Islands = islands
+		h := fnv.New64a()
+		put := func(v uint64) {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		if hooked {
+			opt.Telemetry = telemetry.New()
+			opt.OnProgress = func(p Progress) bool {
+				put(uint64(p.Gen))
+				put(uint64(p.Front))
+				put(math.Float64bits(p.Hypervolume))
+				put(math.Float64bits(p.NormHV))
+				put(math.Float64bits(p.BestDamage))
+				put(math.Float64bits(p.BestCost))
+				put(uint64(p.Evaluations))
+				return true
+			}
+		}
+		s, err := Synthesize(net, sp, opt)
+		if err != nil {
+			t.Fatalf("%s seed %d islands %d: %v", name, seed, islands, err)
+		}
+		for _, sol := range s.Front {
+			put(uint64(sol.Cost))
+			put(uint64(sol.Damage))
+			put(uint64(len(sol.Hardened)))
+			for _, id := range sol.Hardened {
+				put(uint64(id))
+			}
+		}
+		put(uint64(s.Evaluations))
+		return h.Sum64()
+	}
+	for _, name := range []string{"p34392", "t512505", "q12710", "MBIST_2_5_20"} {
+		for _, seed := range []int64{1, 7} {
+			for _, islands := range []int{1, 3} {
+				key := fmt.Sprintf("%s/%d/%d", name, seed, islands)
+				if got := run(name, seed, islands, false); got != want[key] {
+					t.Errorf("%s: fingerprint %#016x, want %#016x", key, got, want[key])
+				}
+			}
+		}
+	}
+	if got := run("p34392", 1, 1, true); got != want["p34392/1/1/hooked"] {
+		t.Errorf("p34392/1/1/hooked: fingerprint %#016x, want %#016x", got, want["p34392/1/1/hooked"])
 	}
 }
 

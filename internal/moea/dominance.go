@@ -22,8 +22,13 @@ func Dominates(a, b []float64) bool {
 }
 
 // ParetoFilter returns the nondominated subset of individuals, sorted by
-// the first objective, with duplicate objective vectors removed.
+// the first objective, with duplicate objective vectors removed. Two
+// objectives take an O(n log n) sweep (paretoFilter2); other objective
+// counts take the pairwise scan.
 func ParetoFilter(pop []Individual) []Individual {
+	if len(pop) > 0 && len(pop[0].Obj) == 2 {
+		return paretoFilter2(pop)
+	}
 	var front []Individual
 	for i := range pop {
 		dominated := false
@@ -36,6 +41,58 @@ func ParetoFilter(pop []Individual) []Individual {
 		if !dominated {
 			front = append(front, pop[i])
 		}
+	}
+	sortByObjectives(front)
+	return dedupeByObjectives(front)
+}
+
+// paretoFilter2 is ParetoFilter for two objectives. In (obj0, obj1)
+// order a member is dominated exactly when an earlier obj0 group's
+// minimum obj1 is at or below its own, or its own group's minimum obj1
+// is below it. The kept members are collected back in input order, so
+// the sort and dedupe see the sequence the pairwise scan hands them and
+// keep the same copy of each duplicate. One index slice serves as the
+// sweep order and then, compacted in place, as the kept list.
+func paretoFilter2(pop []Individual) []Individual {
+	ord := make([]int32, len(pop))
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		x, y := pop[a].Obj, pop[b].Obj
+		switch {
+		case x[0] < y[0]:
+			return -1
+		case x[0] > y[0]:
+			return 1
+		case x[1] < y[1]:
+			return -1
+		case x[1] > y[1]:
+			return 1
+		}
+		return 0
+	})
+	kept := ord[:0]
+	prevMin := math.Inf(1) // minimum obj1 over the earlier obj0 groups
+	for st := 0; st < len(ord); {
+		x0, groupMin := pop[ord[st]].Obj[0], pop[ord[st]].Obj[1]
+		en := st + 1
+		for en < len(ord) && pop[ord[en]].Obj[0] == x0 {
+			en++
+		}
+		for _, i := range ord[st:en] { // kept never overtakes the read position
+			y := pop[i].Obj[1]
+			if dominated := (st > 0 && prevMin <= y) || groupMin < y; !dominated {
+				kept = append(kept, i)
+			}
+		}
+		prevMin = min(prevMin, groupMin)
+		st = en
+	}
+	slices.Sort(kept)
+	front := make([]Individual, len(kept))
+	for q, i := range kept {
+		front[q] = pop[i]
 	}
 	sortByObjectives(front)
 	return dedupeByObjectives(front)

@@ -11,9 +11,11 @@ import (
 // spread over a wide integer range with heavy ties and exact
 // duplicates. In the underfull case obj1 takes a narrow independent
 // range, so few members are nondominated and the archive of capacity
-// n/2 is filled by F, which needs every member's density. In the
-// truncate case obj1 falls as obj0 rises, so nearly every member is
-// nondominated and the same capacity truncates along the front chain.
+// n/2 is filled by F, which needs the density of the archive entries
+// and of the members that share their R class with another above the
+// cut, not of lone members above it. In the truncate case obj1 falls as
+// obj0 rises, so nearly every member is nondominated and the same
+// capacity truncates along the front chain.
 func BenchmarkSelection(b *testing.B) {
 	for _, shape := range []string{"truncate", "underfull"} {
 		for _, n := range []int{128, 416} {
@@ -37,6 +39,33 @@ func BenchmarkSelection(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParetoFilter times the per-generation front extraction the
+// progress hooks run, on archive-shaped two-objective sets: a front
+// with duplicates, a third of the members lifted off it.
+func BenchmarkParetoFilter(b *testing.B) {
+	for _, n := range []int{100, 300, 600} {
+		b.Run(itoa(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			pop := make([]Individual, n)
+			for i := range pop {
+				x := float64(rng.Intn(n / 2))
+				obj := []float64{x, float64(n/2) - x}
+				if rng.Intn(3) == 0 {
+					obj[1] += float64(1 + rng.Intn(20))
+				}
+				pop[i] = Individual{G: Genome{uint64(i)}, Obj: obj}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkFront = ParetoFilter(pop)
+			}
+		})
+	}
+}
+
+var sinkFront []Individual
 
 func itoa(n int) string {
 	if n == 0 {

@@ -2,6 +2,8 @@ package moea
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -55,5 +57,36 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if !bytes.Equal(EncodeCheckpoint(cp), data) {
 			t.Fatalf("decoded checkpoint does not re-encode to its input (%d bytes)", len(data))
 		}
+	})
+}
+
+// FuzzParetoFilter holds the two-objective sweep of ParetoFilter to the
+// pairwise reference on arbitrary finite point sets. Narrow inputs read
+// each coordinate from one byte, so ties and duplicates abound (every
+// built-in objective is an integer sum); wide inputs read float64 bits,
+// skipping NaN and infinities.
+func FuzzParetoFilter(f *testing.F) {
+	f.Add([]byte{1, 5, 2, 2, 5, 1, 3, 3, 2, 2}, false)
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0}, false)
+	f.Add(bytes.Repeat([]byte{7, 200, 8, 100}, 16), true)
+	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
+		var vals []float64
+		if wide {
+			for ; len(data) >= 8; data = data[8:] {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+				if !math.IsNaN(v) && !math.IsInf(v, 0) {
+					vals = append(vals, v)
+				}
+			}
+		} else {
+			for _, b := range data {
+				vals = append(vals, float64(int8(b)))
+			}
+		}
+		pop := make([]Individual, len(vals)/2)
+		for i := range pop {
+			pop[i] = Individual{G: Genome{uint64(i)}, Obj: vals[2*i : 2*i+2]}
+		}
+		checkParetoFilter(t, pop)
 	})
 }

@@ -24,6 +24,14 @@ func RefPoint(maxes ...float64) []float64 {
 // generation: comparable across networks whose absolute objective
 // ranges differ by orders of magnitude.
 func NormalizedHypervolume(front []Individual, ref []float64) float64 {
+	return NormalizeHypervolume(Hypervolume(front, ref), ref)
+}
+
+// NormalizeHypervolume divides a hypervolume measured against ref by the
+// reference box volume, as NormalizedHypervolume does: a caller that
+// already holds Hypervolume(front, ref) gets the same bits without
+// measuring the front twice.
+func NormalizeHypervolume(hv float64, ref []float64) float64 {
 	box := 1.0
 	for _, r := range ref {
 		box *= r
@@ -31,7 +39,7 @@ func NormalizedHypervolume(front []Individual, ref []float64) float64 {
 	if len(ref) == 0 || box <= 0 {
 		return 0
 	}
-	return Hypervolume(front, ref) / box
+	return hv / box
 }
 
 // HypervolumeContributions returns, for every individual of the front,

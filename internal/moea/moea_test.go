@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,101 @@ func TestParetoFilter(t *testing.T) {
 			t.Error("front not sorted by first objective")
 		}
 	}
+}
+
+// TestParetoFilterMatchesPairwise holds the two-objective sweep of
+// ParetoFilter to the pairwise scan (referenceParetoFilter): the same
+// members in the same order, and the same surviving copy of each
+// duplicated objective vector, told apart by genome. Sets come in four
+// shapes — continuous, quantized (coordinate ties), drawn from a few
+// points (duplicate-heavy) and front-shaped with duplicates — at sizes
+// up to 700. Three objectives must keep the pairwise path: a 2-D sweep
+// would drop (2, 2, 1), which (1, 1, 5) does not dominate.
+func TestParetoFilterMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		shape := trial % 4
+		n := 1 + rng.Intn(700)
+		levels := 2 + rng.Intn(40)
+		pool := make([][2]float64, 1+rng.Intn(12))
+		for i := range pool {
+			pool[i] = [2]float64{float64(rng.Intn(20)), float64(rng.Intn(20))}
+		}
+		pop := make([]Individual, n)
+		for i := range pop {
+			var obj []float64
+			switch shape {
+			case 0:
+				obj = []float64{rng.Float64() * 100, rng.Float64() * 100}
+			case 1:
+				obj = []float64{float64(rng.Intn(levels)), float64(rng.Intn(levels))}
+			case 2:
+				p := pool[rng.Intn(len(pool))]
+				obj = []float64{p[0], p[1]}
+			default:
+				x := float64(rng.Intn(levels))
+				obj = []float64{x, float64(levels) - x}
+				if rng.Intn(4) == 0 {
+					obj[rng.Intn(2)] += float64(1 + rng.Intn(3))
+				}
+			}
+			pop[i] = Individual{G: Genome{uint64(i)}, Obj: obj}
+		}
+		checkParetoFilter(t, pop)
+	}
+	three := []Individual{
+		{G: Genome{0}, Obj: []float64{1, 1, 5}},
+		{G: Genome{1}, Obj: []float64{2, 2, 1}},
+		{G: Genome{2}, Obj: []float64{2, 2, 2}},
+	}
+	if front := ParetoFilter(three); len(front) != 2 || front[1].G[0] != 1 {
+		t.Fatalf("three objectives: front %v, want #0 and #1", front)
+	}
+	for trial := 0; trial < 20; trial++ {
+		pop := make([]Individual, 1+rng.Intn(200))
+		for i := range pop {
+			pop[i] = Individual{G: Genome{uint64(i)}, Obj: []float64{
+				float64(rng.Intn(6)), float64(rng.Intn(6)), float64(rng.Intn(6))}}
+		}
+		checkParetoFilter(t, pop)
+	}
+}
+
+// checkParetoFilter fails the test unless ParetoFilter returns exactly
+// the pairwise reference's members, in order, identified by genome.
+func checkParetoFilter(t testing.TB, pop []Individual) {
+	t.Helper()
+	got, want := ParetoFilter(pop), referenceParetoFilter(pop)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d: front size %d, want %d", len(pop), len(got), len(want))
+	}
+	for p := range got {
+		if got[p].G[0] != want[p].G[0] || !slices.Equal(got[p].Obj, want[p].Obj) {
+			t.Fatalf("n=%d: front[%d] = #%d %v, want #%d %v",
+				len(pop), p, got[p].G[0], got[p].Obj, want[p].G[0], want[p].Obj)
+		}
+	}
+}
+
+// referenceParetoFilter is the pairwise nondominated filter: every
+// member is tested against every other, the survivors are kept in input
+// order, then sorted and deduplicated as ParetoFilter does.
+func referenceParetoFilter(pop []Individual) []Individual {
+	var front []Individual
+	for i := range pop {
+		dominated := false
+		for j := range pop {
+			if i != j && Dominates(pop[j].Obj, pop[i].Obj) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, pop[i])
+		}
+	}
+	sortByObjectives(front)
+	return dedupeByObjectives(front)
 }
 
 func TestHypervolume(t *testing.T) {
@@ -397,11 +493,11 @@ func TestDefaults(t *testing.T) {
 // one-time warm-up allocations.
 func TestGenerationAllocs(t *testing.T) {
 	p := newKnapsack(17, 96)
-	run := func(algo func(Problem, Params) (*Result, error), gens int) uint64 {
+	run := func(algo func(Problem, Params) (*Result, error), gens int, hook func(int, []Individual) bool) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := algo(p, Params{Population: 60, Generations: gens,
-			PCrossover: 0.95, PMutateBit: 0.02, Seed: 9, Workers: 1})
+			PCrossover: 0.95, PMutateBit: 0.02, Seed: 9, Workers: 1, OnGeneration: hook})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -409,8 +505,11 @@ func TestGenerationAllocs(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	for name, algo := range map[string]func(Problem, Params) (*Result, error){"SPEA2": SPEA2, "NSGA2": NSGA2} {
-		short, long := run(algo, 30), run(algo, 130)
-		perGen := float64(long-short) / 100
+		perGen := func(hook func(int, []Individual) bool) float64 {
+			short, long := run(algo, 30, hook), run(algo, 130, hook)
+			return float64(long-short) / 100
+		}
+		plain := perGen(nil)
 		// With the hot sorts on slices.SortFunc (no closure or Swapper
 		// allocation) the remaining steady state is occasional growth of
 		// the per-index dominance lists and front buffers — measured
@@ -418,9 +517,16 @@ func TestGenerationAllocs(t *testing.T) {
 		// while catching any O(population) buffer reintroduced into the
 		// loop (before the arena it allocated 2×population genome and
 		// objective buffers per generation — thousands).
-		if perGen > 16 {
-			t.Errorf("%s: %.1f allocs per generation in steady state, want <= 16", name, perGen)
+		if plain > 16 {
+			t.Errorf("%s: %.1f allocs per generation in steady state, want <= 16", name, plain)
 		}
-		t.Logf("%s: %.1f allocs/gen steady-state", name, perGen)
+		// A hook adds the per-generation ParetoFilter every service
+		// harden pays for its progress callbacks: two allocations, the
+		// sweep order and the returned front.
+		hooked := perGen(func(int, []Individual) bool { return true })
+		if hooked > plain+2.5 {
+			t.Errorf("%s: %.1f allocs per generation with OnGeneration, want <= %.1f + 2.5", name, hooked, plain)
+		}
+		t.Logf("%s: %.1f allocs/gen steady-state, %.1f with OnGeneration", name, plain, hooked)
 	}
 }

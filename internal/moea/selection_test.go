@@ -8,20 +8,43 @@ import (
 )
 
 // TestSelectionMatchesReference cross-checks SPEA-2 environmental
-// selection — raw fitness first, density only where the archive reads
-// it, truncation along the two-objective front chain — against the
-// textbook order of work: F = R + D for every union member, then the
-// O(n²) nearest-neighbour rescan truncation or the F-sorted fill
-// (referenceSelection). The archives must agree in order, identity,
-// objectives and fitness/density bits. Unions come in three shapes:
-// continuous, quantized to a few levels (coordinate ties and exact
-// duplicates), and front-shaped with duplicates (most members
+// selection — raw fitness first, density only where the archive or the
+// fill's sort reads it, truncation along the two-objective front chain —
+// against the textbook order of work: F = R + D for every union member,
+// then the O(n²) nearest-neighbour rescan truncation or the F-sorted
+// fill (referenceSelection). The archives must agree in order,
+// identity, objectives and fitness/density bits. Unions come in three
+// shapes: continuous, quantized to a few levels (coordinate ties and
+// exact duplicates), and front-shaped with duplicates (most members
 // nondominated, so truncation runs long). Capacities sit below, at and
 // above the nondominated count; each worker count reuses one scratch
-// across every trial, as a run reuses it across generations.
+// across every trial, as a run reuses it across generations. A fourth
+// shape is a converged union filled underfull (see convergedUnion).
 func TestSelectionMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	scratch := map[int]*selScratch{1: {}, 3: {}}
+	check := func(trial, m, shape int, union []Individual, capacity int) {
+		t.Helper()
+		n := len(union)
+		want := referenceSelection(union, capacity)
+		for _, workers := range []int{1, 3} {
+			got := environmentalSelection(slices.Clone(union), capacity, m, workers, scratch[workers])
+			if len(got) != len(want) {
+				t.Fatalf("trial %d m=%d shape %d n=%d capacity %d workers %d: archive size %d, want %d",
+					trial, m, shape, n, capacity, workers, len(got), len(want))
+			}
+			for p := range got {
+				g, w := &got[p], &want[p]
+				if g.G[0] != w.G[0] || !slices.Equal(g.Obj, w.Obj) ||
+					math.Float64bits(g.fitness) != math.Float64bits(w.fitness) ||
+					math.Float64bits(g.density) != math.Float64bits(w.density) {
+					t.Fatalf("trial %d m=%d shape %d n=%d capacity %d workers %d: archive[%d] = #%d %v F=%v D=%v, want #%d %v F=%v D=%v",
+						trial, m, shape, n, capacity, workers, p,
+						g.G[0], g.Obj, g.fitness, g.density, w.G[0], w.Obj, w.fitness, w.density)
+				}
+			}
+		}
+	}
 	for trial := 0; trial < 90; trial++ {
 		for _, m := range []int{2, 3} {
 			shape := trial % 3
@@ -68,26 +91,13 @@ func TestSelectionMatchesReference(t *testing.T) {
 				capacities = append(capacities, 1+rng.Intn(nd-1))
 			}
 			for _, capacity := range capacities {
-				want := referenceSelection(union, capacity)
-				for _, workers := range []int{1, 3} {
-					got := environmentalSelection(slices.Clone(union), capacity, m, workers, scratch[workers])
-					if len(got) != len(want) {
-						t.Fatalf("trial %d m=%d shape %d n=%d capacity %d workers %d: archive size %d, want %d",
-							trial, m, shape, n, capacity, workers, len(got), len(want))
-					}
-					for p := range got {
-						g, w := &got[p], &want[p]
-						if g.G[0] != w.G[0] || !slices.Equal(g.Obj, w.Obj) ||
-							math.Float64bits(g.fitness) != math.Float64bits(w.fitness) ||
-							math.Float64bits(g.density) != math.Float64bits(w.density) {
-							t.Fatalf("trial %d m=%d shape %d n=%d capacity %d workers %d: archive[%d] = #%d %v F=%v D=%v, want #%d %v F=%v D=%v",
-								trial, m, shape, n, capacity, workers, p,
-								g.G[0], g.Obj, g.fitness, g.density, w.G[0], w.Obj, w.fitness, w.density)
-						}
-					}
-				}
+				check(trial, m, shape, union, capacity)
 			}
 		}
+	}
+	for trial := 0; trial < convergedTrials; trial++ {
+		union := convergedUnion(rng)
+		check(trial, 2, 3, union, len(union)/2)
 	}
 }
 
@@ -190,4 +200,39 @@ func referenceTruncate(set []Individual, capacity int) []Individual {
 		}
 	}
 	return out
+}
+
+// convergedTrials is the number of converged-underfull unions
+// TestSelectionMatchesReference draws.
+const convergedTrials = 40
+
+// convergedUnion draws the union of a converged run whose archive the
+// nondominated members cannot fill: 200 to 600 members on a few hundred
+// integer points, each point repeated with distinct genomes. One point
+// in twelve lies on a sparse front (every third step of the line
+// obj0 + obj1 = levels); the rest sit one to three steps above that
+// line, dominated, and mostly not by each other. The fill then needs
+// fewer members than are dominated, and typically several R classes
+// above the cut hold two or more distinct points, so the sort's tie
+// order among equal F — which copy of a point enters the archive, and
+// where — depends on every comparison outcome the fill must preserve.
+func convergedUnion(rng *rand.Rand) []Individual {
+	n := 200 + rng.Intn(401)
+	levels := 20 + rng.Intn(40)
+	pool := make([][2]float64, n/3+rng.Intn(n/3))
+	for p := range pool {
+		x := rng.Intn(levels + 1)
+		if rng.Intn(12) == 0 {
+			x -= x % 3
+			pool[p] = [2]float64{float64(x), float64(levels - x)}
+		} else {
+			pool[p] = [2]float64{float64(x), float64(levels - x + 1 + rng.Intn(3))}
+		}
+	}
+	union := make([]Individual, n)
+	for i := range union {
+		pt := pool[rng.Intn(len(pool))]
+		union[i] = Individual{G: Genome{uint64(i)}, Obj: []float64{pt[0], pt[1]}}
+	}
+	return union
 }

@@ -1,6 +1,7 @@
 package moea
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -838,17 +839,18 @@ func (s *kSelect) kth() float64 {
 
 // selScratch is the reusable scratch of environmental selection: the
 // fitness kernels' scratch, the archive under construction with each
-// entry's union index, the dominated spill of the fill, and
-// truncation's bookkeeping — liveness, protected extremes, nearest-
-// neighbour distances, and the flat coordinates and chain links of the
-// two-objective path. The returned archive aliases the next buffer; the
+// entry's union index, the fill's R order, density request and
+// dominated spill, and truncation's bookkeeping — liveness, protected
+// extremes, nearest-neighbour distances, and the flat coordinates and
+// chain links of the two-objective path. The returned archive aliases the next buffer; the
 // engine guarantees the previous archive is dead (copied into the
 // union) before the next selection runs.
 type selScratch struct {
 	fitScratch
 	next      []Individual
 	nd        []int32 // union index of each next entry
-	all       []int32 // 0..n-1, the fill's density request
+	byR       []int32 // the fill's dominated members, by R
+	want      []int32 // the fill's density request
 	dominated []Individual
 	alive     []bool
 	protected []bool
@@ -869,9 +871,10 @@ type selScratch struct {
 // — runs only for the survivors: every other member is recycled right
 // after selection, and no tournament, migration, checkpoint or hook
 // reads its fitness. An underfull archive is filled with the best
-// dominated members by F, which needs every member's density. Two
-// objectives swap in the Fenwick, grid and chain kernels. A nil scratch
-// allocates fresh buffers.
+// dominated members by F, and the density runs for the members whose F
+// an archive entry or a comparison of the fill's sort reads (see fill).
+// Two objectives swap in the Fenwick, grid and chain kernels. A nil
+// scratch allocates fresh buffers.
 func environmentalSelection(union []Individual, capacity, m, workers int, s *selScratch) []Individual {
 	if s == nil {
 		s = &selScratch{}
@@ -916,21 +919,55 @@ func environmentalSelection(union []Individual, capacity, m, workers int, s *sel
 }
 
 // fill is environmental selection into an archive the nondominated
-// members cannot fill: every member gets F = R + D, the nondominated
-// all enter, and the best dominated by F take the remaining places.
+// members cannot fill: the nondominated all enter, and the best
+// dominated by F = R + D take the remaining places, in the order
+// slices.SortFunc leaves them (its tie order is part of the result).
+//
+// The density runs only where F is read. A dominated R is an integer
+// ≥ 1 and D lies in (0, 0.5], so fl(R+D) ≤ R+0.5 < R+1 ≤ fl(R'+D')
+// for any R < R': F orders members of different R by R alone. With the
+// cut at the need-th smallest dominated R, the archive takes members of
+// R ≤ cut only; a member above the cut that is alone in its R class
+// is compared only across classes, so F = R gives every comparison the
+// sort makes the outcome F = R + D would, and the sort returns the same
+// permutation. Every other member — nondominated, R ≤ cut, or sharing
+// its R class above the cut — gets its density.
 func (s *selScratch) fill(union []Individual, capacity, m, workers int) []Individual {
-	n := len(union)
-	s.all = grow(s.all, n)
-	for i := range s.all {
-		s.all[i] = int32(i)
+	raw := s.rawf
+	byR := s.byR[:0]
+	for i, r := range raw {
+		if r != 0 {
+			byR = append(byR, int32(i))
+		}
 	}
-	s.density(union, s.all, m, workers)
+	slices.SortFunc(byR, func(a, b int32) int { return cmp.Compare(raw[a], raw[b]) })
+	s.byR = byR
+	need := min(capacity-len(s.nd), len(byR))
+	s.dens = grow(s.dens, len(union))
+	want := append(s.want[:0], s.nd...)
+	// Walk the R classes: byR[need-1] holds the cut, so a class with
+	// R ≤ cut starts before need; a one-member class above it is a lone
+	// member, which keeps D = 0 and so F = R.
+	for st := 0; st < len(byR); {
+		en := st + 1
+		for en < len(byR) && raw[byR[en]] == raw[byR[st]] {
+			en++
+		}
+		if st < need || en-st > 1 {
+			want = append(want, byR[st:en]...)
+		} else {
+			s.dens[byR[st]] = 0
+		}
+		st = en
+	}
+	s.want = want
+	s.density(union, want, m, workers)
 	next := s.next[:0]
 	dominated := s.dominated[:0]
 	for i := range union {
 		union[i].density = s.dens[i]
-		union[i].fitness = float64(s.rawf[i]) + s.dens[i]
-		if s.rawf[i] == 0 {
+		union[i].fitness = float64(raw[i]) + s.dens[i]
+		if raw[i] == 0 {
 			next = append(next, union[i])
 		} else {
 			dominated = append(dominated, union[i])
@@ -945,7 +982,6 @@ func (s *selScratch) fill(union []Individual, capacity, m, workers int) []Indivi
 		}
 		return 0
 	})
-	need := min(capacity-len(next), len(dominated))
 	next = append(next, dominated[:need]...)
 	s.next = next
 	clear(dominated) // drop genome references until the next generation

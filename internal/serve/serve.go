@@ -78,8 +78,9 @@ type Config struct {
 	// JobHistory sizes the recent-jobs ring served at /v1/jobs
 	// (0 = default 64).
 	JobHistory int
-	// SpanLimit bounds the collector's retained span history — a
-	// long-running server must not accumulate spans without bound
+	// SpanLimit bounds the collector's retained span history and its
+	// retained generation history, each to this many records — a
+	// long-running server must not accumulate either without bound
 	// (0 = default 4096, <0 keeps everything).
 	SpanLimit int
 }

@@ -127,15 +127,7 @@ func (s *Span) End() time.Duration {
 		TraceID:  s.trace,
 	}
 	s.c.mu.Lock()
-	if lim := s.c.spanLimit; lim > 0 && len(s.c.spans) >= lim {
-		// Long-running processes (rsnserve) bound span retention: drop
-		// the oldest half in one copy, so appends stay amortized O(1)
-		// and Snapshot keeps the most recent history.
-		keep := lim / 2
-		n := copy(s.c.spans, s.c.spans[len(s.c.spans)-keep:])
-		s.c.spans = s.c.spans[:n]
-	}
-	s.c.spans = append(s.c.spans, rec)
+	s.c.spans = append(makeRoom(s.c.spans, s.c.spanLimit), rec)
 	e := s.c.emitter
 	obs := s.c.spanObservers
 	s.c.mu.Unlock()

@@ -194,9 +194,10 @@ type Collector struct {
 	spans    []SpanRecord
 	gens     []Generation
 	emitter  *emitter
-	// spanLimit, when positive, bounds the retained span history: once
-	// reached, the oldest half is dropped. 0 keeps everything (the CLI
-	// default — one run, finite spans).
+	// spanLimit, when positive, bounds the retained span and generation
+	// histories, each on its own: once one reaches it, its oldest half is
+	// dropped. 0 keeps everything (the CLI default — one run, finite
+	// records).
 	spanLimit int
 	// spanObservers are called synchronously with every finished span
 	// record (the flight recorder's feed).
@@ -267,9 +268,10 @@ func (c *Collector) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetSpanLimit bounds the retained span history to roughly n records:
-// when the limit is reached the oldest half is discarded, so a
-// long-running process keeps recent spans without unbounded growth.
+// SetSpanLimit bounds the retained span history and the retained
+// generation history to roughly n records each: when one reaches the
+// limit its oldest half is discarded, so a long-running process keeps
+// recent spans and convergence records without unbounded growth.
 // n <= 0 restores unbounded retention. Safe on a nil collector.
 func (c *Collector) SetSpanLimit(n int) {
 	if c == nil {
@@ -292,17 +294,30 @@ func (c *Collector) OnSpanEnd(fn func(SpanRecord)) {
 	c.mu.Unlock()
 }
 
-// RecordGeneration appends one convergence record and streams it to the
-// JSONL output if one is set. Safe on a nil collector.
+// RecordGeneration appends one convergence record, within the limit
+// SetSpanLimit sets, and streams it to the JSONL output if one is set.
+// Safe on a nil collector.
 func (c *Collector) RecordGeneration(g Generation) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.gens = append(c.gens, g)
+	c.gens = append(makeRoom(c.gens, c.spanLimit), g)
 	e := c.emitter
 	c.mu.Unlock()
 	e.emit(genEvent{Type: "generation", Generation: g})
+}
+
+// makeRoom readies a history bounded by limit (none when limit <= 0)
+// for one more record: once the history holds limit records, the oldest
+// half is dropped in one copy, so appends stay amortized O(1) and the
+// most recent records survive.
+func makeRoom[T any](h []T, limit int) []T {
+	if limit > 0 && len(h) >= limit {
+		n := copy(h, h[len(h)-limit/2:])
+		h = h[:n]
+	}
+	return h
 }
 
 // LastGeneration returns the most recent convergence record, if any.

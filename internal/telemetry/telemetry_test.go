@@ -166,6 +166,29 @@ func TestLastGeneration(t *testing.T) {
 	}
 }
 
+// TestSpanLimitBoundsGenerations: the span limit also bounds the
+// generation history, so a server that records every generation of
+// every job keeps only the most recent ones.
+func TestSpanLimitBoundsGenerations(t *testing.T) {
+	c := New()
+	c.SetSpanLimit(8)
+	for i := 0; i < 100; i++ {
+		c.RecordGeneration(Generation{Gen: i})
+	}
+	gens := c.Snapshot().Generations
+	if len(gens) > 8 {
+		t.Errorf("generation history %d exceeds limit 8", len(gens))
+	}
+	for i := 1; i < len(gens); i++ {
+		if gens[i].Gen != gens[i-1].Gen+1 {
+			t.Errorf("retained generations not consecutive: %d after %d", gens[i].Gen, gens[i-1].Gen)
+		}
+	}
+	if g, ok := c.LastGeneration(); !ok || g.Gen != 99 {
+		t.Errorf("last generation = %+v, %v; want gen 99", g, ok)
+	}
+}
+
 func TestConcurrentInstruments(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup
