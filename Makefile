@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache perfbench fuzz bench bench-smoke benchjson bench-compare clean
+.PHONY: ci fmt vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache perfbench fuzz bench bench-smoke clean
 
-ci: fmt vet lint build race determinism serve-smoke chaos-fleet chaos-cache perfbench bench-compare
+ci: fmt vet lint build race determinism serve-smoke chaos-fleet chaos-cache perfbench
 
 # Formatting gate: fails when gofmt would rewrite any tracked Go file,
 # naming the files.
@@ -72,13 +72,13 @@ chaos:
 chaos-fleet:
 	$(GO) test -race -run 'Proxy|Breaker|Dispatch|Fleet|Migration|HalfOpen|NoHealthy|Trace|Analyze|Coordinator' ./internal/chaos ./internal/fleet ./cmd/rsnserve
 
-# Fleet cache gate: the shared result-cache drills under the race
-# detector — L1 repeats (plain, streamed, and after a SIGKILL-forced
-# migration), cache-affinity routing and rendezvous resharding, the
-# registry clamp/health regressions, Retry-After parsing, and the
-# worker-side cache-key/disabled-cache semantics.
+# Fleet cache gate: the result-cache drills under the race detector —
+# L1 repeats (plain, streamed, and after a SIGKILL-forced migration),
+# least-loaded routing and the registry clamp/health regressions,
+# Retry-After parsing, and the worker-side cache-key/disabled-cache
+# semantics.
 chaos-cache:
-	$(GO) test -race -run 'FleetCache|Rendezvous|Affinity|RegistryMark|RetryAfter|ResultCacheDisabled|CacheKey' ./internal/fleet ./internal/serve
+	$(GO) test -race -run 'FleetCache|RegistryPick|RegistryMark|RetryAfter|ResultCacheDisabled|CacheKey' ./internal/fleet ./internal/serve
 
 # Benchmark gate: perfbench is a module of its own, so ./... above never
 # compiles it, yet it calls icl, benchnets, rsn, spec, serve and core
@@ -102,18 +102,6 @@ bench:
 # budget, to spot regressions before committing.
 bench-smoke:
 	$(GO) test -run=NONE -bench=Table1 -benchtime=1x .
-
-# Regenerate the committed machine-readable benchmark summary
-# (validated by TestBenchJSONArtifact). -jobs 1 keeps the per-row
-# evolve_ms serial and therefore comparable across artifact versions.
-benchjson:
-	$(GO) run ./cmd/table1 -quick -maxprims 60000 -jobs 1 -benchjson BENCH_5.json
-
-# Fail if any shared 2-objective row's evolve_ms regressed >15% vs the
-# previous committed artifact (K-objective rows are excluded from the
-# gate by their "objectives" tag).
-bench-compare:
-	$(GO) run ./cmd/benchdiff -threshold 15 BENCH_4.json BENCH_5.json
 
 clean:
 	$(GO) clean ./...

@@ -11,9 +11,7 @@
 package rsnrobust_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"rsnrobust/internal/access"
@@ -80,115 +78,6 @@ func runRow(b *testing.B, e benchnets.Entry, gens int) {
 	}
 	if len(s.Front) == 0 {
 		b.Fatal("empty front")
-	}
-}
-
-// TestBenchJSONArtifact validates the committed BENCH_5.json against the
-// rsnrobust-bench/v5 schema (per-stage wall clock, worker and job
-// counts, the delta/full evaluation split, steady-state allocation
-// rate, and the objective list of K-objective rows). Regenerate the
-// artifact with
-//
-//	go run ./cmd/table1 -quick -maxprims 60000 -jobs 1 -benchjson BENCH_5.json
-//
-// (-jobs 1 keeps evolve_ms comparable with the serial BENCH_4.json;
-// allocs_per_gen is only meaningful without concurrent rows.)
-func TestBenchJSONArtifact(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_5.json")
-	if err != nil {
-		t.Skipf("no benchmark artifact: %v", err)
-	}
-	var doc struct {
-		Schema     string `json:"schema"`
-		Algo       string `json:"algo"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-		Workers    int    `json:"workers"`
-		Jobs       int    `json:"jobs"`
-		Islands    int    `json:"islands"`
-		Rows       []struct {
-			Network     string  `json:"network"`
-			Objectives  string  `json:"objectives"`
-			Segments    int     `json:"segments"`
-			Muxes       int     `json:"muxes"`
-			Primitives  int     `json:"primitives"`
-			Generations int     `json:"generations"`
-			Evaluations int64   `json:"evaluations"`
-			DeltaEvals  int64   `json:"delta_evals"`
-			FullEvals   int64   `json:"full_evals"`
-			AnalysisMS  float64 `json:"analysis_ms"`
-			SPEA2MS     float64 `json:"spea2_ms"`
-			TotalMS     float64 `json:"total_ms"`
-			Stages      struct {
-				SPTreeMS      float64 `json:"sptree_ms"`
-				CriticalityMS float64 `json:"criticality_ms"`
-				EvolveMS      float64 `json:"evolve_ms"`
-				ExtractMS     float64 `json:"extract_ms"`
-			} `json:"stages"`
-			FrontSize    int     `json:"front_size"`
-			AllocsPerGen float64 `json:"allocs_per_gen"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_5.json is not valid JSON: %v", err)
-	}
-	if doc.Schema != "rsnrobust-bench/v5" {
-		t.Fatalf("schema = %q, want rsnrobust-bench/v5", doc.Schema)
-	}
-	if doc.GOMAXPROCS <= 0 || doc.Workers <= 0 || doc.Jobs <= 0 || doc.Islands <= 0 {
-		t.Fatalf("gomaxprocs=%d workers=%d jobs=%d islands=%d, want all positive",
-			doc.GOMAXPROCS, doc.Workers, doc.Jobs, doc.Islands)
-	}
-	if len(doc.Rows) == 0 {
-		t.Fatal("no benchmark rows")
-	}
-	for _, r := range doc.Rows {
-		e, ok := benchnets.Lookup(r.Network)
-		if !ok {
-			t.Errorf("row %q: not a Table I benchmark", r.Network)
-			continue
-		}
-		// The committed artifact is the 2-objective perf baseline: a
-		// non-empty objective tag would silently drop the row from the
-		// benchdiff gate.
-		if r.Objectives != "" {
-			t.Errorf("row %q: committed artifact must use default objectives, got %q",
-				r.Network, r.Objectives)
-		}
-		if r.Primitives != r.Segments+r.Muxes {
-			t.Errorf("row %q: primitives %d != segments %d + muxes %d",
-				r.Network, r.Primitives, r.Segments, r.Muxes)
-		}
-		if r.Segments != e.Segments || r.Muxes != e.Muxes {
-			t.Errorf("row %q: size %d/%d differs from Table I entry %d/%d",
-				r.Network, r.Segments, r.Muxes, e.Segments, e.Muxes)
-		}
-		if r.Generations <= 0 || r.Evaluations <= 0 || r.FrontSize <= 0 {
-			t.Errorf("row %q: non-positive counters %+v", r.Network, r)
-		}
-		// The incremental path splits the evaluation count exactly; a
-		// zero delta share on a committed artifact would mean the delta
-		// evaluator silently stopped engaging.
-		if r.DeltaEvals+r.FullEvals != r.Evaluations {
-			t.Errorf("row %q: delta_evals %d + full_evals %d != evaluations %d",
-				r.Network, r.DeltaEvals, r.FullEvals, r.Evaluations)
-		}
-		if r.DeltaEvals <= 0 {
-			t.Errorf("row %q: delta_evals = %d, want > 0", r.Network, r.DeltaEvals)
-		}
-		if r.AllocsPerGen < 0 {
-			t.Errorf("row %q: negative allocs_per_gen %.1f", r.Network, r.AllocsPerGen)
-		}
-		if r.AnalysisMS < 0 || r.SPEA2MS <= 0 || r.TotalMS < r.SPEA2MS {
-			t.Errorf("row %q: implausible timings analysis=%.3fms spea2=%.3fms total=%.3fms",
-				r.Network, r.AnalysisMS, r.SPEA2MS, r.TotalMS)
-		}
-		st := r.Stages
-		if st.EvolveMS <= 0 || st.SPTreeMS < 0 || st.CriticalityMS < 0 || st.ExtractMS < 0 {
-			t.Errorf("row %q: implausible stage split %+v", r.Network, st)
-		}
-		if sum := st.SPTreeMS + st.CriticalityMS + st.EvolveMS + st.ExtractMS; sum > r.TotalMS*1.05 {
-			t.Errorf("row %q: stage sum %.3fms exceeds total %.3fms", r.Network, sum, r.TotalMS)
-		}
 	}
 }
 

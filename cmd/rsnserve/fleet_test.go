@@ -97,9 +97,9 @@ func TestCoordinatorKillWorkerMigration(t *testing.T) {
 		done <- result{status: resp.StatusCode, body: b, err: err}
 	}()
 
-	// Affinity routing sends the job to its cache key's rendezvous owner
-	// — either worker, depending on the ephemeral ports — so poll both
-	// and SIGKILL whichever is streaming checkpoints the moment the
+	// Least-loaded routing sends the job to either worker, depending on
+	// the load hints the live probe loop last stored, so poll both and
+	// SIGKILL whichever is streaming checkpoints the moment the
 	// coordinator has one to resume from.
 	holders := []struct {
 		cmd  *exec.Cmd

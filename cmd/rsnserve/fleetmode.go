@@ -23,7 +23,6 @@ type coordOptions struct {
 	retryBudget int
 	ckptEvery   int
 	l1Cache     int
-	affDelta    float64
 	grace       time.Duration
 	logger      *slog.Logger
 }
@@ -42,13 +41,12 @@ func runCoordinator(opt coordOptions) error {
 		}
 	}
 	coord, err := fleet.New(fleet.Config{
-		Workers:           urls,
-		ProbeInterval:     opt.probeIvl,
-		RetryBudget:       opt.retryBudget,
-		CheckpointEvery:   opt.ckptEvery,
-		L1CacheEntries:    opt.l1Cache,
-		AffinityLoadDelta: opt.affDelta,
-		Logger:            opt.logger,
+		Workers:         urls,
+		ProbeInterval:   opt.probeIvl,
+		RetryBudget:     opt.retryBudget,
+		CheckpointEvery: opt.ckptEvery,
+		L1CacheEntries:  opt.l1Cache,
+		Logger:          opt.logger,
 	})
 	if err != nil {
 		return err

@@ -64,12 +64,7 @@ func runFleetSelftest() error {
 		RetryBudget:   3,
 		BackoffBase:   10 * time.Millisecond,
 		BackoffMax:    50 * time.Millisecond,
-		// Affinity routing is off so the job deterministically lands on
-		// the proxied worker (registry order), keeping the scripted fault
-		// placement exact; the L1 cache stays on — the repeat step below
-		// proves a migrated job's repeat is served without re-dispatch.
-		AffinityLoadDelta: -1,
-		Seed:              42,
+		Seed:          42,
 	})
 	if err != nil {
 		return err

@@ -75,7 +75,6 @@ func main() {
 		retryBudget = flag.Int("retry-budget", 4, "coordinator: dispatch retries per job beyond the first attempt")
 		ckptEvery   = flag.Int("checkpoint-every", 5, "coordinator: checkpoint cadence (generations) injected into dispatched jobs; negative disables migration checkpoints")
 		l1Cache     = flag.Int("l1-cache", 256, "coordinator: completed-result L1 cache entries (negative disables)")
-		affDelta    = flag.Float64("affinity-delta", 4, "coordinator: load headroom granted to a cache key's rendezvous-owner worker before falling back to least-loaded (negative disables affinity routing)")
 	)
 	flag.Parse()
 
@@ -93,7 +92,6 @@ func main() {
 			retryBudget: *retryBudget,
 			ckptEvery:   *ckptEvery,
 			l1Cache:     *l1Cache,
-			affDelta:    *affDelta,
 			grace:       *grace,
 			logger:      logger,
 		}); err != nil {

@@ -17,7 +17,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,9 +25,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
-	"runtime"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,7 +54,6 @@ func main() {
 		telOut  = flag.String("telemetry", "", "write telemetry events (JSONL, one meta record per row) to this file")
 		cpu     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		mem     = flag.String("memprofile", "", "write a heap profile to this file")
-		bench   = flag.String("benchjson", "", "write machine-readable per-row results (BENCH_*.json schema) to this file")
 		workers = flag.Int("workers", 0, "objective-evaluation workers (0 = GOMAXPROCS, 1 = serial); results are identical at any count")
 		islands = flag.Int("islands", 0, "island-model sub-populations with ring migration (0/1 = single population); results depend only on seed and island count")
 		jobs    = flag.Int("jobs", 0, "concurrent synthesis jobs (0 = GOMAXPROCS, 1 = serial); rows and output order are identical at any count")
@@ -122,12 +117,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// The bench rows record a non-default objective set so benchdiff can
-	// exclude them from the 2-objective perf gate.
-	objTag := ""
-	if !slices.Equal(objNames, core.DefaultObjectives()) {
-		objTag = strings.Join(objNames, ",")
-	}
 
 	if *ablate {
 		runAblation(filter, *seed, *quick)
@@ -145,8 +134,8 @@ func main() {
 	// scheduler: each row is one independent synthesis job, executed on
 	// up to -jobs workers. Results stream back in canonical (submission)
 	// order as soon as each row and all rows before it have finished, so
-	// the table, the bench rows and the telemetry file are byte-identical
-	// at any -jobs value; -jobs 1 degrades to the old sequential loop.
+	// the table and the telemetry file are byte-identical at any -jobs
+	// value; -jobs 1 degrades to the old sequential loop.
 	var entries []benchnets.Entry
 	for _, nm := range benchnets.Names() {
 		e, _ := benchnets.Lookup(nm)
@@ -159,7 +148,7 @@ func main() {
 		entries = append(entries, e)
 	}
 
-	var benchRows []benchRow
+	rows := 0
 	grand := time.Now()
 	logger.Info("run start", "tool", "table1", "rows", len(entries),
 		"algo", *algo, "seed", *seed, "quick", *quick, "jobs", *jobs, "workers", *workers)
@@ -212,32 +201,7 @@ func main() {
 				e.PaperCostAt10Dmg, e.PaperDamageAt10Dmg, e.PaperCostAt10Cost, e.PaperDmgAt10Cost, e.PaperTime)
 		}
 		tb.Add(cells...)
-		benchRows = append(benchRows, benchRow{
-			Network:     e.Name,
-			Objectives:  objTag,
-			Segments:    e.Segments,
-			Muxes:       e.Muxes,
-			Primitives:  e.Segments + e.Muxes,
-			Generations: row.gens,
-			Evaluations: row.evaluations,
-			DeltaEvals:  row.deltaEvals,
-			FullEvals:   row.fullEvals,
-			AnalysisMS:  durMS(row.analysisTime),
-			SPEA2MS:     durMS(row.evolveTime),
-			TotalMS:     durMS(row.elapsed),
-			Stages: stageMS{
-				SPTreeMS:      durMS(row.treeTime),
-				CriticalityMS: durMS(row.critTime),
-				EvolveMS:      durMS(row.evolveTime),
-				ExtractMS:     durMS(row.extractTime),
-			},
-			AllocsPerGen: row.allocsPerGen,
-			FrontSize:    row.frontSize,
-			CostD10:      row.costD10,
-			DmgD10:       row.dmgD10,
-			CostC10:      row.costC10,
-			DmgC10:       row.dmgC10,
-		})
+		rows++
 		fmt.Fprintf(os.Stderr, "done %-18s in %v\n", e.Name, row.elapsed.Round(time.Second/10))
 		logger.Info("row done", "network", e.Name, "generations", row.gens,
 			"evaluations", row.evaluations, "front", row.frontSize,
@@ -256,96 +220,16 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, note)
 	}
-	if *bench != "" {
-		if err := writeBenchJSON(*bench, *seed, *quick, *algo, *workers, *jobs, *islands, benchRows); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *bench)
-	}
 	if err := stopProfiles(); err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "total %v\n", time.Since(grand).Round(time.Second))
-	logger.Info("run done", "rows", len(benchRows), "interrupted_rows", interrupted,
+	logger.Info("run done", "rows", rows, "interrupted_rows", interrupted,
 		"elapsed_ms", durMS(time.Since(grand)))
-}
-
-// benchRow is one row of the machine-readable BENCH_*.json perf
-// trajectory: where the time went (exact analysis vs. SPEA-2) and how
-// much evolutionary effort was spent. Since rsnrobust-bench/v2 every
-// row also carries the per-stage wall clock split; v3 adds the
-// allocation rate of the generation loop; v4 adds the canonical
-// objective list of non-default K-objective runs (empty = the default
-// damage/cost pair) so perf gates can compare like-for-like rows; v5
-// adds the delta/full split of evaluations, which counts every genome
-// evaluated.
-type benchRow struct {
-	Network     string `json:"network"`
-	Objectives  string `json:"objectives,omitempty"`
-	Segments    int    `json:"segments"`
-	Muxes       int    `json:"muxes"`
-	Primitives  int    `json:"primitives"`
-	Generations int    `json:"generations"`
-	Evaluations int    `json:"evaluations"`
-	// DeltaEvals and FullEvals split Evaluations by path: children
-	// scored incrementally from their parent versus full evaluations.
-	// Their sum equals Evaluations; both are worker-invariant.
-	DeltaEvals int     `json:"delta_evals"`
-	FullEvals  int     `json:"full_evals"`
-	AnalysisMS float64 `json:"analysis_ms"`
-	SPEA2MS    float64 `json:"spea2_ms"`
-	TotalMS    float64 `json:"total_ms"`
-	Stages     stageMS `json:"stages"`
-	// AllocsPerGen is the heap-allocation count of the whole synthesis
-	// divided by its generations, from runtime.MemStats deltas. Only
-	// meaningful at -jobs 1 (concurrent rows share the allocator).
-	AllocsPerGen float64 `json:"allocs_per_gen"`
-	FrontSize    int     `json:"front_size"`
-	CostD10      int64   `json:"cost_d10"`
-	DmgD10       int64   `json:"dmg_d10"`
-	CostC10      int64   `json:"cost_c10"`
-	DmgC10       int64   `json:"dmg_c10"`
-}
-
-// stageMS is the per-stage wall clock of one synthesis run: the two
-// halves of the exact analysis, the evolutionary loop and the front
-// materialization.
-type stageMS struct {
-	SPTreeMS      float64 `json:"sptree_ms"`
-	CriticalityMS float64 `json:"criticality_ms"`
-	EvolveMS      float64 `json:"evolve_ms"`
-	ExtractMS     float64 `json:"extract_ms"`
 }
 
 func durMS(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
-}
-
-func writeBenchJSON(path string, seed int64, quick bool, algo string, workers, jobs, islands int, rows []benchRow) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	doc := struct {
-		Schema     string     `json:"schema"`
-		Seed       int64      `json:"seed"`
-		Quick      bool       `json:"quick"`
-		Algo       string     `json:"algo"`
-		GOMAXPROCS int        `json:"gomaxprocs"`
-		Workers    int        `json:"workers"`
-		Jobs       int        `json:"jobs"`
-		Islands    int        `json:"islands"`
-		Rows       []benchRow `json:"rows"`
-	}{Schema: "rsnrobust-bench/v5", Seed: seed, Quick: quick, Algo: algo,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: workers, Jobs: jobs,
-		Islands: max(islands, 1), Rows: rows}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // rowOpts is the per-row synthesis configuration shared by every row
@@ -367,20 +251,12 @@ type rowResult struct {
 	maxCost, maxDamage int64
 	gens               int
 	evaluations        int
-	deltaEvals         int
-	fullEvals          int
-	allocsPerGen       float64
 	frontSize          int
 	costD10, dmgD10    int64
 	costC10, dmgC10    int64
 	critD10, critC10   bool
 	interrupted        bool
 	elapsed            time.Duration
-	analysisTime       time.Duration
-	evolveTime         time.Duration
-	treeTime           time.Duration
-	critTime           time.Duration
-	extractTime        time.Duration
 }
 
 // budget scales the paper's generation budget in quick mode: large
@@ -461,10 +337,7 @@ func runRow(ctx context.Context, e benchnets.Entry, ro rowOpts, telWriter io.Wri
 		})
 		opt.Telemetry = tel
 	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	s, err := core.Synthesize(net, sp, opt)
-	runtime.ReadMemStats(&ms1)
 	if err != nil {
 		return res, err
 	}
@@ -476,18 +349,8 @@ func runRow(ctx context.Context, e benchnets.Entry, ro rowOpts, telWriter io.Wri
 	res.maxDamage = s.MaxDamage
 	res.gens = s.Generations
 	res.evaluations = s.Evaluations
-	res.deltaEvals = s.DeltaEvals
-	res.fullEvals = s.FullEvals
-	if s.Generations > 0 {
-		res.allocsPerGen = float64(ms1.Mallocs-ms0.Mallocs) / float64(s.Generations)
-	}
 	res.frontSize = len(s.Front)
 	res.elapsed = s.Elapsed
-	res.analysisTime = s.AnalysisTime
-	res.evolveTime = s.EvolveTime
-	res.treeTime = s.TreeTime
-	res.critTime = s.CritTime
-	res.extractTime = s.ExtractTime
 	pickCost := s.MinCostWithDamageAtMost
 	pickDamage := s.MinDamageWithCostAtMost
 	if ro.refine {

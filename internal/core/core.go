@@ -136,11 +136,11 @@ type Options struct {
 	// OnGeneration, if non-nil, receives progress callbacks.
 	OnGeneration func(gen int, front []moea.Individual) bool
 	// OnProgress, if non-nil, receives one Progress per generation with
-	// exact per-run convergence and effort counters — unlike the
-	// collector's generation records, these are scoped to this run alone
-	// and safe under concurrent synthesis jobs sharing a collector.
-	// Returning false stops the run early (same contract as
-	// OnGeneration; both may be set and both are honored).
+	// exact per-run convergence and effort counters — the same record
+	// the collector receives, scoped to this run alone and so safe under
+	// concurrent synthesis jobs sharing a collector. Returning false
+	// stops the run early (same contract as OnGeneration; both may be
+	// set and both are honored).
 	OnProgress func(p Progress) bool
 	// Telemetry, if non-nil, receives span timings for every pipeline
 	// stage, structural gauges from the tree and the analysis, the
@@ -222,18 +222,9 @@ type Synthesis struct {
 	Islands int
 	// Elapsed is the wall-clock synthesis time (Table I column 11).
 	Elapsed time.Duration
-	// AnalysisTime is the wall-clock time of the exact criticality
-	// analysis (decomposition tree + damage computation); EvolveTime is
-	// the evolutionary optimization time. Their split is the paper's
-	// central runtime claim and the quantity BENCH_*.json tracks.
-	AnalysisTime time.Duration
-	EvolveTime   time.Duration
-	// TreeTime and CritTime split AnalysisTime into its two stages;
-	// ExtractTime is the front-materialization time. All three feed the
-	// per-stage wall clock of the v2 bench artifact.
-	TreeTime    time.Duration
-	CritTime    time.Duration
-	ExtractTime time.Duration
+	// EvolveTime is the wall-clock time of the evolutionary
+	// optimization alone; the stage spans in Telemetry split the rest.
+	EvolveTime time.Duration
 	// Workers is the resolved evaluation worker-pool size the run used.
 	Workers int
 	// Interrupted reports that the evolutionary run was cancelled before
@@ -754,7 +745,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	sv.End()
 
-	analysisStart := time.Now()
 	st := root.Child("sp-tree")
 	tree, err := sptree.Build(net)
 	if err != nil {
@@ -762,9 +752,7 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	st.End()
 	tree.Publish(tel)
-	treeTime := time.Since(analysisStart)
 
-	critStart := time.Now()
 	sa := root.Child("criticality")
 	analysis, err := faults.Analyze(net, tree, sp, opt.Analysis)
 	if err != nil {
@@ -772,8 +760,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	sa.End()
 	analysis.Publish(tel)
-	critTime := time.Since(critStart)
-	analysisTime := time.Since(analysisStart)
 
 	// The problem goes to the optimizer undecorated so the executor sees
 	// its BatchProblem fast path; evaluation accounting moved into the
@@ -783,9 +769,8 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 		return fail(nil, err)
 	}
 	// ref is the hypervolume reference point over the run's objective
-	// set; every convergence hook below shares it.
+	// set, the one the progress hook measures every front against.
 	ref := moea.RefPoint(problem.ObjectiveMaxes()...)
-	evals := tel.Counter("moea.evaluations")
 
 	var params moea.Params
 	if opt.Params != nil {
@@ -812,14 +797,8 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 		workers = runtime.GOMAXPROCS(0)
 	}
 	params.OnGeneration = opt.OnGeneration
-	if tel != nil {
-		params.OnGeneration = telemetryProgress(tel, ref, evals, opt.OnGeneration)
-	}
-	if opt.Stagnation > 0 {
-		params.OnGeneration = stagnationStop(opt.Stagnation, ref, params.OnGeneration)
-	}
-	if opt.OnProgress != nil {
-		params.OnProgress = progressHook(ref, opt.OnProgress)
+	if tel != nil || opt.Stagnation > 0 || opt.OnProgress != nil {
+		params.OnProgress = progressHook(tel, ref, opt.Stagnation, opt.OnProgress)
 	}
 	params.Context = opt.Context
 	params.Resume = opt.Resume
@@ -872,32 +851,27 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	evolveTime := time.Since(evolveStart)
 
 	s := &Synthesis{
-		Net:          net,
-		Tree:         tree,
-		Spec:         sp,
-		Analysis:     analysis,
-		Objectives:   problem.ObjectiveNames(),
-		MaxCost:      analysis.MaxCost(),
-		MaxDamage:    analysis.TotalDamage,
-		Generations:  res.Generations,
-		Evaluations:  res.Evaluations,
-		DeltaEvals:   res.DeltaEvals,
-		FullEvals:    res.FullEvals,
-		Islands:      max(params.Islands, 1),
-		AnalysisTime: analysisTime,
-		EvolveTime:   evolveTime,
-		TreeTime:     treeTime,
-		CritTime:     critTime,
-		Workers:      workers,
-		Interrupted:  res.Interrupted,
+		Net:         net,
+		Tree:        tree,
+		Spec:        sp,
+		Analysis:    analysis,
+		Objectives:  problem.ObjectiveNames(),
+		MaxCost:     analysis.MaxCost(),
+		MaxDamage:   analysis.TotalDamage,
+		Generations: res.Generations,
+		Evaluations: res.Evaluations,
+		DeltaEvals:  res.DeltaEvals,
+		FullEvals:   res.FullEvals,
+		Islands:     max(params.Islands, 1),
+		EvolveTime:  evolveTime,
+		Workers:     workers,
+		Interrupted: res.Interrupted,
 	}
-	extractStart := time.Now()
 	sx := root.Child("extract")
 	for i := range res.Front {
 		s.Front = append(s.Front, solutionFrom(problem, analysis, res.Front[i].G))
 	}
 	sx.End()
-	s.ExtractTime = time.Since(extractStart)
 	if s.Interrupted {
 		root.SetStatus("interrupted")
 	}
@@ -908,41 +882,38 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	return s, nil
 }
 
-// telemetryProgress composes a convergence-recording callback with an
-// optional user callback: after every generation it records the front
-// statistics (frontStats), the cumulated evaluation count and the
-// generation wall time.
-func telemetryProgress(tel *telemetry.Collector, ref []float64, evals *telemetry.Counter, user func(int, []moea.Individual) bool) func(int, []moea.Individual) bool {
+// progressHook is the run's one per-generation hook. It computes the
+// convergence record once from the live front (frontStats) and stamps
+// it with the engine's per-run effort counters — never a collector-wide
+// counter, which concurrent runs sharing the collector would inflate.
+// It then records the generation in tel (nil-safe), checks hypervolume
+// stagnation over window generations (0 disables) on the same
+// hypervolume, and hands the record to user (if any). The run stops
+// when stagnation or the user says so.
+func progressHook(tel *telemetry.Collector, ref []float64, window int, user func(Progress) bool) func(moea.Progress, []moea.Individual) bool {
 	genHist := tel.Histogram("moea.gen_ms")
 	last := time.Now()
-	return func(gen int, front []moea.Individual) bool {
-		now := time.Now()
-		genMS := float64(now.Sub(last)) / float64(time.Millisecond)
-		last = now
-		g := frontStats(front, ref)
-		g.Gen, g.Evaluations, g.ElapsedMS = gen, evals.Value(), genMS
-		tel.RecordGeneration(g)
-		genHist.Observe(genMS)
-		if user != nil {
-			return user(gen, front)
-		}
-		return true
-	}
-}
-
-// progressHook adapts Options.OnProgress to the optimizer's exact
-// per-run progress protocol: convergence quality is computed here from
-// the live front (frontStats), effort counters come verbatim from the
-// engine's accounting.
-func progressHook(ref []float64, user func(Progress) bool) func(moea.Progress, []moea.Individual) bool {
-	last := time.Now()
+	best, flat := -1.0, 0
 	return func(p moea.Progress, front []moea.Individual) bool {
 		now := time.Now()
-		genMS := float64(now.Sub(last)) / float64(time.Millisecond)
-		last = now
 		g := frontStats(front, ref)
-		g.Gen, g.Evaluations, g.ElapsedMS = p.Gen, int64(p.Evaluations), genMS
-		return user(g)
+		g.Gen, g.Evaluations = p.Gen, int64(p.Evaluations)
+		g.ElapsedMS = float64(now.Sub(last)) / float64(time.Millisecond)
+		last = now
+		tel.RecordGeneration(g)
+		genHist.Observe(g.ElapsedMS)
+		cont := true
+		if window > 0 {
+			if g.Hypervolume > best {
+				best, flat = g.Hypervolume, 0
+			} else if flat++; flat >= window {
+				cont = false
+			}
+		}
+		if user != nil && !user(g) {
+			cont = false
+		}
+		return cont
 	}
 }
 
@@ -965,26 +936,6 @@ func frontStats(front []moea.Individual, ref []float64) telemetry.Generation {
 		}
 	}
 	return g
-}
-
-// stagnationStop composes a hypervolume-stagnation early stop with an
-// optional user callback.
-func stagnationStop(window int, ref []float64, user func(int, []moea.Individual) bool) func(int, []moea.Individual) bool {
-	best := -1.0
-	flat := 0
-	return func(gen int, front []moea.Individual) bool {
-		if user != nil && !user(gen, front) {
-			return false
-		}
-		hv := moea.Hypervolume(front, ref)
-		if hv > best {
-			best = hv
-			flat = 0
-			return true
-		}
-		flat++
-		return flat < window
-	}
 }
 
 // solutionFrom materializes a genome into a Solution.

@@ -2,6 +2,10 @@ package core
 
 import (
 	"testing"
+
+	"rsnrobust/internal/benchnets"
+	"rsnrobust/internal/spec"
+	"rsnrobust/internal/telemetry"
 )
 
 func TestOnProgressReportsPerRunState(t *testing.T) {
@@ -56,6 +60,46 @@ func TestOnProgressEarlyStopAndDeterminism(t *testing.T) {
 	for i := range plain.Front {
 		if plain.Front[i].Cost != withHook.Front[i].Cost || plain.Front[i].Damage != withHook.Front[i].Damage {
 			t.Fatalf("front member %d differs with OnProgress attached", i)
+		}
+	}
+}
+
+// TestGenerationRecordsPerRun: runs that share one collector (every
+// rsnserve job, rsnharden -seeds -jobs) each record their own
+// evaluation counts. The regression: records were stamped with the
+// collector-wide moea.evaluations counter, so a second TreeFlat run
+// recorded 600…1000 evaluations while its OnProgress reported 100…500.
+func TestGenerationRecordsPerRun(t *testing.T) {
+	net, err := benchnets.Generate("TreeFlat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := spec.Generate(net, spec.PaperGenOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	var runs [2][]Progress
+	for r := range runs {
+		opt := DefaultOptions(5, int64(r+1))
+		opt.Telemetry = tel
+		opt.OnProgress = func(p Progress) bool {
+			runs[r] = append(runs[r], p)
+			return true
+		}
+		if _, err := Synthesize(net, sp, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := tel.Snapshot().Generations
+	if len(recs) != len(runs[0])+len(runs[1]) {
+		t.Fatalf("collector holds %d generation records, want %d + %d", len(recs), len(runs[0]), len(runs[1]))
+	}
+	second := recs[len(runs[0]):]
+	for i, p := range runs[1] {
+		if second[i].Gen != p.Gen || second[i].Evaluations != p.Evaluations {
+			t.Errorf("second run, record %d: gen %d with %d evaluations, OnProgress reported gen %d with %d",
+				i, second[i].Gen, second[i].Evaluations, p.Gen, p.Evaluations)
 		}
 	}
 }

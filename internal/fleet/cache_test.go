@@ -47,7 +47,7 @@ func normalizeCached(s string) string {
 // streaming clients.
 func TestFleetCacheL1Repeat(t *testing.T) {
 	srv, wts := newWorkerPair(t)
-	c, err := newTestCoordinator(Config{Workers: []string{wts.URL}, AffinityLoadDelta: -1})
+	c, err := newTestCoordinator(Config{Workers: []string{wts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFleetCacheL1Repeat(t *testing.T) {
 // read and write, so every request is a fresh dispatch.
 func TestFleetCacheNoCacheOptOut(t *testing.T) {
 	_, wts := newWorkerPair(t)
-	c, err := newTestCoordinator(Config{Workers: []string{wts.URL}, AffinityLoadDelta: -1})
+	c, err := newTestCoordinator(Config{Workers: []string{wts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,98 +179,6 @@ func TestFleetCacheNoCacheOptOut(t *testing.T) {
 	}
 }
 
-// TestFleetCacheAffinityReshard: with the L1 disabled, repeats still hit
-// — affinity routing sends the same key to the same worker, whose local
-// cache answers. When the owner dies, the key reshards deterministically
-// to a survivor: one fresh compute, then cached again.
-func TestFleetCacheAffinityReshard(t *testing.T) {
-	srv1, wts1 := newWorkerPair(t)
-	srv2, wts2 := newWorkerPair(t)
-	c, err := newTestCoordinator(Config{Workers: []string{wts1.URL, wts2.URL}, L1CacheEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(c.Handler())
-	t.Cleanup(ts.Close)
-	byURL := map[string]*httptest.Server{wts1.URL: wts1, wts2.URL: wts2}
-
-	status, _, first := postJSON(t, ts.URL+"/v1/harden", fleetHardenBody)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d: %s", status, first)
-	}
-	// Exactly one worker — the key's rendezvous owner — took the job, as
-	// an affinity dispatch.
-	var ownerURL string
-	for _, w := range c.reg.snapshot() {
-		if w.Dispatched > 0 {
-			if w.Affinity != w.Dispatched {
-				t.Errorf("owner %s: %d dispatches but %d affinity-routed", w.URL, w.Dispatched, w.Affinity)
-			}
-			if ownerURL != "" {
-				t.Fatalf("job spread over %s and %s, want a single owner", ownerURL, w.URL)
-			}
-			ownerURL = w.URL
-		}
-	}
-	if ownerURL == "" {
-		t.Fatal("no worker recorded the dispatch")
-	}
-	evals := evalCount(srv1, srv2)
-
-	// Repeat: routed to the same owner, answered from its local cache.
-	status, _, second := postJSON(t, ts.URL+"/v1/harden", fleetHardenBody)
-	if status != http.StatusOK {
-		t.Fatalf("repeat status = %d: %s", status, second)
-	}
-	if !strings.Contains(string(second), `"cached":true`) {
-		t.Errorf("affinity repeat not served from the owner's cache: %s", second)
-	}
-	if v := c.tel.Counter("fleet.cache.affinity_hits").Value(); v != 1 {
-		t.Errorf("fleet.cache.affinity_hits = %d, want 1", v)
-	}
-	if got := evalCount(srv1, srv2); got != evals {
-		t.Errorf("affinity repeat caused %d new evaluations, want 0", got-evals)
-	}
-	if normalizeCached(string(second)) != normalizeCached(string(first)) {
-		t.Errorf("owner cache bytes differ\n got %s\nwant %s", second, first)
-	}
-
-	// Kill the owner: the next pick reshards the key to the survivor,
-	// which computes once...
-	byURL[ownerURL].Close()
-	c.ProbeNow()
-	status, _, third := postJSON(t, ts.URL+"/v1/harden", fleetHardenBody)
-	if status != http.StatusOK {
-		t.Fatalf("post-reshard status = %d: %s", status, third)
-	}
-	if strings.Contains(string(third), `"cached":true`) {
-		t.Error("survivor claimed a cache hit it cannot have")
-	}
-	if got := evalCount(srv1, srv2); got == evals {
-		t.Error("post-reshard request did no evaluations — where did the result come from?")
-	}
-	evals = evalCount(srv1, srv2)
-
-	// ...and then serves repeats from its own cache: the reshard is
-	// sticky.
-	status, _, fourth := postJSON(t, ts.URL+"/v1/harden", fleetHardenBody)
-	if status != http.StatusOK {
-		t.Fatalf("post-reshard repeat status = %d: %s", status, fourth)
-	}
-	if !strings.Contains(string(fourth), `"cached":true`) {
-		t.Error("post-reshard repeat not served from the new owner's cache")
-	}
-	if v := c.tel.Counter("fleet.cache.affinity_hits").Value(); v != 2 {
-		t.Errorf("fleet.cache.affinity_hits = %d, want 2", v)
-	}
-	if got := evalCount(srv1, srv2); got != evals {
-		t.Errorf("post-reshard repeat caused %d new evaluations, want 0", got-evals)
-	}
-	if normalizeCached(string(fourth)) != normalizeCached(string(third)) {
-		t.Errorf("new owner's cached bytes differ from its computed bytes\n got %s\nwant %s", fourth, third)
-	}
-}
-
 // TestFleetCacheL1RepeatAfterMigration is the acceptance drill: a job
 // whose first worker is SIGKILLed mid-run migrates, completes, and a
 // repeat of the same request is served with zero re-evaluations.
@@ -291,7 +199,7 @@ func TestFleetCacheL1RepeatAfterMigration(t *testing.T) {
 	}
 	defer p.Close()
 
-	c, err := newTestCoordinator(Config{Workers: []string{p.URL(), wts2.URL}, AffinityLoadDelta: -1})
+	c, err := newTestCoordinator(Config{Workers: []string{p.URL(), wts2.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +293,7 @@ func TestDispatch429RetryAfterDate(t *testing.T) {
 	busy := httptest.NewServer(mux)
 	defer busy.Close()
 
-	c, err := newTestCoordinator(Config{Workers: []string{busy.URL}, AffinityLoadDelta: -1})
+	c, err := newTestCoordinator(Config{Workers: []string{busy.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,7 @@ type hardenJob struct {
 	clientCkpt bool
 
 	// noCache records options.no_cache: the client opted out of the
-	// result cache, so the coordinator must not consult or fill its L1
-	// (and gains nothing from affinity routing).
+	// result cache, so the coordinator must not consult or fill its L1.
 	noCache bool
 
 	resume    string // latest checkpoint blob (base64), "" before the first
@@ -233,6 +232,30 @@ type outcome struct {
 	err        error         // retryable failure detail
 }
 
+// refusal classifies a worker response the coordinator must retry
+// elsewhere: 429 backpressure, with the worker's Retry-After hint
+// (default one second), or any 5xx. ok is false for every other status.
+func refusal(resp *http.Response, wk *worker) (out outcome, ok bool) {
+	if resp.StatusCode == http.StatusTooManyRequests {
+		ra := time.Second
+		if d, ok := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); ok {
+			ra = d
+		}
+		return outcome{retryAfter: ra}, true
+	}
+	if resp.StatusCode >= 500 {
+		return outcome{err: fmt.Errorf("worker %s: status %d", wk.url, resp.StatusCode)}, true
+	}
+	return outcome{}, false
+}
+
+// discard drains (up to 1 MiB) and closes a worker response body, so
+// the connection can be reused.
+func discard(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+}
+
 // parseRetryAfter interprets a Retry-After header value in either form
 // RFC 9110 allows: delta-seconds, or an HTTP-date resolved against now.
 // ok is false for an absent or unparseable value (callers keep their
@@ -261,12 +284,94 @@ func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 // errStopStream stops readSSE once the terminal event has arrived.
 var errStopStream = errors.New("fleet: stream complete")
 
+// errNoHealthyWorkers is an attempt that found no eligible worker even
+// after a fresh probe sweep; a budget spent on it answers 503.
+var errNoHealthyWorkers = errors.New("no healthy workers")
+
+// dispatch is the coordinator's one retry loop, shared by every
+// dispatching handler. Each attempt picks the least-loaded eligible
+// worker (the one the previous attempt failed on last, a health sweep
+// when none is eligible) and hands it to try, which talks to the worker
+// and relays whatever reaches the client. Between attempts it waits a
+// jittered exponential backoff, or the worker's capped Retry-After hint
+// after backpressure. Failures feed the worker's breaker; backpressure
+// does not, being a healthy worker that is full. When the budget runs
+// out the client gets 429 with a Retry-After of the coordinator's own
+// after backpressure, 503 when no worker was eligible, 502 otherwise.
+// A client that hangs up ends the loop with nothing written.
+func (c *Coordinator) dispatch(ctx context.Context, rl *relay, try func(wk *worker, attempt int) outcome) {
+	var avoid *worker
+	var lastRetryAfter time.Duration
+	var lastErr error
+	for attempt := 0; attempt <= c.cfg.RetryBudget; attempt++ {
+		if attempt > 0 {
+			c.retriesC.Inc()
+			delay := c.backoff(attempt - 1)
+			if lastRetryAfter > 0 {
+				// Honor the worker's own backpressure hint, capped.
+				delay = min(lastRetryAfter, c.cfg.RetryAfterMax)
+			}
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(delay):
+			}
+		}
+		wk := c.reg.pick(avoid)
+		if wk == nil {
+			// Nothing eligible — refresh health once (covers the
+			// cold-start race before the first sweep and workers that
+			// just came back) and retry the pick.
+			c.reg.sweep()
+			wk = c.reg.pick(avoid)
+		}
+		if wk == nil {
+			lastErr, lastRetryAfter = errNoHealthyWorkers, 0
+			continue
+		}
+		c.dispatchesC.Inc()
+		c.reg.markDispatched(wk)
+		out := try(wk, attempt)
+		c.reg.markDone(wk)
+		switch {
+		case out.terminal:
+			if out.success {
+				c.reg.markSuccess(wk)
+			}
+			return
+		case out.retryAfter > 0:
+			lastRetryAfter, lastErr = out.retryAfter, fmt.Errorf("worker %s busy", wk.url)
+		default:
+			if ctx.Err() != nil {
+				return // client hung up; nothing to answer
+			}
+			c.reg.markFailure(wk)
+			lastRetryAfter, lastErr = 0, out.err
+		}
+		avoid = wk
+	}
+	msg := "dispatch failed: retry budget exhausted"
+	if lastErr != nil {
+		msg = fmt.Sprintf("%s: %v", msg, lastErr)
+	}
+	status := http.StatusBadGateway
+	if lastRetryAfter > 0 {
+		status = http.StatusTooManyRequests
+		if !rl.started {
+			sec := int((min(lastRetryAfter, c.cfg.RetryAfterMax) + time.Second - 1) / time.Second)
+			rl.w.Header().Set("Retry-After", strconv.Itoa(max(sec, 1)))
+		}
+	} else if errors.Is(lastErr, errNoHealthyWorkers) {
+		status = http.StatusServiceUnavailable
+	}
+	rl.fail(status, msg)
+}
+
 // handleHarden accepts one harden job and keeps it alive across worker
-// failures: cache-affinity dispatch (rendezvous owner of the request's
-// content address, least-loaded fallback), jittered-backoff retries for
-// transient failures, and checkpoint-based migration when a worker dies
-// mid-run. Repeats of completed jobs are answered straight from the
-// coordinator's L1 cache with zero dispatches.
+// failures: repeats of completed jobs are answered straight from the
+// coordinator's L1 cache with zero dispatches; everything else goes
+// through the dispatch loop, and a worker dying mid-run hands the job
+// to the next attempt with its last streamed checkpoint (a migration).
 func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
@@ -282,10 +387,9 @@ func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 
 	// The fleet-wide cache identity: derived from the client body with
-	// the worker's own canonicalization, so the coordinator's L1, the
-	// routing decision, and every worker-local cache share one address
-	// space. NoCache and client-driven resume opt out exactly as they do
-	// worker-side.
+	// the worker's own canonicalization, so the coordinator's L1 and
+	// every worker-local cache share one address space. NoCache and
+	// client-driven resume opt out exactly as they do worker-side.
 	var key string
 	if !job.noCache && job.resume == "" {
 		if k, ok := serve.HardenBodyCacheKey(body); ok {
@@ -293,7 +397,8 @@ func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(serve.CacheKeyHeader, k)
 		}
 	}
-	if key != "" && c.l1.enabled() {
+	useL1 := key != "" && c.l1.enabled()
+	if useL1 {
 		if data, ok := c.l1.get(key); ok {
 			c.cacheHitsC.Inc()
 			rl.result(data)
@@ -302,108 +407,27 @@ func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 		c.cacheMissesC.Inc()
 	}
 
-	var avoid *worker
-	var lastRetryAfter time.Duration
-	var lastErr error
-	attempts := c.cfg.RetryBudget + 1
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.retriesC.Inc()
-			delay := c.backoff(attempt - 1)
-			if lastRetryAfter > 0 {
-				// Honor the worker's own backpressure hint, capped.
-				delay = min(lastRetryAfter, c.cfg.RetryAfterMax)
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(delay):
-			}
-		}
-		wk, aff := c.reg.pick(avoid, key)
-		if wk == nil {
-			// Nothing eligible — refresh health once (covers the
-			// cold-start race before the first sweep and workers that
-			// just came back) and retry the pick.
-			c.reg.sweep()
-			wk, aff = c.reg.pick(avoid, key)
-		}
-		if wk == nil {
-			lastErr = errors.New("no healthy workers")
-			lastRetryAfter = 0
-			continue
-		}
+	c.dispatch(ctx, rl, func(wk *worker, attempt int) outcome {
 		if job.haveCkpt && attempt > 0 {
 			// Re-dispatching with a checkpoint captured from a dead
-			// worker's stream: this attempt is a migration. The pick above
-			// already resharded: markFailure flipped the dead owner
-			// unhealthy, so the key's rendezvous owner is recomputed over
-			// the survivors.
+			// worker's stream: this attempt is a migration.
 			c.migrationsC.Inc()
 			c.log.InfoContext(ctx, "migrating job", "to", wk.url, "from_gen", job.resumeGen)
 		}
-		c.dispatchesC.Inc()
-		c.reg.markDispatched(wk, aff)
 		out := c.tryHarden(ctx, wk, job, rl)
-		c.reg.markDone(wk)
-		switch {
-		case out.terminal:
-			if out.success {
-				c.reg.markSuccess(wk)
+		if useL1 && len(out.result) > 0 {
+			var meta struct {
+				Interrupted bool `json:"interrupted"`
 			}
-			if key != "" && len(out.result) > 0 {
-				var meta struct {
-					Interrupted bool `json:"interrupted"`
-					Cached      bool `json:"cached"`
-				}
-				if json.Unmarshal(out.result, &meta) == nil {
-					if aff && meta.Cached {
-						// The owner answered from its local cache: the
-						// affinity routing saved a recompute on its own.
-						c.affinityHitsC.Inc()
-					}
-					if !meta.Interrupted {
-						// Mirror the worker rule: only completed results are
-						// cacheable. Notably this is the only cache that
-						// holds a migrated job's result — workers never
-						// store resumed runs.
-						c.l1.put(key, out.result)
-					}
-				}
+			// Mirror the worker rule: only completed results are
+			// cacheable. This is the only cache that holds a migrated
+			// job's result — workers never store resumed runs.
+			if json.Unmarshal(out.result, &meta) == nil && !meta.Interrupted {
+				c.l1.put(key, out.result)
 			}
-			return
-		case out.retryAfter > 0:
-			// Backpressure is the worker being healthy and full — not a
-			// fault, so the breaker is not fed.
-			lastRetryAfter = out.retryAfter
-			lastErr = fmt.Errorf("worker %s busy", wk.url)
-			avoid = wk
-		default:
-			if ctx.Err() != nil {
-				return // client hung up; nothing to answer
-			}
-			c.reg.markFailure(wk)
-			lastRetryAfter = 0
-			lastErr = out.err
-			avoid = wk
 		}
-	}
-	// Retry budget exhausted.
-	msg := "dispatch failed: retry budget exhausted"
-	if lastErr != nil {
-		msg = fmt.Sprintf("%s: %v", msg, lastErr)
-	}
-	status := http.StatusBadGateway
-	if lastRetryAfter > 0 {
-		status = http.StatusTooManyRequests
-		if !rl.started {
-			sec := int((min(lastRetryAfter, c.cfg.RetryAfterMax) + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.Itoa(max(sec, 1)))
-		}
-	} else if lastErr != nil && strings.Contains(lastErr.Error(), "no healthy workers") {
-		status = http.StatusServiceUnavailable
-	}
-	rl.fail(status, msg)
+		return out
+	})
 }
 
 // tryHarden runs one dispatch attempt against one worker, relaying the
@@ -419,20 +443,9 @@ func (c *Coordinator) tryHarden(ctx context.Context, wk *worker, job *hardenJob,
 	if err != nil {
 		return outcome{err: err}
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
-
-	if resp.StatusCode == http.StatusTooManyRequests {
-		ra := time.Second
-		if d, ok := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); ok {
-			ra = d
-		}
-		return outcome{retryAfter: ra}
-	}
-	if resp.StatusCode >= 500 {
-		return outcome{err: fmt.Errorf("worker %s: status %d", wk.url, resp.StatusCode)}
+	defer discard(resp)
+	if out, ok := refusal(resp, wk); ok {
+		return out
 	}
 	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
 		// A plain response despite the stream request: a validation 4xx.
@@ -527,90 +540,31 @@ func (c *Coordinator) tryHarden(ctx context.Context, wk *worker, job *hardenJob,
 	return outcome{err: err}
 }
 
-// handleAnalyze dispatches an analyze request with the same retry
-// policy; analyze is stateless, so a retry is simply a re-run.
+// handleAnalyze dispatches an analyze request through the same loop;
+// analyze is stateless, so a retry is simply a re-run.
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return
 	}
-	ctx := r.Context()
-	var avoid *worker
-	var lastRetryAfter time.Duration
-	var lastErr error
-	attempts := c.cfg.RetryBudget + 1
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.retriesC.Inc()
-			delay := c.backoff(attempt - 1)
-			if lastRetryAfter > 0 {
-				delay = min(lastRetryAfter, c.cfg.RetryAfterMax)
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(delay):
-			}
-		}
-		wk, _ := c.reg.pick(avoid, "")
-		if wk == nil {
-			c.reg.sweep()
-			wk, _ = c.reg.pick(avoid, "")
-		}
-		if wk == nil {
-			lastErr = errors.New("no healthy workers")
-			lastRetryAfter = 0
-			continue
-		}
-		c.dispatchesC.Inc()
-		c.reg.markDispatched(wk, false)
-		resp, err := c.send(ctx, wk, "/v1/analyze", body, false)
+	rl := newRelay(w, false, false)
+	c.dispatch(r.Context(), rl, func(wk *worker, _ int) outcome {
+		resp, err := c.send(r.Context(), wk, "/v1/analyze", body, false)
 		if err != nil {
-			c.reg.markDone(wk)
-			if ctx.Err() != nil {
-				return
-			}
-			c.reg.markFailure(wk)
-			lastErr, lastRetryAfter, avoid = err, 0, wk
-			continue
+			return outcome{err: err}
 		}
-		b, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		c.reg.markDone(wk)
-		switch {
-		case resp.StatusCode == http.StatusTooManyRequests:
-			ra := time.Second
-			if d, ok := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); ok {
-				ra = d
-			}
-			lastRetryAfter, lastErr, avoid = ra, fmt.Errorf("worker %s busy", wk.url), wk
-		case resp.StatusCode >= 500 || rerr != nil:
-			c.reg.markFailure(wk)
-			lastErr, lastRetryAfter, avoid = fmt.Errorf("worker %s: status %d", wk.url, resp.StatusCode), 0, wk
-		default:
-			c.reg.markSuccess(wk)
-			if ct := resp.Header.Get("Content-Type"); ct != "" {
-				w.Header().Set("Content-Type", ct)
-			}
-			w.WriteHeader(resp.StatusCode)
-			w.Write(b)
-			return
+		defer discard(resp)
+		if out, ok := refusal(resp, wk); ok {
+			return out
 		}
-	}
-	msg := "dispatch failed: retry budget exhausted"
-	if lastErr != nil {
-		msg = fmt.Sprintf("%s: %v", msg, lastErr)
-	}
-	status := http.StatusBadGateway
-	if lastRetryAfter > 0 {
-		status = http.StatusTooManyRequests
-		sec := int((min(lastRetryAfter, c.cfg.RetryAfterMax) + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(max(sec, 1)))
-	} else if lastErr != nil && strings.Contains(lastErr.Error(), "no healthy workers") {
-		status = http.StatusServiceUnavailable
-	}
-	writeError(w, status, msg)
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return outcome{err: err}
+		}
+		rl.plain(resp.StatusCode, resp.Header.Get("Content-Type"), b)
+		return outcome{terminal: true, success: true}
+	})
 }
 
 // send issues one upstream request with the trace context propagated,

@@ -5,20 +5,16 @@
 //
 //	POST /v1/harden   — answered from the coordinator's L1 result cache
 //	                    when the content address matches a completed
-//	                    job; otherwise dispatched to the cache key's
-//	                    rendezvous owner among the healthy workers
-//	                    (least-loaded fallback), so identical requests
-//	                    land on the worker already holding the result.
-//	                    Transient failures (connect errors, 5xx, 429)
-//	                    are retried with jittered exponential backoff,
-//	                    and a worker dying mid-job migrates the job to
-//	                    another worker from its last streamed
-//	                    checkpoint, bit-identically.
-//	POST /v1/analyze  — dispatched with the same retry policy (analyze
-//	                    is stateless, so migration is plain retry).
+//	                    job; otherwise dispatched to the least-loaded
+//	                    healthy worker. Transient failures (connect
+//	                    errors, 5xx, 429) are retried with jittered
+//	                    exponential backoff, and a worker dying mid-job
+//	                    migrates the job to another worker from its last
+//	                    streamed checkpoint, bit-identically.
+//	POST /v1/analyze  — dispatched with the same retry loop (analyze is
+//	                    stateless, so migration is plain retry).
 //	GET  /v1/fleet    — per-worker health, breaker state, load, plus
-//	                    the cache column (L1 fill, hit/miss/affinity
-//	                    counters).
+//	                    the cache column (L1 fill, hit/miss counters).
 //	GET  /healthz     — coordinator liveness.
 //	GET  /readyz      — 200 while at least one worker is healthy.
 //	GET  /metrics     — fleet gauges and counters (text or
@@ -33,7 +29,9 @@
 // the coordinator retains the latest checkpoint blob so a dead
 // worker's job resumes on another worker exactly where it left off —
 // the serve resume-equivalence property is what makes the migrated
-// result byte-identical to an uninterrupted run.
+// result byte-identical to an uninterrupted run. The L1 is the fleet's
+// one result cache: routing ignores the cache key, because the L1
+// answers every repeat it holds before any worker is picked.
 package fleet
 
 import (
@@ -83,14 +81,9 @@ type Config struct {
 	// L1CacheEntries sizes the coordinator's own LRU of completed harden
 	// responses, keyed by the fleet-wide content address: a hit answers
 	// a repeat request with zero dispatches. 0 = default 256, negative
-	// disables the L1 (repeats then rely on cache-affinity routing and
-	// the worker-local caches).
+	// disables the L1 (repeats then reach a worker-local cache only if
+	// routing happens to pick the worker that computed them).
 	L1CacheEntries int
-	// AffinityLoadDelta is the load headroom (in jobs) the rendezvous
-	// owner of a request's cache key is granted over the least-loaded
-	// worker before cache-affinity routing falls back to least-loaded.
-	// 0 = default 4, negative disables affinity routing.
-	AffinityLoadDelta float64
 	// Seed makes the backoff jitter deterministic (default 1) — chaos
 	// drills replay identically.
 	Seed int64
@@ -139,9 +132,6 @@ func (cfg Config) Defaults() Config {
 	if cfg.L1CacheEntries == 0 {
 		cfg.L1CacheEntries = 256
 	}
-	if cfg.AffinityLoadDelta == 0 {
-		cfg.AffinityLoadDelta = 4
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -176,15 +166,14 @@ type Coordinator struct {
 	// l1 is the coordinator's layer of the fleet-wide result cache.
 	l1 *l1Cache
 
-	healthyG      *telemetry.Gauge
-	openG         *telemetry.Gauge
-	dispatchesC   *telemetry.Counter
-	retriesC      *telemetry.Counter
-	migrationsC   *telemetry.Counter
-	probeFailC    *telemetry.Counter
-	cacheHitsC    *telemetry.Counter
-	cacheMissesC  *telemetry.Counter
-	affinityHitsC *telemetry.Counter
+	healthyG     *telemetry.Gauge
+	openG        *telemetry.Gauge
+	dispatchesC  *telemetry.Counter
+	retriesC     *telemetry.Counter
+	migrationsC  *telemetry.Counter
+	probeFailC   *telemetry.Counter
+	cacheHitsC   *telemetry.Counter
+	cacheMissesC *telemetry.Counter
 }
 
 // New builds a Coordinator from the configuration.
@@ -206,20 +195,13 @@ func New(cfg Config) (*Coordinator, error) {
 		migrationsC: cfg.Telemetry.Counter("fleet.migrations"),
 		probeFailC:  cfg.Telemetry.Counter("fleet.probe.failures"),
 		// fleet.cache.{hits,misses} account L1 lookups for cacheable
-		// requests; fleet.cache.affinity_hits counts dispatches that the
-		// rendezvous owner answered from its worker-local cache — the
-		// routing did its job even though the L1 did not hold the entry.
-		cacheHitsC:    cfg.Telemetry.Counter("fleet.cache.hits"),
-		cacheMissesC:  cfg.Telemetry.Counter("fleet.cache.misses"),
-		affinityHitsC: cfg.Telemetry.Counter("fleet.cache.affinity_hits"),
+		// requests.
+		cacheHitsC:   cfg.Telemetry.Counter("fleet.cache.hits"),
+		cacheMissesC: cfg.Telemetry.Counter("fleet.cache.misses"),
 	}
 	c.l1 = newL1Cache(cfg.L1CacheEntries, cfg.Telemetry)
-	affinityDelta := int64(cfg.AffinityLoadDelta * loadScale)
-	if cfg.AffinityLoadDelta < 0 {
-		affinityDelta = -1
-	}
 	c.reg = newRegistry(cfg.Workers, cfg.BreakerThreshold, cfg.BreakerCooldown,
-		cfg.ProbeTimeout, cfg.ProbeInterval, cfg.now, (*coordSink)(c), affinityDelta)
+		cfg.ProbeTimeout, cfg.ProbeInterval, cfg.now, (*coordSink)(c))
 	c.mux = http.NewServeMux()
 	c.mux.Handle("POST /v1/harden", c.instrument("harden", c.handleHarden))
 	c.mux.Handle("POST /v1/analyze", c.instrument("analyze", c.handleAnalyze))
@@ -322,11 +304,10 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		"workers": workers,
 		"healthy": healthy,
 		"cache": map[string]any{
-			"l1_entries":    c.l1.len(),
-			"l1_capacity":   c.l1.cap,
-			"hits":          c.cacheHitsC.Value(),
-			"misses":        c.cacheMissesC.Value(),
-			"affinity_hits": c.affinityHitsC.Value(),
+			"l1_entries":  c.l1.len(),
+			"l1_capacity": c.l1.cap,
+			"hits":        c.cacheHitsC.Value(),
+			"misses":      c.cacheMissesC.Value(),
 		},
 	})
 }

@@ -87,14 +87,10 @@ func newWorker(t *testing.T) *httptest.Server {
 // newCoordinator builds a coordinator over the given worker URLs with
 // fast, deterministic settings; the probe loop is NOT started — tests
 // rely on the dispatch path's own sweep (and ProbeNow) so the request
-// sequence any chaos proxy sees is fully scripted. Affinity routing is
-// disabled so dispatch order stays registry-order/least-loaded: the
-// rendezvous owner depends on the ephemeral test ports, which would
-// make scripted fault placement nondeterministic. Affinity behavior has
-// its own owner-agnostic tests in cache_test.go.
+// sequence any chaos proxy sees is fully scripted.
 func newCoordinator(t *testing.T, workers ...string) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	c, err := newTestCoordinator(Config{Workers: workers, AffinityLoadDelta: -1})
+	c, err := newTestCoordinator(Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,72 +180,138 @@ func TestDispatchValidationRelayed(t *testing.T) {
 	}
 }
 
-// TestDispatch429Relayed: when every attempt is met with backpressure,
-// the coordinator exhausts its budget and relays 429 with a Retry-After
-// of its own.
-func TestDispatch429Relayed(t *testing.T) {
+// stubWorker serves a ready worker with an empty metrics snapshot and
+// the given handler on both dispatch routes.
+func stubWorker(t *testing.T, h http.HandlerFunc) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, `{"status":"ready"}`)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, `{}`)
 	})
-	var hardens atomic.Int64
-	mux.HandleFunc("POST /v1/harden", func(w http.ResponseWriter, _ *http.Request) {
-		hardens.Add(1)
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprint(w, `{"error":"queue full"}`)
-	})
-	busy := httptest.NewServer(mux)
-	defer busy.Close()
+	mux.HandleFunc("POST /v1/harden", h)
+	mux.HandleFunc("POST /v1/analyze", h)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
 
-	c, ts := newCoordinator(t, busy.URL)
-	status, hdr, body := postJSON(t, ts.URL+"/v1/harden", fleetHardenBody)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429: %s", status, body)
-	}
-	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
-		t.Errorf("Retry-After = %q, want >= 1", hdr.Get("Retry-After"))
-	}
-	if n := hardens.Load(); n != 4 {
-		t.Errorf("worker saw %d attempts, want 4 (1 + budget 3)", n)
-	}
-	// Backpressure is not a fault: the breaker must still be closed.
-	if st := c.reg.workers[0].br.State(); st != "closed" {
-		t.Errorf("breaker = %s after 429s, want closed", st)
-	}
-	if v := c.tel.Counter("fleet.retries").Value(); v != 3 {
-		t.Errorf("fleet.retries = %d, want 3", v)
+// dispatchRoutes are the coordinator's two dispatching endpoints, with
+// a body each accepts; both run the one retry loop.
+var dispatchRoutes = []struct{ path, body string }{
+	{"/v1/harden", fleetHardenBody},
+	{"/v1/analyze", `{"network":{"name":"TreeFlat"},"spec":{"seed":3}}`},
+}
+
+// TestDispatch429Relayed: when every attempt is met with backpressure,
+// the coordinator exhausts its budget and relays 429 with a Retry-After
+// of its own, on both dispatching routes.
+func TestDispatch429Relayed(t *testing.T) {
+	for _, rt := range dispatchRoutes {
+		t.Run(strings.TrimPrefix(rt.path, "/v1/"), func(t *testing.T) {
+			var attempts atomic.Int64
+			busy := stubWorker(t, func(w http.ResponseWriter, _ *http.Request) {
+				attempts.Add(1)
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusTooManyRequests)
+				fmt.Fprint(w, `{"error":"queue full"}`)
+			})
+			c, ts := newCoordinator(t, busy.URL)
+			status, hdr, body := postJSON(t, ts.URL+rt.path, rt.body)
+			if status != http.StatusTooManyRequests {
+				t.Fatalf("status = %d, want 429: %s", status, body)
+			}
+			if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
+				t.Errorf("Retry-After = %q, want >= 1", hdr.Get("Retry-After"))
+			}
+			if n := attempts.Load(); n != 4 {
+				t.Errorf("worker saw %d attempts, want 4 (1 + budget 3)", n)
+			}
+			// Backpressure is not a fault: the breaker must still be closed.
+			if st := c.reg.workers[0].br.State(); st != "closed" {
+				t.Errorf("breaker = %s after 429s, want closed", st)
+			}
+			if v := c.tel.Counter("fleet.retries").Value(); v != 3 {
+				t.Errorf("fleet.retries = %d, want 3", v)
+			}
+		})
 	}
 }
 
 // TestNoHealthyWorkers: a fleet whose only worker is unreachable
-// answers 503 after the budget, and /readyz reports not ready.
+// answers 503 after the budget on both dispatching routes, and /readyz
+// reports not ready.
 func TestNoHealthyWorkers(t *testing.T) {
-	// A listener that is immediately closed: connection refused.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
+	for _, rt := range dispatchRoutes {
+		t.Run(strings.TrimPrefix(rt.path, "/v1/"), func(t *testing.T) {
+			// A listener that is immediately closed: connection refused.
+			dead := httptest.NewServer(http.NotFoundHandler())
+			deadURL := dead.URL
+			dead.Close()
 
-	c, ts := newCoordinator(t, deadURL)
+			c, ts := newCoordinator(t, deadURL)
+			status, _, body := postJSON(t, ts.URL+rt.path, rt.body)
+			if status != http.StatusServiceUnavailable {
+				t.Fatalf("status = %d, want 503: %s", status, body)
+			}
+			if !strings.Contains(string(body), errNoHealthyWorkers.Error()) {
+				t.Errorf("503 body %s does not name the empty fleet", body)
+			}
+			if v := c.tel.Counter("fleet.dispatches").Value(); v != 0 {
+				t.Errorf("fleet.dispatches = %d, want 0", v)
+			}
+			resp, err := http.Get(ts.URL + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("/readyz = %d, want 503", resp.StatusCode)
+			}
+			if v := c.tel.Counter("fleet.probe.failures").Value(); v == 0 {
+				t.Error("fleet.probe.failures = 0, want > 0")
+			}
+		})
+	}
+}
+
+// TestDispatchOversizeCheckpoint: a checkpoint event longer than the
+// stream's line cap is skipped, not treated as a dead worker. The
+// regression: the over-long line failed the stream read, so the
+// coordinator marked a healthy worker failed, re-dispatched the job
+// until the budget ran out, and answered 502.
+func TestDispatchOversizeCheckpoint(t *testing.T) {
+	const result = `{"objectives":["damage","cost"],"front":[],"cached":false}`
+	var attempts atomic.Int64
+	stub := stubWorker(t, func(w http.ResponseWriter, _ *http.Request) {
+		attempts.Add(1)
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		blob := strings.Repeat("A", 17<<20)
+		fmt.Fprintf(w, "event: checkpoint\ndata: {\"gen\":5,\"blob\":%q}\n\n", blob)
+		fmt.Fprintf(w, "event: result\ndata: %s\n\n", result)
+	})
+	c, ts := newCoordinator(t, stub.URL)
 	status, _, body := postJSON(t, ts.URL+"/v1/harden", fleetHardenBody)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503: %s", status, body)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %.200s", status, body)
 	}
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	if string(body) != result+"\n" {
+		t.Errorf("body = %.200s, want the stub's result", body)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/readyz = %d, want 503", resp.StatusCode)
+	if n := attempts.Load(); n != 1 {
+		t.Errorf("stub saw %d dispatches, want 1", n)
 	}
-	if v := c.tel.Counter("fleet.probe.failures").Value(); v == 0 {
-		t.Error("fleet.probe.failures = 0, want > 0")
+	if v := c.tel.Counter("fleet.dispatches").Value(); v != 1 {
+		t.Errorf("fleet.dispatches = %d, want 1", v)
+	}
+	for _, w := range c.reg.snapshot() {
+		if !w.Healthy || w.Failures != 0 || w.Breaker != "closed" {
+			t.Errorf("worker after an oversize checkpoint: %+v, want healthy, 0 failures, closed", w)
+		}
 	}
 }
 

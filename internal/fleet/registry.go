@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -20,11 +19,7 @@ type Worker struct {
 	Breaker    string  `json:"breaker"`
 	Load       float64 `json:"load"`
 	Dispatched int64   `json:"dispatched"`
-	// Affinity counts the dispatches routed here because this worker was
-	// the rendezvous owner of the request's cache key (a subset of
-	// Dispatched).
-	Affinity int64 `json:"affinity_dispatches"`
-	Failures int64 `json:"failures"`
+	Failures   int64   `json:"failures"`
 }
 
 // worker is the registry's record of one backend.
@@ -35,7 +30,6 @@ type worker struct {
 	healthy    atomic.Bool
 	load       atomic.Int64 // running+waiting jobs, scaled by loadScale
 	dispatched atomic.Int64
-	affinity   atomic.Int64
 	failures   atomic.Int64
 }
 
@@ -45,21 +39,14 @@ const loadScale = 1000
 // registry tracks the fleet's workers: a periodic probe loop refreshes
 // health (GET /readyz) and load hints (GET /metrics?format=json, the
 // serve queue gauges), and dispatch outcomes feed each worker's
-// breaker. pick() is the routing decision: the cache key's rendezvous
-// owner when affinity routing applies, otherwise the least-loaded
-// healthy worker whose breaker admits traffic.
+// breaker. pick() is the routing decision: the least-loaded healthy
+// worker whose breaker admits traffic.
 type registry struct {
 	workers []*worker
 	probe   *http.Client
 	tel     telemetrySink
 
 	mu sync.Mutex // serializes pick()
-
-	// affinityDelta is the load headroom (scaled by loadScale) the
-	// rendezvous owner of a cache key is granted over the least-loaded
-	// worker before affinity routing gives up on it; negative disables
-	// affinity routing entirely (pure least-loaded).
-	affinityDelta int64
 
 	interval time.Duration
 	stop     chan struct{}
@@ -75,14 +62,13 @@ type telemetrySink interface {
 	probeFailed()
 }
 
-func newRegistry(urls []string, threshold int, cooldown time.Duration, probeTimeout time.Duration, interval time.Duration, now func() time.Time, tel telemetrySink, affinityDelta int64) *registry {
+func newRegistry(urls []string, threshold int, cooldown time.Duration, probeTimeout time.Duration, interval time.Duration, now func() time.Time, tel telemetrySink) *registry {
 	rg := &registry{
-		probe:         &http.Client{Timeout: probeTimeout},
-		tel:           tel,
-		affinityDelta: affinityDelta,
-		interval:      interval,
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
+		probe:    &http.Client{Timeout: probeTimeout},
+		tel:      tel,
+		interval: interval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for _, u := range urls {
 		rg.workers = append(rg.workers, &worker{
@@ -197,45 +183,11 @@ func (rg *registry) fetchLoad(url string) (float64, error) {
 	return snap.Gauges["serve.queue.running"] + snap.Gauges["serve.queue.waiting"], nil
 }
 
-// rendezvousScore is the highest-random-weight hash of (key, url):
-// FNV-1a over the key, a NUL separator (neither side may contain one —
-// keys are hex, URLs are URLs), then the URL. Each worker scores every
-// key independently, so removing a worker only remaps the keys it
-// owned and adding one only claims the keys it now wins — the minimal
-// disruption property that makes resharding automatic.
-func rendezvousScore(key, url string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write([]byte{0})
-	h.Write([]byte(url))
-	return h.Sum64()
-}
-
-// rendezvousOwner returns the candidate with the highest rendezvous
-// score for key (ties break to the lexicographically smaller URL, so
-// the choice is total). nil for an empty candidate set.
-func rendezvousOwner(key string, cands []*worker) *worker {
-	var best *worker
-	var bestScore uint64
-	for _, w := range cands {
-		s := rendezvousScore(key, w.url)
-		if best == nil || s > bestScore || (s == bestScore && w.url < best.url) {
-			best, bestScore = w, s
-		}
-	}
-	return best
-}
-
-// pick selects the dispatch target among healthy workers whose breakers
-// admit traffic. With a non-empty cache key (and affinity routing
-// enabled), the key's rendezvous owner is preferred — identical
-// requests land on the worker already holding the result — unless the
-// owner is the avoided worker, its load exceeds the least-loaded
-// candidate by more than affinityDelta, or its breaker refuses; any of
-// those falls back to least-loaded. affinity reports whether the
-// returned worker was chosen as the key's owner. nil means no worker is
-// currently eligible.
-func (rg *registry) pick(avoid *worker, key string) (w *worker, affinity bool) {
+// pick selects the least-loaded healthy worker whose breaker admits
+// traffic; the avoided worker (the one the previous attempt failed on)
+// is chosen only when no other worker is eligible. nil means no worker
+// is currently eligible.
+func (rg *registry) pick(avoid *worker) *worker {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	cands := make([]*worker, 0, len(rg.workers))
@@ -243,22 +195,6 @@ func (rg *registry) pick(avoid *worker, key string) (w *worker, affinity bool) {
 		if w.healthy.Load() {
 			cands = append(cands, w)
 		}
-	}
-	if key != "" && rg.affinityDelta >= 0 && len(cands) > 0 {
-		minLoad := cands[0].load.Load()
-		for _, c := range cands[1:] {
-			if l := c.load.Load(); l < minLoad {
-				minLoad = l
-			}
-		}
-		owner := rendezvousOwner(key, cands)
-		if owner != avoid && owner.load.Load()-minLoad <= rg.affinityDelta && owner.br.allow() {
-			return owner, true
-		}
-		// Owner unusable: fall through to least-loaded. (A consumed
-		// half-open trial slot is fine — the loop below may still pick
-		// the owner on load order, and the slot regenerates on the next
-		// cooldown tick otherwise.)
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		// The avoided worker sorts last regardless of load.
@@ -271,20 +207,16 @@ func (rg *registry) pick(avoid *worker, key string) (w *worker, affinity bool) {
 		// allow() may claim a half-open trial slot, so it is only asked
 		// once we are committed to using this worker.
 		if w.br.allow() {
-			return w, false
+			return w
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // markDispatched bumps the worker's load hint immediately, so a burst
 // of dispatches between two probe sweeps still spreads across workers.
-// affinity records whether the routing decision was owner-affinity.
-func (rg *registry) markDispatched(w *worker, affinity bool) {
+func (rg *registry) markDispatched(w *worker) {
 	w.dispatched.Add(1)
-	if affinity {
-		w.affinity.Add(1)
-	}
 	w.load.Add(loadScale)
 }
 
@@ -343,7 +275,6 @@ func (rg *registry) snapshot() []Worker {
 			Breaker:    w.br.State(),
 			Load:       float64(w.load.Load()) / loadScale,
 			Dispatched: w.dispatched.Load(),
-			Affinity:   w.affinity.Load(),
 			Failures:   w.failures.Load(),
 		})
 	}

@@ -15,10 +15,9 @@ func (nopSink) setOpen(int)    {}
 func (nopSink) probeFailed()   {}
 
 // newTestRegistry builds a registry over synthetic URLs, every worker
-// marked healthy, with affinity routing enabled at the given delta
-// (scaled by loadScale; pass -1 to disable).
-func newTestRegistry(urls []string, affinityDelta int64) *registry {
-	rg := newRegistry(urls, 3, time.Minute, time.Second, time.Hour, time.Now, nopSink{}, affinityDelta)
+// marked healthy.
+func newTestRegistry(urls []string) *registry {
+	rg := newRegistry(urls, 3, time.Minute, time.Second, time.Hour, time.Now, nopSink{})
 	for _, w := range rg.workers {
 		w.healthy.Store(true)
 	}
@@ -33,143 +32,56 @@ func testURLs(n int) []string {
 	return urls
 }
 
-// TestRendezvousOwnerSubsetStability: the defining HRW property — for
-// any key, removing workers that do NOT own it never changes the owner,
-// at every intermediate fleet size. This is what makes affinity routing
-// reshard minimally: a worker joining or leaving only remaps the keys
-// it wins or held.
-func TestRendezvousOwnerSubsetStability(t *testing.T) {
-	rg := newTestRegistry(testURLs(5), 0)
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15)
-		owner := rendezvousOwner(key, rg.workers)
-		if owner == nil {
-			t.Fatal("nil owner over a non-empty set")
-		}
-		// Strip non-owners one at a time; the owner must never change.
-		remaining := append([]*worker(nil), rg.workers...)
-		for len(remaining) > 1 {
-			victim := -1
-			for j, w := range remaining {
-				if w != owner {
-					victim = j
-					break
-				}
-			}
-			remaining = append(remaining[:victim], remaining[victim+1:]...)
-			if got := rendezvousOwner(key, remaining); got != owner {
-				t.Fatalf("key %s: owner changed from %s to %s when a non-owner left (%d left)",
-					key, owner.url, got.url, len(remaining))
-			}
-		}
+// TestRegistryPickLeastLoaded pins the routing decision: the lowest
+// load wins (registry order breaks ties), the avoided worker is chosen
+// only when nothing else admits traffic, unhealthy and breaker-open
+// workers are skipped, and pick returns nil when no worker is eligible.
+func TestRegistryPickLeastLoaded(t *testing.T) {
+	rg := newTestRegistry(testURLs(3))
+	w0, w1, w2 := rg.workers[0], rg.workers[1], rg.workers[2]
+
+	if w := rg.pick(nil); w != w0 {
+		t.Fatalf("equal loads: pick = %s, want w0 (registry order)", urlOf(w))
+	}
+	w0.load.Store(2 * loadScale)
+	w1.load.Store(3 * loadScale)
+	w2.load.Store(1 * loadScale)
+	if w := rg.pick(nil); w != w2 {
+		t.Fatalf("pick = %s, want w2 (lowest load)", urlOf(w))
+	}
+	// The avoided worker sorts last even at the lowest load.
+	if w := rg.pick(w2); w != w0 {
+		t.Fatalf("pick(avoid=w2) = %s, want w0 (next lowest load)", urlOf(w))
+	}
+
+	// Unhealthy and breaker-open workers are skipped.
+	w0.healthy.Store(false)
+	for i := 0; i < 3; i++ { // threshold 3 opens w1's breaker
+		w1.br.failure()
+	}
+	if w := rg.pick(w2); w != w2 {
+		t.Fatalf("pick(avoid=w2) with w0 unhealthy and w1 open = %s, want the avoided w2", urlOf(w))
+	}
+	if w := rg.pick(nil); w != w2 {
+		t.Fatalf("pick = %s, want w2, the only eligible worker", urlOf(w))
+	}
+
+	// No eligible worker at all.
+	w2.healthy.Store(false)
+	if w := rg.pick(nil); w != nil {
+		t.Fatalf("pick = %s with no eligible worker, want nil", urlOf(w))
+	}
+	if w := rg.pick(w2); w != nil {
+		t.Fatalf("pick(avoid=w2) = %s with no eligible worker, want nil", urlOf(w))
 	}
 }
 
-// TestRendezvousOwnerDeathDeterministic: when the owner dies, every
-// pick agrees on the same successor — the highest-scoring survivor —
-// and keys owned by other workers do not move.
-func TestRendezvousOwnerDeathDeterministic(t *testing.T) {
-	rg := newTestRegistry(testURLs(4), 0)
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		owner := rendezvousOwner(key, rg.workers)
-		survivors := make([]*worker, 0, len(rg.workers)-1)
-		for _, w := range rg.workers {
-			if w != owner {
-				survivors = append(survivors, w)
-			}
-		}
-		heir := rendezvousOwner(key, survivors)
-		for rep := 0; rep < 5; rep++ {
-			if got := rendezvousOwner(key, survivors); got != heir {
-				t.Fatalf("key %s: successor flapped between %s and %s", key, heir.url, got.url)
-			}
-		}
-		// The heir must be a genuine survivor and differ from the corpse.
-		if heir == owner {
-			t.Fatalf("key %s: dead owner still selected", key)
-		}
+// urlOf names a picked worker in failure messages, nil included.
+func urlOf(w *worker) string {
+	if w == nil {
+		return "<nil>"
 	}
-}
-
-// TestRendezvousDistribution: FNV-based HRW spreads 1k keys roughly
-// uniformly over 5 workers (expected 200 each; the fixed key set makes
-// the assertion deterministic, the generous band makes it honest).
-func TestRendezvousDistribution(t *testing.T) {
-	rg := newTestRegistry(testURLs(5), 0)
-	counts := map[string]int{}
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15)
-		counts[rendezvousOwner(key, rg.workers).url]++
-	}
-	if len(counts) != 5 {
-		t.Fatalf("only %d of 5 workers own any keys: %v", len(counts), counts)
-	}
-	for url, n := range counts {
-		if n < 100 || n > 350 {
-			t.Errorf("worker %s owns %d of 1000 keys, want within [100, 350] (counts: %v)", url, n, counts)
-		}
-	}
-}
-
-// TestPickAffinityRouting: with a key, pick prefers the rendezvous
-// owner while its load headroom lasts, falls back to least-loaded when
-// the owner is overloaded or is the avoided worker, and reports the
-// affinity bit accurately.
-func TestPickAffinityRouting(t *testing.T) {
-	const delta = 4 * loadScale
-	rg := newTestRegistry(testURLs(3), delta)
-	key := "deadbeefdeadbeef"
-	owner := rendezvousOwner(key, rg.workers)
-
-	w, aff := rg.pick(nil, key)
-	if w != owner || !aff {
-		t.Fatalf("pick(key) = %s aff=%v, want owner %s aff=true", w.url, aff, owner.url)
-	}
-	// Repeats keep landing on the owner.
-	for i := 0; i < 5; i++ {
-		if w, aff = rg.pick(nil, key); w != owner || !aff {
-			t.Fatalf("repeat pick left the owner: got %s aff=%v", w.url, aff)
-		}
-	}
-	// No key → plain least-loaded, no affinity.
-	if _, aff = rg.pick(nil, ""); aff {
-		t.Error("keyless pick reported affinity")
-	}
-	// Overloaded owner → least-loaded fallback.
-	owner.load.Store(delta + loadScale)
-	w, aff = rg.pick(nil, key)
-	if w == owner || aff {
-		t.Fatalf("overloaded owner still picked (got %s aff=%v)", w.url, aff)
-	}
-	// Back under the delta → affinity resumes.
-	owner.load.Store(delta)
-	if w, aff = rg.pick(nil, key); w != owner || !aff {
-		t.Fatalf("owner within delta not picked: got %s aff=%v", w.url, aff)
-	}
-	// The avoided worker is never the affinity target.
-	w, aff = rg.pick(owner, key)
-	if w == owner || aff {
-		t.Fatalf("pick(avoid=owner) returned the owner (aff=%v)", aff)
-	}
-	// Unhealthy owner → resharded to the surviving owner.
-	owner.load.Store(0)
-	owner.healthy.Store(false)
-	survivors := make([]*worker, 0, 2)
-	for _, wk := range rg.workers {
-		if wk != owner {
-			survivors = append(survivors, wk)
-		}
-	}
-	heir := rendezvousOwner(key, survivors)
-	if w, aff = rg.pick(nil, key); w != heir || !aff {
-		t.Fatalf("after owner death pick = %s aff=%v, want heir %s aff=true", w.url, aff, heir.url)
-	}
-	// Affinity disabled: owner is not preferred over load order.
-	rgOff := newTestRegistry(testURLs(3), -1)
-	if _, aff = rgOff.pick(nil, key); aff {
-		t.Error("affinity-disabled registry reported an affinity pick")
-	}
+	return w.url
 }
 
 // TestRegistryMarkFailureEagerHealthFlip: the regression for the
@@ -179,11 +91,11 @@ func TestPickAffinityRouting(t *testing.T) {
 // pick kept routing to the corpse until the breaker tripped or a probe
 // sweep noticed.
 func TestRegistryMarkFailureEagerHealthFlip(t *testing.T) {
-	rg := newTestRegistry(testURLs(2), -1)
+	rg := newTestRegistry(testURLs(2))
 	w0, w1 := rg.workers[0], rg.workers[1]
 
 	// Equal load: registry order makes w0 the first pick.
-	if w, _ := rg.pick(nil, ""); w != w0 {
+	if w := rg.pick(nil); w != w0 {
 		t.Fatalf("baseline pick = %v, want w0", w.url)
 	}
 	rg.markFailure(w0)
@@ -193,12 +105,12 @@ func TestRegistryMarkFailureEagerHealthFlip(t *testing.T) {
 	if w0.br.State() != "closed" {
 		t.Fatalf("one failure tripped the breaker (threshold 3): %s", w0.br.State())
 	}
-	if w, _ := rg.pick(nil, ""); w != w1 {
+	if w := rg.pick(nil); w != w1 {
 		t.Fatalf("pick after failure = %v, want w1 (w0 just hard-failed)", w)
 	}
 	// A successful probe restores health (the probe loop's job).
 	w0.healthy.Store(true)
-	if w, _ := rg.pick(nil, ""); w != w0 {
+	if w := rg.pick(nil); w != w0 {
 		t.Fatal("restored worker not picked again")
 	}
 }
@@ -216,7 +128,7 @@ func TestRegistryMarkFailureEagerHealthFlip(t *testing.T) {
 // absolute load). The old code stored 0 over them; the CAS loop's swap
 // fails and retries against the bumped value, retiring exactly one job.
 func TestRegistryMarkDoneLostUpdate(t *testing.T) {
-	rg := newTestRegistry(testURLs(1), -1)
+	rg := newTestRegistry(testURLs(1))
 	w := rg.workers[0]
 
 	injected := false
@@ -225,8 +137,8 @@ func TestRegistryMarkDoneLostUpdate(t *testing.T) {
 			return
 		}
 		injected = true
-		rg.markDispatched(w, false)
-		rg.markDispatched(w, false)
+		rg.markDispatched(w)
+		rg.markDispatched(w)
 	}
 	defer func() { markDoneYield = nil }()
 
@@ -243,7 +155,7 @@ func TestRegistryMarkDoneLostUpdate(t *testing.T) {
 // and never drives the load below zero, so with margin more dispatches
 // than dones the final load cannot drop under the margin.
 func TestRegistryMarkDoneConcurrentClamp(t *testing.T) {
-	rg := newTestRegistry(testURLs(1), -1)
+	rg := newTestRegistry(testURLs(1))
 	w := rg.workers[0]
 
 	const (
@@ -263,7 +175,7 @@ func TestRegistryMarkDoneConcurrentClamp(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG+margin/goroutines; i++ {
-				rg.markDispatched(w, false)
+				rg.markDispatched(w)
 			}
 		}()
 	}
