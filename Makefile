@@ -55,7 +55,8 @@ determinism:
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,
-# concurrent burst, metrics) through the real HTTP stack.
+# an over-cap body answered 413, concurrent burst, metrics) through the
+# real HTTP stack.
 serve-smoke:
 	$(GO) run ./cmd/rsnserve -selftest
 
@@ -76,7 +77,7 @@ chaos-fleet:
 # L1 repeats (plain, streamed, and after a SIGKILL-forced migration),
 # least-loaded routing and the registry clamp/health regressions,
 # Retry-After parsing, and the worker-side cache-key/disabled-cache
-# semantics.
+# semantics, including one key for every spelling of a request.
 chaos-cache:
 	$(GO) test -race -run 'FleetCache|RegistryPick|RegistryMark|RetryAfter|ResultCacheDisabled|CacheKey' ./internal/fleet ./internal/serve
 
@@ -87,11 +88,13 @@ chaos-cache:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz pass over the hostile-input decoders — the ICL parser and
-# the checkpoint codec — and over the 2-D front sweep against the
-# pairwise filter.
+# Short fuzz pass over the hostile-input decoders — the ICL parser, the
+# checkpoint codec and the one-pass request-body decoder against
+# encoding/json — and over the 2-D front sweep against the pairwise
+# filter.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseICL -fuzztime=30s ./internal/icl
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/moea
 	$(GO) test -run=NONE -fuzz=FuzzParetoFilter -fuzztime=30s ./internal/moea
 

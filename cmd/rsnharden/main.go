@@ -248,7 +248,7 @@ func main() {
 	if kObjectives {
 		fmt.Printf("objectives     %s\n", strings.Join(s.Objectives, ", "))
 	}
-	fmt.Printf("must-harden    %d primitives protect all critical instruments\n", len(s.Analysis.MustHarden()))
+	fmt.Printf("must-harden    %d primitives protect all critical instruments\n", s.Analysis.MustHardenCount())
 	if s.Interrupted {
 		// Printed only on interruption, so uninterrupted and resumed runs
 		// keep byte-identical stdout.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -83,6 +84,19 @@ func runSelftest(srv *serve.Server) error {
 				"interrupted": func(v any) bool { return v == true },
 				"front":       func(v any) bool { f, ok := v.([]any); return ok && len(f) > 0 },
 			})
+		}},
+		{"over-cap body", func() error {
+			body := bytes.Repeat([]byte{' '}, int(serve.Config{}.Defaults().MaxBodyBytes)+1)
+			resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				return fmt.Errorf("status %d, want 413: %s", resp.StatusCode, b)
+			}
+			return nil
 		}},
 		{"concurrent burst", func() error {
 			const n = 8

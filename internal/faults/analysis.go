@@ -311,6 +311,18 @@ func (a *Analysis) MustHarden() []rsn.NodeID {
 	return out
 }
 
+// MustHardenCount returns len(a.MustHarden()) without building the
+// list.
+func (a *Analysis) MustHardenCount() int {
+	n := 0
+	for _, id := range a.Prims {
+		if a.CritHit[id] {
+			n++
+		}
+	}
+	return n
+}
+
 // ResidualDamage returns Σ d_j over the primitives not hardened in x
 // (x indexed by NodeID). This is objective (2) of Section V for a given
 // hardening decision.

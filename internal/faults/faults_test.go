@@ -289,6 +289,9 @@ func TestCritHit(t *testing.T) {
 	if len(must) != 4 {
 		t.Errorf("MustHarden returned %d primitives, want 4", len(must))
 	}
+	if n := a.MustHardenCount(); n != len(must) {
+		t.Errorf("MustHardenCount = %d, want len(MustHarden()) = %d", n, len(must))
+	}
 }
 
 // TestResidualDamage checks objective bookkeeping.

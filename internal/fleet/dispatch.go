@@ -373,9 +373,9 @@ func (c *Coordinator) dispatch(ctx context.Context, rl *relay, try func(wk *work
 // through the dispatch loop, and a worker dying mid-run hands the job
 // to the next attempt with its last streamed checkpoint (a migration).
 func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, status, err := serve.ReadBody(w, r, c.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+		writeError(w, status, err.Error())
 		return
 	}
 	job, err := newHardenJob(body, c.cfg.CheckpointEvery)
@@ -543,9 +543,9 @@ func (c *Coordinator) tryHarden(ctx context.Context, wk *worker, job *hardenJob,
 // handleAnalyze dispatches an analyze request through the same loop;
 // analyze is stateless, so a retry is simply a re-run.
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, status, err := serve.ReadBody(w, r, c.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+		writeError(w, status, err.Error())
 		return
 	}
 	rl := newRelay(w, false, false)

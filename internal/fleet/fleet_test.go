@@ -180,6 +180,48 @@ func TestDispatchValidationRelayed(t *testing.T) {
 	}
 }
 
+// TestDispatchOverCapBody: a body over the cap answers 413 on both
+// dispatching routes, from a worker directly and through the
+// coordinator, whether it declares its length or streams it chunked.
+func TestDispatchOverCapBody(t *testing.T) {
+	const limit = 1 << 10
+	ws := httptest.NewServer(serve.New(serve.Config{Workers: 1, MaxBodyBytes: limit}).Handler())
+	t.Cleanup(ws.Close)
+	c, err := newTestCoordinator(Config{Workers: []string{ws.URL}, MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(c.Handler())
+	t.Cleanup(cs.Close)
+	body := `{"network":{"icl":"` + strings.Repeat("x", 4*limit) + `"}}`
+	for _, target := range []struct{ name, url string }{{"worker", ws.URL}, {"coordinator", cs.URL}} {
+		for _, rt := range dispatchRoutes {
+			for _, chunked := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s%s/chunked=%v", target.name, rt.path, chunked), func(t *testing.T) {
+					// Hiding the reader's length makes the client stream the
+					// body without a Content-Length.
+					var r io.Reader = strings.NewReader(body)
+					if chunked {
+						r = struct{ io.Reader }{r}
+					}
+					resp, err := http.Post(target.url+rt.path, "application/json", r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					b, _ := io.ReadAll(resp.Body)
+					if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(b), "too large") {
+						t.Errorf("status %d, body %s; want 413 naming the cap", resp.StatusCode, b)
+					}
+				})
+			}
+		}
+	}
+	if n := c.tel.Counter("fleet.dispatches").Value(); n != 0 {
+		t.Errorf("fleet.dispatches = %d, want 0: an over-cap body reached a worker", n)
+	}
+}
+
 // stubWorker serves a ready worker with an empty metrics snapshot and
 // the given handler on both dispatch routes.
 func stubWorker(t *testing.T, h http.HandlerFunc) *httptest.Server {

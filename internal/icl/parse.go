@@ -25,13 +25,19 @@ const instrChunk = 512
 // Parse reads a network description in the format emitted by Write.
 // The result is structurally validated.
 //
-// The input is read into one string, and every name in the network is
-// a substring of it.
+// The input is read into one string and handed to ParseString.
 func Parse(r io.Reader) (*rsn.Network, error) {
 	src, err := readAll(r)
 	if err != nil {
 		return nil, err
 	}
+	return ParseString(src)
+}
+
+// ParseString parses a network description held in src, like Parse.
+// Every name in the network is a substring of src, so src is not
+// copied.
+func ParseString(src string) (*rsn.Network, error) {
 	lines, err := countLines(src)
 	if err != nil {
 		return nil, err

@@ -183,7 +183,7 @@ func formatCacheKey(key uint64) string { return fmt.Sprintf("%016x", key) }
 // request must already be canonical — validate (server side) or
 // canonicalizeKeyFields (HardenBodyCacheKey) has run — otherwise the
 // two spellings of a default (generations 0 vs 500, islands 1 vs 0,
-// permuted objectives) would hash apart.
+// algorithm "spea2" vs omitted, permuted objectives) would hash apart.
 func (req *HardenRequest) CacheKey() string {
 	return formatCacheKey(hardenCacheKey(req))
 }
@@ -203,7 +203,7 @@ func HardenBodyCacheKey(body []byte) (key string, ok bool) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return "", false
 	}
-	if err := req.Options.canonicalizeKeyFields(); err != nil {
+	if err := req.canonicalizeKeyFields(); err != nil {
 		return "", false
 	}
 	return req.CacheKey(), true

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
@@ -81,15 +82,74 @@ func TestHardenBodyCacheKeyCanonical(t *testing.T) {
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"population":24,"seed":7,"islands":2}}`,
 		},
 	}
+	checkKeyGroups(t, groups)
+	// Non-harden bodies key to nothing.
+	if _, ok := HardenBodyCacheKey([]byte(`"just a string"`)); ok {
+		t.Error("non-object body produced a key")
+	}
+	if _, ok := HardenBodyCacheKey([]byte(`{"options":{"objectives":["no_such_objective","cost"]}}`)); ok {
+		t.Error("uncanonicalizable objectives produced a key")
+	}
+}
+
+// TestHardenCacheKeyCanonical: spellings the run reads alike share one
+// key, on the worker and through HardenBodyCacheKey; spellings it reads
+// differently do not.
+func TestHardenCacheKeyCanonical(t *testing.T) {
+	iclNet, err := json.Marshal(inlineICL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := `{"network":{"icl":` + string(iclNet) + `},`
+	groups := [][]string{
+		{
+			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":20,"seed":7}}`,
+			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":20,"seed":7,"algorithm":"spea2"}}`,
+			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":20,"seed":7,"scope":"all"}}`,
+			// A named network always generates its spec.
+			`{"network":{"name":"TreeFlat"},"spec":{"generate":true,"seed":3},"options":{"generations":20,"seed":7}}`,
+			`{"network":{"name":"TreeFlat"},"spec":{"generate":true,"seed":3},` +
+				`"options":{"generations":20,"seed":7,"algorithm":"spea2","scope":"all"}}`,
+		},
+		{`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":20,"seed":7,"algorithm":"nsga2"}}`},
+		{`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":20,"seed":7,"scope":"control"}}`},
+		{`{"network":{"name":"TreeFlat"},"spec":{"seed":4},"options":{"generations":20,"seed":7}}`},
+		{
+			// An annotated spec reads no seed.
+			inline + `"options":{"generations":20,"seed":7}}`,
+			inline + `"spec":{"seed":9},"options":{"generations":20,"seed":7}}`,
+			inline + `"spec":{"generate":false,"seed":9},"options":{"generations":20,"seed":7}}`,
+		},
+		{inline + `"spec":{"generate":true,"seed":9},"options":{"generations":20,"seed":7}}`},
+		{inline + `"spec":{"generate":true,"seed":10},"options":{"generations":20,"seed":7}}`},
+	}
+	checkKeyGroups(t, groups)
+}
+
+// checkKeyGroups: each group lists spellings of one request. Every body
+// gets the same key on the worker (decoded and validated as the handler
+// does) and through HardenBodyCacheKey; keys agree within a group and
+// differ across groups.
+func checkKeyGroups(t *testing.T, groups [][]string) {
+	t.Helper()
+	cfg := Config{}.Defaults()
 	keys := make([]string, len(groups))
 	for gi, group := range groups {
 		for bi, body := range group {
-			key, ok := HardenBodyCacheKey([]byte(body))
-			if !ok {
-				t.Fatalf("group %d body %d: HardenBodyCacheKey not ok", gi, bi)
+			var req HardenRequest
+			if err := decodeRequest([]byte(body), &req, &req.Network); err != nil {
+				t.Fatalf("group %d body %d: decode: %v", gi, bi, err)
 			}
+			if err := req.validate(cfg); err != nil {
+				t.Fatalf("group %d body %d: validate: %v", gi, bi, err)
+			}
+			key := req.CacheKey()
 			if len(key) != 16 {
 				t.Fatalf("group %d body %d: key %q not 16 hex digits", gi, bi, key)
+			}
+			if fleet, ok := HardenBodyCacheKey([]byte(body)); !ok || fleet != key {
+				t.Errorf("group %d body %d: worker key %s, HardenBodyCacheKey %s (ok %v) — the fleet would route on the wrong address",
+					gi, bi, key, fleet, ok)
 			}
 			if bi == 0 {
 				keys[gi] = key
@@ -105,13 +165,6 @@ func TestHardenBodyCacheKeyCanonical(t *testing.T) {
 				t.Errorf("groups %d and %d collide on %s — different requests, same address", a, b, keys[a])
 			}
 		}
-	}
-	// Non-harden bodies key to nothing.
-	if _, ok := HardenBodyCacheKey([]byte(`"just a string"`)); ok {
-		t.Error("non-object body produced a key")
-	}
-	if _, ok := HardenBodyCacheKey([]byte(`{"options":{"objectives":["no_such_objective","cost"]}}`)); ok {
-		t.Error("uncanonicalizable objectives produced a key")
 	}
 }
 

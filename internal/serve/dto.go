@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"rsnrobust/internal/benchnets"
@@ -228,7 +227,7 @@ func (n NetworkRef) load() (*rsn.Network, error) {
 		}
 		return benchnets.GenerateEntry(e)
 	}
-	net, err := icl.Parse(strings.NewReader(n.ICL))
+	net, err := icl.ParseString(n.ICL)
 	if err != nil {
 		return nil, invalidf("network: %v", err)
 	}
@@ -318,18 +317,35 @@ func (req *HardenRequest) validate(cfg Config) error {
 		}
 		req.resumeCkpt = cp
 	}
-	return o.canonicalizeKeyFields()
+	return req.canonicalizeKeyFields()
 }
 
-// canonicalizeKeyFields normalizes, in place, exactly the option fields
-// that feed the content-addressed cache key: the generations default,
-// the single-island collapse, and the objective-set canonical form.
-// validate applies it after the range checks; HardenBodyCacheKey
-// applies it on its own so the fleet coordinator derives the same key a
-// worker will, without a server Config. Keeping both callers on this
-// one method is what guarantees the coordinator's and workers' cache
-// address spaces never drift.
-func (o *HardenOptions) canonicalizeKeyFields() error {
+// canonicalizeKeyFields normalizes, in place, exactly the fields that
+// feed the content-addressed cache key, so that spellings with the same
+// result share one key: the generations default, the single-island
+// collapse, the objective-set canonical form, and the spellings the
+// run ignores, which fold toward the omitted form. validate applies it
+// after the range checks; HardenBodyCacheKey applies it on its own so
+// the fleet coordinator derives the same key a worker will, without a
+// server Config. Keeping both callers on this one method is what
+// guarantees the coordinator's and workers' cache address spaces never
+// drift.
+func (req *HardenRequest) canonicalizeKeyFields() error {
+	if req.Network.Name != "" {
+		// Named networks always generate their spec (buildSpec).
+		req.Spec.Generate = false
+	} else if !req.Spec.Generate {
+		// Only a generated spec reads its seed.
+		req.Spec.Seed = 0
+	}
+	o := &req.Options
+	// parseAlgorithm and parseScope read "" as these defaults.
+	if o.Algorithm == "spea2" {
+		o.Algorithm = ""
+	}
+	if o.Scope == "all" {
+		o.Scope = ""
+	}
 	if o.Generations == 0 {
 		o.Generations = 500
 	}

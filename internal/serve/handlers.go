@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -41,15 +40,21 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) 
 	writeJSON(w, status, body)
 }
 
-// decodeBody parses a JSON request body under the configured size cap.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return invalidf("body: %v", err)
+// decodeBody reads the request body once under the configured size cap
+// and decodes it into v, whose network reference is net. On failure it
+// writes the error response (413 over the cap, 400 otherwise) and
+// returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, net *NetworkRef) bool {
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		writeError(w, r, status, err.Error())
+		return false
 	}
-	return nil
+	if err := decodeRequest(body, v, net); err != nil {
+		writeError(w, r, http.StatusBadRequest, "body: "+err.Error())
+		return false
+	}
+	return true
 }
 
 // admit runs the common gatekeeping of the two compute endpoints:
@@ -158,8 +163,7 @@ func (s *Server) completeFlight(r *http.Request, label, detail string, start tim
 // SP-tree → exact criticality analysis, as a queued job.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+	if !s.decodeBody(w, r, &req, &req.Network) {
 		return
 	}
 	if err := req.validate(s.cfg); err != nil {
@@ -247,7 +251,7 @@ func (s *Server) analyze(req *AnalyzeRequest, span *telemetry.Span) (*AnalyzeRes
 		Scope:       scope.String(),
 		MaxCost:     a.MaxCost(),
 		TotalDamage: a.TotalDamage,
-		MustHarden:  len(a.MustHarden()),
+		MustHarden:  a.MustHardenCount(),
 	}
 	if req.TopDamages > 0 {
 		ranked := append([]rsn.NodeID(nil), a.Prims...)
@@ -280,8 +284,7 @@ func (s *Server) analyze(req *AnalyzeRequest, span *telemetry.Span) (*AnalyzeRes
 // computation, so the streaming knobs stay out of the cache key.
 func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 	var req HardenRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+	if !s.decodeBody(w, r, &req, &req.Network) {
 		return
 	}
 	if err := req.validate(s.cfg); err != nil {
