@@ -49,9 +49,12 @@ race:
 # truncation) to the brute-force whole-union oracle bit for bit;
 # ParetoFilterMatchesPairwise holds the 2-D front sweep to the pairwise
 # scan; SynthesizeFingerprints pins the fronts, evaluation counts and
-# progress records of underfull and overfull Table I rows by hash.
+# progress records of underfull and overfull Table I rows by hash;
+# AnalyzeFingerprints pins the criticality analysis (universe, damages,
+# critical hits) of Table I and random networks under every option
+# combination by hash.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,
@@ -98,8 +101,11 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/moea
 	$(GO) test -run=NONE -fuzz=FuzzParetoFilter -fuzztime=30s ./internal/moea
 
+# The root package's benchmarks, then the by-name MBIST_5_100_20 analyze
+# job body (load, validate, spec, SP tree, criticality) on one CPU.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=AnalyzeNamed -benchmem -cpu 1 -run=^$$ ./internal/serve
 
 # One-command perf smoke: every Table I row once at the reduced bench
 # budget, to spot regressions before committing.

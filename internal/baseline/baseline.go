@@ -183,8 +183,8 @@ func paretoSolutions(sols []core.Solution) []core.Solution {
 
 // Exact computes exact constrained optima of the separable
 // selective-hardening problem by 0/1-knapsack dynamic programming over
-// the cost axis. Construction is O(primitives × total cost) in time and
-// O(total cost) in space.
+// the cost axis. Construction is O(primitives × C) in time and O(C) in
+// space, where C is the cost of hardening the whole fault universe.
 type Exact struct {
 	a *faults.Analysis
 	// removed[c] is the maximum total damage removable with hardening
@@ -193,14 +193,15 @@ type Exact struct {
 }
 
 // ExactTractable reports whether the DP fits the given operation budget
-// (primitives × (total cost + 1) <= maxOps).
+// (primitives × (universe cost + 1) <= maxOps).
 func ExactTractable(a *faults.Analysis, maxOps int64) bool {
-	return int64(len(a.Prims))*(a.Spec.MaxCost()+1) <= maxOps
+	return int64(len(a.Prims))*(a.MaxCost()+1) <= maxOps
 }
 
-// NewExact builds the DP table.
+// NewExact builds the DP table. Its cost axis ends at the cost of
+// hardening the whole fault universe: no budget can buy more.
 func NewExact(a *faults.Analysis) *Exact {
-	maxCost := a.Spec.MaxCost()
+	maxCost := a.MaxCost()
 	removed := make([]int64, maxCost+1)
 	for _, id := range a.Prims {
 		c, d := a.Spec.Cost[id], a.Damage[id]

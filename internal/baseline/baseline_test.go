@@ -16,12 +16,18 @@ import (
 
 func analyze(t testing.TB, net *rsn.Network) *faults.Analysis {
 	t.Helper()
+	return analyzeScope(t, net, spec.FromNetwork(net, spec.DefaultCostModel), faults.ScopeAll)
+}
+
+func analyzeScope(t testing.TB, net *rsn.Network, sp *spec.Spec, scope faults.Scope) *faults.Analysis {
+	t.Helper()
 	tree, err := sptree.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := spec.FromNetwork(net, spec.DefaultCostModel)
-	a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
+	opts := faults.DefaultOptions()
+	opts.Scope = scope
+	a, err := faults.Analyze(net, tree, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +64,25 @@ func TestGreedyFrontShape(t *testing.T) {
 }
 
 func TestExactMatchesBruteForceOnTinyNetworks(t *testing.T) {
-	// Property: DP optima equal exhaustive-enumeration optima for tiny
-	// random networks.
+	for _, scope := range []faults.Scope{faults.ScopeAll, faults.ScopeControl} {
+		t.Run(scope.String(), func(t *testing.T) { testExactMatchesBruteForce(t, scope) })
+	}
+}
+
+// testExactMatchesBruteForce checks the property that DP optima equal
+// exhaustive-enumeration optima for tiny random networks. Under the
+// control scope the networks have segment-controlled multiplexers, so
+// that the universe holds segments as well as muxes.
+func testExactMatchesBruteForce(t *testing.T, scope faults.Scope) {
 	check := func(seed int64) bool {
-		net := benchnets.Random(benchnets.RandomOptions{Seed: seed, TargetPrims: 10})
-		a := analyze(t, net)
+		net := benchnets.Random(benchnets.RandomOptions{Seed: seed, TargetPrims: 10, SegmentControls: scope == faults.ScopeControl})
+		a := analyzeScope(t, net, spec.FromNetwork(net, spec.DefaultCostModel), scope)
 		n := len(a.Prims)
 		if n > 16 {
 			return true // keep enumeration cheap
 		}
 		e := NewExact(a)
-		maxCost := a.Spec.MaxCost()
+		maxCost := a.MaxCost()
 		// Enumerate all subsets.
 		type point struct{ cost, damage int64 }
 		best := map[int64]int64{} // cost budget -> min damage (filled below)
@@ -165,6 +179,32 @@ func TestExactTractable(t *testing.T) {
 	}
 	if ExactTractable(a, 1) {
 		t.Error("instance fits in 1 operation")
+	}
+
+	// The DP's cost axis ends at the cost of the fault universe, not at
+	// that of every node: under the control scope that is the muxes and
+	// their control segments.
+	net, err := benchnets.Generate("MBIST_5_20_20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := spec.Generate(net, spec.PaperGenOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = analyzeScope(t, net, sp, faults.ScopeControl)
+	if a.MaxCost() >= sp.MaxCost() {
+		t.Fatalf("control universe costs %d, the whole network %d", a.MaxCost(), sp.MaxCost())
+	}
+	ops := int64(len(a.Prims)) * (a.MaxCost() + 1)
+	if !ExactTractable(a, ops) {
+		t.Errorf("ExactTractable(%d ops) = false for %d primitives of universe cost %d", ops, len(a.Prims), a.MaxCost())
+	}
+	if ExactTractable(a, ops-1) {
+		t.Errorf("ExactTractable(%d ops) = true", ops-1)
+	}
+	if got, want := len(NewExact(a).removed), int(a.MaxCost()+1); got != want {
+		t.Errorf("DP table has %d entries, want %d", got, want)
 	}
 }
 

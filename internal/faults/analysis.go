@@ -82,6 +82,9 @@ type Analysis struct {
 
 // Analyze runs the criticality analysis. The tree must belong to net and
 // the specification must be sized for net.
+//
+// It fills one buffer of tree-node lanes bottom-up, reads the section
+// damages from it and sweeps it top-down for the series damages.
 func Analyze(net *rsn.Network, tree *sptree.Tree, sp *spec.Spec, opts Options) (*Analysis, error) {
 	if tree.Network() != net {
 		return nil, fmt.Errorf("faults: tree was built for network %q, not %q", tree.Network().Name, net.Name)
@@ -98,174 +101,174 @@ func Analyze(net *rsn.Network, tree *sptree.Tree, sp *spec.Spec, opts Options) (
 		Damage:  make([]int64, net.NumNodes()),
 		CritHit: make([]bool, net.NumNodes()),
 	}
-
-	// Critical-instrument indicator vectors (1 per critical direction).
-	critObs := make([]int64, net.NumNodes())
-	critSet := make([]int64, net.NumNodes())
-	net.Nodes(func(nd *rsn.Node) {
-		if nd.Kind == rsn.KindSegment && nd.Instr != nil {
-			if nd.Instr.CriticalObs {
-				critObs[nd.ID] = 1
-			}
-			if nd.Instr.CriticalSet {
-				critSet[nd.ID] = 1
-			}
-		}
-	})
-
-	sumObs := tree.SubtreeSums(sp.DObs)
-	sumSet := tree.SubtreeSums(sp.DSet)
-	sumCObs := tree.SubtreeSums(critObs)
-	sumCSet := tree.SubtreeSums(critSet)
-
-	// Segment walk: accumulate, for every leaf, the weights of the
-	// instruments that lose observability (series-earlier within the
-	// enclosing branch) and settability (series-later) under a break of
-	// that leaf's primitive.
-	accObs, accSet := a.walk(sumObs, sumSet)
-	accCObs, accCSet := a.walk(sumCObs, sumCSet)
-
-	for _, id := range a.Prims {
-		nd := net.Node(id)
-		switch nd.Kind {
-		case rsn.KindSegment:
-			leaf := tree.LeafOf(id)
-			d := accObs[leaf] + accSet[leaf] + sp.DObs[id] + sp.DSet[id]
-			chit := accCObs[leaf]+accCSet[leaf]+critObs[id]+critSet[id] > 0
-			if opts.SIBCoupling && nd.SIB && nd.Partner != rsn.None {
-				// A broken SIB register also leaves the gated
-				// sub-network unprogrammable: it additionally loses
-				// settability (its observability loss is already part
-				// of the series walk, the sub-network being
-				// series-earlier than the register).
-				if sub := sibSubnet(tree, nd.Partner); sub != sptree.NilRef {
-					d += sumSet[sub]
-					chit = chit || sumCSet[sub] > 0
-				}
-			}
-			a.Damage[id] = d
-			a.CritHit[id] = chit
-		case rsn.KindMux:
-			d, chit := a.muxDamage(id, opts.Combine, sumObs, sumSet, sumCObs, sumCSet)
-			a.Damage[id] = d
-			a.CritHit[id] = chit
-		}
-	}
-
-	if opts.CtrlCoupling {
-		a.applyCtrlCoupling(sumObs, sumSet, sumCObs, sumCSet)
-	}
-
+	lanes := a.subtreeSums()
+	a.sectionDamages(lanes)
+	a.seriesDamages(lanes)
 	for _, id := range a.Prims {
 		a.TotalDamage += a.Damage[id]
 	}
 	return a, nil
 }
 
-// walk performs the pre-order accumulator traversal: entering the right
-// child of a series node adds the left sibling's observability sum
-// (those instruments shift out across the fault spot); entering the left
-// child adds the right sibling's settability sum. Parallel nodes isolate
-// the fault inside the branch controlled by the parental multiplexer, so
-// the accumulators reset. Results are indexed by NodeRef (leaf refs).
-func (a *Analysis) walk(sumObs, sumSet []int64) (accObs, accSet []int64) {
-	n := a.Tree.Size()
-	accObs = make([]int64, n)
-	accSet = make([]int64, n)
-	type frame struct {
-		ref      sptree.NodeRef
-		obs, set int64
-	}
-	stack := []frame{{ref: a.Tree.Root()}}
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		switch a.Tree.OpOf(fr.ref) {
+// lane is one tree node's slot in Analyze's buffer: observability and
+// settability weights and the number of critical instruments in each
+// direction, summed over the node's subtree until the top-down sweep
+// replaces them with what a fault inside the subtree cuts off outside it.
+type lane struct {
+	obs, set   int64
+	cobs, cset int32
+}
+
+func (x lane) plus(y lane) lane {
+	return lane{x.obs + y.obs, x.set + y.set, x.cobs + y.cobs, x.cset + y.cset}
+}
+
+// subtreeSums annotates every tree node with the weights of the
+// instruments in its subtree. The arena holds children before their
+// parents, so one forward pass suffices (the hierarchical
+// reverse-polish-order computation of Section IV-C).
+func (a *Analysis) subtreeSums() []lane {
+	t := a.Tree
+	lanes := make([]lane, t.Size())
+	for ref := sptree.NodeRef(0); int(ref) < len(lanes); ref++ {
+		switch t.OpOf(ref) {
 		case sptree.OpLeaf:
-			accObs[fr.ref] = fr.obs
-			accSet[fr.ref] = fr.set
-		case sptree.OpSeries:
-			l, r := a.Tree.Children(fr.ref)
-			stack = append(stack,
-				frame{ref: l, obs: fr.obs, set: fr.set + sumSet[r]},
-				frame{ref: r, obs: fr.obs + sumObs[l], set: fr.set},
-			)
-		case sptree.OpParallel:
-			l, r := a.Tree.Children(fr.ref)
-			stack = append(stack, frame{ref: l}, frame{ref: r})
+			id := t.PrimOf(ref)
+			ln := lane{obs: a.Spec.DObs[id], set: a.Spec.DSet[id]}
+			if nd := a.Net.Node(id); nd.Kind == rsn.KindSegment && nd.Instr != nil {
+				if nd.Instr.CriticalObs {
+					ln.cobs = 1
+				}
+				if nd.Instr.CriticalSet {
+					ln.cset = 1
+				}
+			}
+			lanes[ref] = ln
+		case sptree.OpSeries, sptree.OpParallel:
+			l, r := t.Children(ref)
+			lanes[ref] = lanes[l].plus(lanes[r])
 		}
 	}
-	return accObs, accSet
+	return lanes
+}
+
+// sectionDamages adds the damages that the subtree sums decide alone:
+// that of every stuck multiplexer, and the coupling terms a broken
+// control segment adds for the section its multiplexer closes.
+func (a *Analysis) sectionDamages(lanes []lane) {
+	for _, id := range a.Prims {
+		nd := a.Net.Node(id)
+		switch nd.Kind {
+		case rsn.KindSegment:
+			if a.Opts.SIBCoupling && nd.SIB && nd.Partner != rsn.None {
+				// A broken SIB register also leaves the gated
+				// sub-network (the SIB mux's port-1 branch)
+				// unprogrammable: it additionally loses settability
+				// (its observability loss is already part of the
+				// series walk, the sub-network being series-earlier
+				// than the register).
+				if brs := a.Tree.Branches(nd.Partner); len(brs) >= 2 {
+					a.Damage[id] += lanes[brs[1]].set
+					a.CritHit[id] = a.CritHit[id] || lanes[brs[1]].cset > 0
+				}
+			}
+		case rsn.KindMux:
+			brs := a.Tree.Branches(id)
+			a.Damage[id], a.CritHit[id] = muxDamage(brs, lanes, a.Opts.Combine)
+			if a.Opts.CtrlCoupling && !nd.SIB && nd.Ctrl.Source != rsn.None {
+				a.ctrlCoupling(nd.Ctrl.Source, brs, lanes)
+			}
+		}
+	}
 }
 
 // muxDamage computes the damage of a stuck multiplexer: stuck at port b,
 // every other branch of the parallel section it closes loses both
 // observability and settability.
-func (a *Analysis) muxDamage(id rsn.NodeID, combine Combine, sumObs, sumSet, sumCObs, sumCSet []int64) (int64, bool) {
-	brs := a.Tree.Branches(id)
+func muxDamage(brs []sptree.NodeRef, lanes []lane, combine Combine) (int64, bool) {
 	if len(brs) == 0 {
 		return 0, false
 	}
 	var total, totalCrit int64
-	per := make([]int64, len(brs))
-	perCrit := make([]int64, len(brs))
-	for i, b := range brs {
-		per[i] = sumObs[b] + sumSet[b]
-		perCrit[i] = sumCObs[b] + sumCSet[b]
-		total += per[i]
-		totalCrit += perCrit[i]
+	for _, b := range brs {
+		total += lanes[b].obs + lanes[b].set
+		totalCrit += int64(lanes[b].cobs) + int64(lanes[b].cset)
 	}
-	modes := make([]int64, len(brs))
+	var sum, worst int64
 	chit := false
-	for b := range brs {
-		modes[b] = total - per[b]
-		if totalCrit-perCrit[b] > 0 {
+	for i, b := range brs {
+		mode := total - (lanes[b].obs + lanes[b].set)
+		sum += mode
+		if i == 0 || mode > worst {
+			worst = mode
+		}
+		if totalCrit-(int64(lanes[b].cobs)+int64(lanes[b].cset)) > 0 {
 			chit = true
 		}
 	}
-	return combine.fold(modes), chit
+	return combine.of(sum, worst, len(brs)), chit
 }
 
-// sibSubnet returns the gated sub-network branch (port 1) of a SIB mux,
-// or NilRef for a degenerate SIB.
-func sibSubnet(tree *sptree.Tree, mux rsn.NodeID) sptree.NodeRef {
-	brs := tree.Branches(mux)
-	if len(brs) < 2 {
-		return sptree.NilRef
-	}
-	return brs[1]
-}
-
-// applyCtrlCoupling adds, for every non-SIB multiplexer controlled from
-// a scan segment, the coupling damage to that control segment: a broken
-// control segment leaves the mux unprogrammable, failing to its
-// deasserted port 0, so every other branch becomes inaccessible. The
-// control segment sits series-before the section it steers, so the
-// branches' settability loss is already part of the segment walk; the
-// increment is their observability weight. (SIB registers sit after
-// their mux and are handled by SIBCoupling with the mirrored increment.)
+// ctrlCoupling adds, for a non-SIB multiplexer controlled from segment
+// src, the coupling damage to src: a broken control segment leaves the
+// mux unprogrammable, failing to its deasserted port 0, so every other
+// branch becomes inaccessible. The control segment sits series-before
+// the section it steers, so the branches' settability loss is already
+// part of the series walk; the increment is their observability weight.
+// (SIB registers sit after their mux and are handled by SIBCoupling with
+// the mirrored increment.)
 //
 // The computation assumes each control segment steers at most one
 // multiplexer, or non-nested sections; overlapping nested sections under
 // a shared control segment would be double-counted (the graph reference
 // would flag such a network in the cross-check tests).
-func (a *Analysis) applyCtrlCoupling(sumObs, sumSet, sumCObs, sumCSet []int64) {
-	a.Net.Nodes(func(nd *rsn.Node) {
-		if nd.Kind != rsn.KindMux || nd.SIB {
-			return
+func (a *Analysis) ctrlCoupling(src rsn.NodeID, brs []sptree.NodeRef, lanes []lane) {
+	for b := 1; b < len(brs); b++ {
+		a.Damage[src] += lanes[brs[b]].obs
+		if lanes[brs[b]].cobs > 0 {
+			a.CritHit[src] = true
 		}
-		src := nd.Ctrl.Source
-		if src == rsn.None {
-			return
+	}
+}
+
+// seriesDamages is the top-down sweep. Entering the right child of a
+// series node adds the left sibling's observability sum (those
+// instruments shift out across the fault spot); entering the left child
+// adds the right sibling's settability sum. Parallel nodes isolate the
+// fault inside the branch controlled by the parental multiplexer, so
+// the accumulators reset. Visiting the arena in reverse reaches every
+// parent before its children, so a parent reads its children's sums
+// and overwrites them with their accumulators. Only the shared empty
+// node has more than one parent; those are parallel nodes, which write
+// it zero, so it keeps its zero sum. The sweep then adds every
+// segment's series damage: the accumulated weights plus its own.
+func (a *Analysis) seriesDamages(lanes []lane) {
+	t := a.Tree
+	if root := t.Root(); root >= 0 {
+		lanes[root] = lane{}
+	}
+	for ref := sptree.NodeRef(len(lanes) - 1); ref >= 0; ref-- {
+		switch t.OpOf(ref) {
+		case sptree.OpSeries:
+			l, r := t.Children(ref)
+			acc := lanes[ref]
+			lanes[l], lanes[r] = acc.plus(lane{set: lanes[r].set, cset: lanes[r].cset}),
+				acc.plus(lane{obs: lanes[l].obs, cobs: lanes[l].cobs})
+		case sptree.OpParallel:
+			l, r := t.Children(ref)
+			lanes[l], lanes[r] = lane{}, lane{}
 		}
-		brs := a.Tree.Branches(nd.ID)
-		for b := 1; b < len(brs); b++ {
-			a.Damage[src] += sumObs[brs[b]]
-			if sumCObs[brs[b]] > 0 {
-				a.CritHit[src] = true
-			}
+	}
+	for _, id := range a.Prims {
+		nd := a.Net.Node(id)
+		if nd.Kind != rsn.KindSegment {
+			continue
 		}
-	})
+		acc := lanes[t.LeafOf(id)]
+		a.Damage[id] += acc.obs + acc.set + a.Spec.DObs[id] + a.Spec.DSet[id]
+		own := nd.Instr != nil && (nd.Instr.CriticalObs || nd.Instr.CriticalSet)
+		a.CritHit[id] = a.CritHit[id] || acc.cobs > 0 || acc.cset > 0 || own
+	}
 }
 
 // universeOf returns the fault universe for the scope, in ID order.
@@ -274,14 +277,20 @@ func universeOf(net *rsn.Network, scope Scope) []rsn.NodeID {
 		return net.Primitives()
 	}
 	isCtrlSeg := make([]bool, net.NumNodes())
+	count := 0
 	net.Nodes(func(nd *rsn.Node) {
-		if nd.Kind == rsn.KindMux && nd.Ctrl.Source != rsn.None {
-			isCtrlSeg[nd.Ctrl.Source] = true
+		if nd.Kind != rsn.KindMux {
+			return
+		}
+		count++
+		if src := nd.Ctrl.Source; src != rsn.None && !isCtrlSeg[src] && net.Node(src).Kind == rsn.KindSegment {
+			isCtrlSeg[src] = true
+			count++
 		}
 	})
-	var out []rsn.NodeID
+	out := make([]rsn.NodeID, 0, count)
 	net.Nodes(func(nd *rsn.Node) {
-		if nd.Kind == rsn.KindMux || (nd.Kind == rsn.KindSegment && isCtrlSeg[nd.ID]) {
+		if nd.Kind == rsn.KindMux || isCtrlSeg[nd.ID] {
 			out = append(out, nd.ID)
 		}
 	})

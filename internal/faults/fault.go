@@ -130,26 +130,24 @@ func (c Combine) fold(vals []int64) int64 {
 	if len(vals) == 0 {
 		return 0
 	}
+	sum, worst := int64(0), vals[0]
+	for _, v := range vals {
+		sum += v
+		if v > worst {
+			worst = v
+		}
+	}
+	return c.of(sum, worst, len(vals))
+}
+
+// of folds n > 0 fault-mode damages given their sum and their maximum.
+func (c Combine) of(sum, worst int64, n int) int64 {
 	switch c {
 	case CombineSum:
-		var s int64
-		for _, v := range vals {
-			s += v
-		}
-		return s
+		return sum
 	case CombineMean:
-		var s int64
-		for _, v := range vals {
-			s += v
-		}
-		return s / int64(len(vals))
+		return sum / int64(n)
 	default: // CombineMax
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
+		return worst
 	}
 }

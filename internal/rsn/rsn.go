@@ -243,7 +243,13 @@ func (n *Network) Nodes(fn func(*Node)) {
 // multiplexers) in ID order. This is the fault universe and also the
 // hardening candidate set of the selective-hardening problem.
 func (n *Network) Primitives() []NodeID {
-	var out []NodeID
+	count := 0
+	for i := range n.nodes {
+		if n.nodes[i].IsPrimitive() {
+			count++
+		}
+	}
+	out := make([]NodeID, 0, count)
 	for i := range n.nodes {
 		if n.nodes[i].IsPrimitive() {
 			out = append(out, NodeID(i))
@@ -255,9 +261,16 @@ func (n *Network) Primitives() []NodeID {
 // Instruments returns the IDs of all segments hosting an instrument, in
 // ID order.
 func (n *Network) Instruments() []NodeID {
-	var out []NodeID
+	hosts := func(nd *Node) bool { return nd.Kind == KindSegment && nd.Instr != nil }
+	count := 0
 	for i := range n.nodes {
-		if n.nodes[i].Kind == KindSegment && n.nodes[i].Instr != nil {
+		if hosts(&n.nodes[i]) {
+			count++
+		}
+	}
+	out := make([]NodeID, 0, count)
+	for i := range n.nodes {
+		if hosts(&n.nodes[i]) {
 			out = append(out, NodeID(i))
 		}
 	}
@@ -312,29 +325,20 @@ func (n *Network) Lookup(name string) NodeID {
 }
 
 // TopoOrder returns the node IDs in a topological order of the DAG. It
-// returns an error if the graph contains a cycle.
+// returns an error if the graph contains a cycle. Kahn's algorithm runs
+// on int32 in-degrees, and its queue, never popped, is the order.
 func (n *Network) TopoOrder() ([]NodeID, error) {
-	indeg := make([]int, len(n.nodes))
-	for _, ss := range n.succ {
-		for _, t := range n.list(ss) {
-			indeg[t]++
-		}
-	}
-	queue := make([]NodeID, 0, len(n.nodes))
-	for i := range n.nodes {
-		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i))
-		}
-	}
+	indeg := make([]int32, len(n.nodes))
 	order := make([]NodeID, 0, len(n.nodes))
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, t := range n.Succ(v) {
-			indeg[t]--
-			if indeg[t] == 0 {
-				queue = append(queue, t)
+	for i := range n.nodes {
+		if indeg[i] = n.pred[i].len; indeg[i] == 0 {
+			order = append(order, NodeID(i))
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, t := range n.Succ(order[head]) {
+			if indeg[t]--; indeg[t] == 0 {
+				order = append(order, t)
 			}
 		}
 	}
@@ -342,44 +346,6 @@ func (n *Network) TopoOrder() ([]NodeID, error) {
 		return nil, fmt.Errorf("rsn: network %q contains a cycle", n.Name)
 	}
 	return order, nil
-}
-
-// ReachableFrom returns the set of nodes reachable from start (inclusive)
-// as a boolean slice indexed by NodeID.
-func (n *Network) ReachableFrom(start NodeID) []bool {
-	seen := make([]bool, len(n.nodes))
-	stack := []NodeID{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range n.Succ(v) {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	return seen
-}
-
-// CoReachableTo returns the set of nodes from which end is reachable
-// (inclusive).
-func (n *Network) CoReachableTo(end NodeID) []bool {
-	seen := make([]bool, len(n.nodes))
-	stack := []NodeID{end}
-	seen[end] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range n.Pred(v) {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	return seen
 }
 
 // PortOf returns the input port index of the edge from pred into mux, or

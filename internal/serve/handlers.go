@@ -213,33 +213,45 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// analyze is the body of one analyze job.
+// analyze is the body of one analyze job. Each stage runs under its own
+// child of the job's span: load, validate, spec, sp-tree and
+// criticality.
 func (s *Server) analyze(req *AnalyzeRequest, span *telemetry.Span) (*AnalyzeResponse, error) {
-	net, err := req.Network.load()
-	if err != nil {
-		return nil, err
-	}
-	if err := rsn.Validate(net); err != nil {
-		return nil, invalidf("network: %v", err)
-	}
-	sp, err := req.Spec.buildSpec(net, req.Network.Name != "")
-	if err != nil {
-		return nil, invalidf("spec: %v", err)
-	}
 	scope, err := parseScope(req.Scope)
 	if err != nil {
 		return nil, err
 	}
+	stage := span.Child("load")
+	net, err := req.Network.load()
+	if err != nil {
+		return nil, failStage(stage, err)
+	}
+	stage.End()
+	stage = span.Child("validate")
+	if err := rsn.Validate(net); err != nil {
+		return nil, failStage(stage, invalidf("network: %v", err))
+	}
+	stage.End()
+	stage = span.Child("spec")
+	sp, err := req.Spec.buildSpec(net, req.Network.Name != "")
+	if err != nil {
+		return nil, failStage(stage, invalidf("spec: %v", err))
+	}
+	stage.End()
+	stage = span.Child("sp-tree")
 	tree, err := sptree.Build(net)
 	if err != nil {
-		return nil, invalidf("sp-tree: %v", err)
+		return nil, failStage(stage, invalidf("sp-tree: %v", err))
 	}
+	stage.End()
+	stage = span.Child("criticality")
 	opts := faults.DefaultOptions()
 	opts.Scope = scope
 	a, err := faults.Analyze(net, tree, sp, opts)
 	if err != nil {
-		return nil, err
+		return nil, failStage(stage, err)
 	}
+	stage.End()
 
 	st := net.Stats()
 	resp := &AnalyzeResponse{
@@ -273,6 +285,13 @@ func (s *Server) analyze(req *AnalyzeRequest, span *telemetry.Span) (*AnalyzeRes
 		}
 	}
 	return resp, nil
+}
+
+// failStage ends a job stage's span as failed and returns err.
+func failStage(stage *telemetry.Span, err error) error {
+	stage.SetStatus("error")
+	stage.End()
+	return err
 }
 
 // handleHarden serves POST /v1/harden: the full synthesis pipeline as

@@ -268,14 +268,65 @@ func TestFlightRecorderCapturesJobSpanTree(t *testing.T) {
 		}
 	}
 
-	// The full snapshot lists it too.
+	// A traced analyze job records one child span per stage under its
+	// job span.
+	atc := telemetry.NewTraceContext()
+	req, err = http.NewRequest(http.MethodPost, ts.URL+"/v1/analyze",
+		strings.NewReader(`{"network":{"name":"TreeFlat"},"spec":{"seed":3}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("traceparent", atc.Traceparent())
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze status %d", resp.StatusCode)
+	}
+	status, b = get(t, ts, "/debug/flight?trace_id="+atc.TraceID)
+	if status != http.StatusOK {
+		t.Fatalf("flight lookup: %d %s", status, b)
+	}
+	job = telemetry.FlightJob{}
+	if err := json.Unmarshal(b, &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Status != "ok" || job.Label != "analyze" {
+		t.Errorf("job = %s/%s, want analyze/ok", job.Label, job.Status)
+	}
+	var jobSpan int64
+	for _, sp := range job.Spans {
+		if sp.Name == "job:analyze" {
+			jobSpan = sp.ID
+		}
+	}
+	if jobSpan == 0 {
+		t.Fatalf("no job:analyze span in %+v", job.Spans)
+	}
+	stages := map[string]int{}
+	for _, sp := range job.Spans {
+		if sp.ParentID == jobSpan {
+			stages[sp.Name]++
+		}
+	}
+	for _, want := range []string{"load", "validate", "spec", "sp-tree", "criticality"} {
+		if stages[want] != 1 {
+			t.Errorf("%d %q spans under job:analyze, want 1 (have %v)", stages[want], want, stages)
+		}
+	}
+
+	// The full snapshot lists both jobs.
 	status, b = get(t, ts, "/debug/flight")
 	if status != http.StatusOK {
 		t.Fatal(status)
 	}
 	snap := decode[telemetry.FlightSnapshot](t, b)
-	if snap.Recorded < 1 || len(snap.Jobs) < 1 {
-		t.Errorf("flight snapshot empty: %+v", snap)
+	if snap.Recorded < 2 || len(snap.Jobs) < 2 {
+		t.Errorf("flight snapshot lacks the two jobs: %+v", snap)
 	}
 }
 

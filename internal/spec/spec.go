@@ -154,54 +154,68 @@ func Generate(net *rsn.Network, opt GenOptions) (*Spec, error) {
 		return s, nil
 	}
 
-	assign := func(dst []int64, frac float64) {
-		perm := rng.Perm(len(instr))
-		k := int(float64(len(instr))*frac + 0.5)
-		for _, pi := range perm[:k] {
-			dst[instr[pi]] = 1 + rng.Int63n(opt.WeightMax)
+	// draw picks round(frac·n) instrument positions: a prefix of the
+	// permutation rng.Perm would return, built with its exact draws in
+	// one buffer that every draw reuses.
+	perm := make([]int32, len(instr))
+	draw := func(frac float64) []int32 {
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = int32(i)
 		}
+		return perm[:int(float64(len(instr))*frac+0.5)]
 	}
-	assign(s.DObs, opt.FracObs)
-	assign(s.DSet, opt.FracSet)
+	for _, pi := range draw(opt.FracObs) {
+		s.DObs[instr[pi]] = 1 + rng.Int63n(opt.WeightMax)
+	}
+	for _, pi := range draw(opt.FracSet) {
+		s.DSet[instr[pi]] = 1 + rng.Int63n(opt.WeightMax)
+	}
 
 	// Critical instruments: their weight must be at least as high as the
 	// sum of all uncritical weights (Section IV-A), so a single fault
 	// hitting a critical instrument always dominates any set of
-	// uncritical ones in the cost function.
-	markCritical := func(dst []int64, frac float64, critFlag func(*rsn.Instrument, bool)) {
-		perm := rng.Perm(len(instr))
-		k := int(float64(len(instr))*frac + 0.5)
-		crit := make([]bool, net.NumNodes())
-		for _, pi := range perm[:k] {
-			crit[instr[pi]] = true
+	// uncritical ones in the cost function. crit holds both directions'
+	// flags by position in instr.
+	const critObs, critSet = 1, 2
+	crit := make([]byte, len(instr))
+	markCritical := func(dst []int64, frac float64, flag byte) {
+		for _, pi := range draw(frac) {
+			crit[pi] |= flag
 		}
 		var uncrit int64
-		for _, id := range instr {
-			if !crit[id] {
+		for p, id := range instr {
+			if crit[p]&flag == 0 {
 				uncrit += dst[id]
 			}
 		}
 		if uncrit == 0 {
 			uncrit = 1
 		}
-		for _, id := range instr {
-			if crit[id] {
+		for p, id := range instr {
+			if crit[p]&flag != 0 {
 				dst[id] = uncrit
 			}
-			critFlag(net.Node(id).Instr, crit[id])
 		}
 	}
 	if opt.FracCritObs > 0 {
-		markCritical(s.DObs, opt.FracCritObs, func(in *rsn.Instrument, c bool) { in.CriticalObs = c })
+		markCritical(s.DObs, opt.FracCritObs, critObs)
 	}
 	if opt.FracCritSet > 0 {
-		markCritical(s.DSet, opt.FracCritSet, func(in *rsn.Instrument, c bool) { in.CriticalSet = c })
+		markCritical(s.DSet, opt.FracCritSet, critSet)
 	}
 
-	for _, id := range instr {
+	for p, id := range instr {
 		in := net.Node(id).Instr
 		in.DamageObs = s.DObs[id]
 		in.DamageSet = s.DSet[id]
+		if opt.FracCritObs > 0 {
+			in.CriticalObs = crit[p]&critObs != 0
+		}
+		if opt.FracCritSet > 0 {
+			in.CriticalSet = crit[p]&critSet != 0
+		}
 	}
 	return s, nil
 }

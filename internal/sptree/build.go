@@ -3,7 +3,7 @@ package sptree
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rsnrobust/internal/rsn"
 )
@@ -19,19 +19,18 @@ var ErrNotSeriesParallel = errors.New("sptree: network is not series-parallel")
 // Build constructs the binary decomposition tree of a series-parallel
 // RSN. The network must be valid (rsn.Validate).
 func Build(net *rsn.Network) (*Tree, error) {
-	t := &Tree{
-		net:      net,
-		arena:    make([]node, 0, 2*net.NumNodes()),
-		leafOf:   make([]NodeRef, net.NumNodes()),
-		branches: make(map[rsn.NodeID][]NodeRef),
+	b := builder{Tree: &Tree{
+		net:    net,
+		arena:  make([]node, 0, 2*net.NumNodes()),
+		leafOf: make([]NodeRef, net.NumNodes()),
+	}}
+	for i := range b.leafOf {
+		b.leafOf[i] = NilRef
 	}
-	for i := range t.leafOf {
-		t.leafOf[i] = NilRef
-	}
-	t.empty = t.alloc(node{op: OpEmpty})
+	b.empty = b.alloc(node{op: OpEmpty})
 
 	start := net.Succ(net.ScanIn)[0]
-	root, end, _, err := t.chain(start)
+	root, end, _, err := b.chain(start)
 	if err != nil {
 		return nil, err
 	}
@@ -39,37 +38,47 @@ func Build(net *rsn.Network) (*Tree, error) {
 		return nil, fmt.Errorf("%w: trunk chain ends at %q instead of scan-out",
 			ErrNotSeriesParallel, net.Node(end).Name)
 	}
-	t.root = root
-	return t, nil
+	b.root = root
+	return b.Tree, nil
+}
+
+// builder parses a network into its tree. The chains being parsed share
+// one element stack: a chain pushes its elements above those of the
+// chains that enclose it and pops them once it has combined them.
+type builder struct {
+	*Tree
+	stack []NodeRef
 }
 
 // chain parses a series chain starting at v. It stops when it reaches a
 // multiplexer that closes an enclosing parallel section (returned as
 // end) or the scan-out port. tail is the last graph node consumed by the
 // chain (rsn.None for an empty chain), used to map branches to mux ports.
-func (t *Tree) chain(v rsn.NodeID) (ref NodeRef, end rsn.NodeID, tail rsn.NodeID, err error) {
-	var elems []NodeRef
+func (b *builder) chain(v rsn.NodeID) (ref NodeRef, end rsn.NodeID, tail rsn.NodeID, err error) {
+	base := len(b.stack)
 	tail = rsn.None
 	for {
-		nd := t.net.Node(v)
+		nd := b.net.Node(v)
 		switch nd.Kind {
 		case rsn.KindScanOut, rsn.KindMux:
 			// A mux reached while walking a chain is the join of the
 			// enclosing parallel section (nested sections are consumed
 			// whole by the fanout case below).
-			return t.series(elems), v, tail, nil
+			ref = b.series(b.stack[base:])
+			b.stack = b.stack[:base]
+			return ref, v, tail, nil
 		case rsn.KindSegment:
-			elems = append(elems, t.leaf(v))
+			b.stack = append(b.stack, b.leaf(v))
 			tail = v
-			v = t.net.Succ(v)[0]
+			v = b.net.Succ(v)[0]
 		case rsn.KindFanout:
-			sec, mux, err := t.parallel(v)
+			sec, join, err := b.parallel(v)
 			if err != nil {
 				return NilRef, rsn.None, rsn.None, err
 			}
-			elems = append(elems, sec, t.leaf(mux))
-			tail = mux
-			v = t.net.Succ(mux)[0]
+			b.stack = append(b.stack, sec, b.leafOf[join])
+			tail = join
+			v = b.net.Succ(join)[0]
 		default:
 			return NilRef, rsn.None, rsn.None, fmt.Errorf(
 				"%w: unexpected %s node %q inside a chain",
@@ -79,67 +88,66 @@ func (t *Tree) chain(v rsn.NodeID) (ref NodeRef, end rsn.NodeID, tail rsn.NodeID
 }
 
 // parallel parses the parallel section opened by fanout f: every branch
-// must reconverge at a single multiplexer. It returns the P subtree and
-// the closing mux.
-func (t *Tree) parallel(f rsn.NodeID) (NodeRef, rsn.NodeID, error) {
-	type branch struct {
-		ref  NodeRef
-		port int
-	}
+// must reconverge at a single multiplexer. It places the branch
+// subtrees in the tree's branch slab in port order, and returns the P
+// subtree and the closing mux, whose leaf it adds after the P subtree.
+func (b *builder) parallel(f rsn.NodeID) (NodeRef, rsn.NodeID, error) {
 	join := rsn.None
-	var brs []branch
-	bypasses := 0
-	for _, h := range t.net.Succ(f) {
+	var off, ports int
+	found, bypasses := 0, 0
+	for _, h := range b.net.Succ(f) {
 		var ref NodeRef
 		var end, tail rsn.NodeID
-		if t.net.Node(h).Kind == rsn.KindMux {
+		if b.net.Node(h).Kind == rsn.KindMux {
 			// Direct bypass wire from the fanout to the join mux.
-			ref, end, tail = t.empty, h, f
+			ref, end, tail = b.empty, h, f
 		} else {
 			var err error
-			ref, end, tail, err = t.chain(h)
+			ref, end, tail, err = b.chain(h)
 			if err != nil {
 				return NilRef, rsn.None, err
 			}
-			if t.net.Node(end).Kind != rsn.KindMux {
+			if b.net.Node(end).Kind != rsn.KindMux {
 				return NilRef, rsn.None, fmt.Errorf(
 					"%w: branch of fanout %q reaches %q instead of a mux",
-					ErrNotSeriesParallel, t.net.Node(f).Name, t.net.Node(end).Name)
+					ErrNotSeriesParallel, b.net.Node(f).Name, b.net.Node(end).Name)
 			}
 		}
 		if join == rsn.None {
+			// The first branch names the join: reserve its port list.
 			join = end
+			off, ports = len(b.branches), len(b.net.Pred(join))
+			b.branches = slices.Grow(b.branches, ports)[:off+ports]
 		} else if join != end {
 			return NilRef, rsn.None, fmt.Errorf(
 				"%w: fanout %q branches reconverge at both %q and %q",
-				ErrNotSeriesParallel, t.net.Node(f).Name,
-				t.net.Node(join).Name, t.net.Node(end).Name)
+				ErrNotSeriesParallel, b.net.Node(f).Name,
+				b.net.Node(join).Name, b.net.Node(end).Name)
 		}
-		port := t.net.PortOf(end, tail)
+		port := b.net.PortOf(end, tail)
 		if tail == f {
 			// Several bypass wires map to successive fanout->mux ports.
-			port = nthPortOf(t.net, end, f, bypasses)
+			port = nthPortOf(b.net, end, f, bypasses)
 			bypasses++
 		}
 		if port < 0 {
 			return NilRef, rsn.None, fmt.Errorf(
 				"%w: branch tail %q is not a port of mux %q",
-				ErrNotSeriesParallel, t.net.Node(tail).Name, t.net.Node(end).Name)
+				ErrNotSeriesParallel, b.net.Node(tail).Name, b.net.Node(end).Name)
 		}
-		brs = append(brs, branch{ref: ref, port: port})
+		b.branches[off+port] = ref
+		found++
 	}
-	if got, want := len(brs), len(t.net.Pred(join)); got != want {
+	if found != ports {
 		return NilRef, rsn.None, fmt.Errorf(
 			"%w: mux %q has %d ports but fanout %q supplies %d branches",
-			ErrNotSeriesParallel, t.net.Node(join).Name, want, t.net.Node(f).Name, got)
+			ErrNotSeriesParallel, b.net.Node(join).Name, ports, b.net.Node(f).Name, found)
 	}
-	sort.Slice(brs, func(i, j int) bool { return brs[i].port < brs[j].port })
-	refs := make([]NodeRef, len(brs))
-	for i, b := range brs {
-		refs[i] = b.ref
-	}
-	t.branches[join] = refs
-	return t.parallelCombine(refs), join, nil
+	sec := b.parallelCombine(b.branches[off : off+ports])
+	leaf := b.leaf(join)
+	b.arena[leaf].l, b.arena[leaf].r = NodeRef(off), NodeRef(ports)
+	b.muxes++
+	return sec, join, nil
 }
 
 // nthPortOf returns the port index of the n-th occurrence (0-based) of

@@ -59,7 +59,10 @@ const NilRef NodeRef = -1
 type node struct {
 	op   Op
 	prim rsn.NodeID // OpLeaf: the primitive
-	l, r NodeRef    // OpSeries/OpParallel children
+	// l and r are the children of an OpSeries or OpParallel node. The
+	// leaf of a multiplexer that closes a parallel section reuses them
+	// to locate its branch list: Tree.branches[l : l+r].
+	l, r NodeRef
 }
 
 // Tree is a binary decomposition tree over a series-parallel RSN.
@@ -70,9 +73,11 @@ type Tree struct {
 	// leafOf maps a primitive's NodeID to its leaf ref (NilRef for
 	// non-primitive nodes such as fan-outs and ports).
 	leafOf []NodeRef
-	// branches maps each multiplexer to the subtree refs of the parallel
-	// branches it closes, in port order.
-	branches map[rsn.NodeID][]NodeRef
+	// branches holds, for every multiplexer, the subtree refs of the
+	// parallel branches it closes, in port order, one list after the
+	// other; the multiplexer's leaf locates its list.
+	branches []NodeRef
+	muxes    int // multiplexers with a branch list
 	empty    NodeRef
 }
 
@@ -100,37 +105,27 @@ func (t *Tree) PrimOf(ref NodeRef) rsn.NodeID { return t.arena[ref].prim }
 func (t *Tree) LeafOf(id rsn.NodeID) NodeRef { return t.leafOf[id] }
 
 // Branches returns the parallel branch subtrees closed by mux, in port
-// order. Empty branches map to the shared empty node.
-func (t *Tree) Branches(mux rsn.NodeID) []NodeRef { return t.branches[mux] }
-
-// Muxes returns the IDs of all multiplexers that close a parallel
-// section (every mux, in a well-formed SP network).
-func (t *Tree) Muxes() []rsn.NodeID {
-	out := make([]rsn.NodeID, 0, len(t.branches))
-	for id := range t.branches {
-		out = append(out, id)
+// order, or nil if mux closes no section. Empty branches map to the
+// shared empty node. The returned slice must not be modified.
+func (t *Tree) Branches(mux rsn.NodeID) []NodeRef {
+	leaf := t.leafOf[mux]
+	if leaf == NilRef || t.arena[leaf].r == 0 {
+		return nil
 	}
-	return out
+	n := t.arena[leaf]
+	return t.branches[n.l : n.l+n.r : n.l+n.r]
 }
 
-// SubtreeSums computes, for every tree node, the sum of per[p] over the
-// primitives p in its subtree. per is indexed by rsn.NodeID; the result
-// is indexed by NodeRef. It exploits that the arena is ordered
-// children-first, so a single forward pass suffices (the hierarchical
-// reverse-polish-order computation of Section IV-C).
-func (t *Tree) SubtreeSums(per []int64) []int64 {
-	sums := make([]int64, len(t.arena))
-	for i := range t.arena {
-		n := &t.arena[i]
-		switch n.op {
-		case OpEmpty:
-		case OpLeaf:
-			sums[i] = per[n.prim]
-		default:
-			sums[i] = sums[n.l] + sums[n.r]
+// Muxes returns the IDs of all multiplexers that close a parallel
+// section (every mux, in a well-formed SP network), in ID order.
+func (t *Tree) Muxes() []rsn.NodeID {
+	out := make([]rsn.NodeID, 0, t.muxes)
+	for id := range t.leafOf {
+		if t.Branches(rsn.NodeID(id)) != nil {
+			out = append(out, rsn.NodeID(id))
 		}
 	}
-	return sums
+	return out
 }
 
 // Depth returns the height of the tree (a single leaf has depth 1).

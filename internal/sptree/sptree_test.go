@@ -77,28 +77,6 @@ func TestPaperExampleTree(t *testing.T) {
 	}
 }
 
-func TestSubtreeSums(t *testing.T) {
-	net := fixture.PaperExample()
-	tree := mustBuild(t, net)
-	do := make([]int64, net.NumNodes())
-	net.Nodes(func(nd *rsn.Node) {
-		if nd.Instr != nil {
-			do[nd.ID] = nd.Instr.DamageObs
-		}
-	})
-	sums := tree.SubtreeSums(do)
-	// Root holds the total: i1+i2+i3 = 1+3+5.
-	if got := sums[tree.Root()]; got != 9 {
-		t.Errorf("root sum = %d, want 9", got)
-	}
-	// m1's parallel section holds i2+i3 = 8.
-	m1 := net.Lookup("m1")
-	brs := tree.Branches(m1)
-	if got := sums[brs[0]] + sums[brs[1]]; got != 8 {
-		t.Errorf("m1 branch sums = %d, want 8", got)
-	}
-}
-
 func TestSIBChainTree(t *testing.T) {
 	net := fixture.SIBChain(3)
 	tree := mustBuild(t, net)

@@ -28,5 +28,5 @@ func (t *Tree) Publish(c *telemetry.Collector) {
 	c.Gauge("sptree.series").Set(float64(series))
 	c.Gauge("sptree.parallel").Set(float64(parallel))
 	c.Gauge("sptree.empty").Set(float64(empty))
-	c.Gauge("sptree.muxes").Set(float64(len(t.branches)))
+	c.Gauge("sptree.muxes").Set(float64(t.muxes))
 }
