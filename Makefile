@@ -52,9 +52,11 @@ race:
 # progress records of underfull and overfull Table I rows by hash;
 # AnalyzeFingerprints pins the criticality analysis (universe, damages,
 # critical hits) of Table I and random networks under every option
-# combination by hash.
+# combination by hash; ProblemEvaluateMatchesAnalysis holds every slot
+# of every objective subset's evaluation to a reference that does not
+# read the problem's rows.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,

@@ -126,38 +126,83 @@ func BenchmarkTreeBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluate measures one objective evaluation on genome sizes
-// spanning the benchmark suite.
-func BenchmarkEvaluate(b *testing.B) {
-	for _, name := range []string{"p22810", "MBIST_5_20_20", "MBIST_20_20_20"} {
-		net, err := benchnets.Generate(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp, err := spec.Generate(net, spec.PaperGenOptions(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tree, err := sptree.Build(net)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := core.NewProblem(a, false)
-		g := moea.NewGenome(p.NumBits())
-		for i := 0; i < p.NumBits(); i += 7 {
-			g.Set(i, true)
-		}
-		out := make([]float64, 2)
-		b.Run(fmt.Sprintf("%s_bits=%d", name, p.NumBits()), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.Evaluate(g, out)
-			}
-		})
+// evalRows are the problems the evaluation benchmarks time: three
+// synth_suite rows, the harden rows of perfbench's serve_mix and
+// fleet_mix, and one four-objective problem.
+var evalRows = []struct {
+	name       string
+	objectives []string
+}{
+	{"p22810", nil},
+	{"MBIST_5_20_20", nil},
+	{"MBIST_20_20_20", nil},
+	{"p34392", nil},
+	{"p93791", nil},
+	{"q12710", nil},
+	{"TreeUnbalanced", nil},
+	{"a586710", nil},
+	{"TreeBalanced", nil},
+	{"TreeFlat_Ex", nil},
+	{"p93791", []string{core.ObjDamage, core.ObjCost, core.ObjTestTime, core.ObjYieldLoss}},
+}
+
+// benchAnalysis runs the pipeline up to the criticality analysis of a
+// Table I row under the paper's specification with seed 1.
+func benchAnalysis(b *testing.B, name string) *faults.Analysis {
+	b.Helper()
+	net, err := benchnets.Generate(name)
+	if err != nil {
+		b.Fatal(err)
 	}
+	sp, err := spec.Generate(net, spec.PaperGenOptions(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := sptree.Build(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a
+}
+
+// benchProblems yields the problem of every evalRows entry with its
+// sub-benchmark name.
+func benchProblems(b *testing.B, fn func(name string, p *core.Problem)) {
+	for _, r := range evalRows {
+		p, err := core.NewProblemWithObjectives(benchAnalysis(b, r.name), false, r.objectives)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("%s_bits=%d", r.name, p.NumBits())
+		if r.objectives != nil {
+			name = fmt.Sprintf("%s_k=%d_bits=%d", r.name, p.NumObjectives(), p.NumBits())
+		}
+		fn(name, p)
+	}
+}
+
+// BenchmarkEvaluate measures one full objective evaluation on genome
+// sizes spanning the benchmark suite, at two densities: every seventh
+// bit set and every second.
+func BenchmarkEvaluate(b *testing.B) {
+	benchProblems(b, func(name string, p *core.Problem) {
+		out := make([]float64, p.NumObjectives())
+		for _, every := range []int{7, 2} {
+			g := moea.NewGenome(p.NumBits())
+			for i := 0; i < p.NumBits(); i += every {
+				g.Set(i, true)
+			}
+			b.Run(fmt.Sprintf("%s/every=%d", name, every), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.Evaluate(g, out)
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkDeltaEval measures the incremental child evaluation against
@@ -166,24 +211,7 @@ func BenchmarkEvaluate(b *testing.B) {
 // it widens with the genome because EvaluateDelta touches only the
 // changed words while Evaluate scans them all.
 func BenchmarkDeltaEval(b *testing.B) {
-	for _, name := range []string{"p22810", "MBIST_5_20_20", "MBIST_20_20_20"} {
-		net, err := benchnets.Generate(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp, err := spec.Generate(net, spec.PaperGenOptions(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tree, err := sptree.Build(net)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := core.NewProblem(a, false)
+	benchProblems(b, func(name string, p *core.Problem) {
 		n := p.NumBits()
 		base := moea.NewGenome(n)
 		for i := 0; i < n; i += 7 {
@@ -194,19 +222,36 @@ func BenchmarkDeltaEval(b *testing.B) {
 		for i := 1; i < n && i < 6*97; i += 97 {
 			child.Set(i, !child.Get(i))
 		}
-		baseObj := make([]float64, 2)
-		out := make([]float64, 2)
+		baseObj := make([]float64, p.NumObjectives())
+		out := make([]float64, p.NumObjectives())
 		p.Evaluate(base, baseObj)
-		b.Run(fmt.Sprintf("%s_bits=%d/delta", name, n), func(b *testing.B) {
+		b.Run(name+"/delta", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if !p.EvaluateDelta(child, base, baseObj, out) {
 					b.Fatal("delta evaluation declined a mutation-shaped pair")
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("%s_bits=%d/full", name, n), func(b *testing.B) {
+		b.Run(name+"/full", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.Evaluate(child, out)
+			}
+		})
+	})
+}
+
+// BenchmarkProblemBuild measures compiling an analysis into the
+// optimization problem, time and memory, for the default objective
+// pair.
+func BenchmarkProblemBuild(b *testing.B) {
+	for _, name := range []string{"p93791", "MBIST_5_20_20"} {
+		a := benchAnalysis(b, name)
+		b.Run(fmt.Sprintf("%s_bits=%d", name, len(a.Prims)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewProblemWithObjectives(a, false, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -204,11 +204,9 @@ func main() {
 		logger.Info("resuming", "checkpoint", *resume, "generation", cp.Generation)
 	}
 	if *prog {
-		opt.OnGeneration = func(gen int, front []moea.Individual) bool {
-			if g, ok := tel.LastGeneration(); ok {
-				fmt.Fprintf(os.Stderr, "\rgen %-6d front %-5d hv %6.2f%%  best dmg %-10.0f best cost %-8.0f evals %-9d",
-					g.Gen+1, g.Front, 100*g.NormHV, g.BestDamage, g.BestCost, g.Evaluations)
-			}
+		opt.OnProgress = func(g core.Progress) bool {
+			fmt.Fprintf(os.Stderr, "\rgen %-6d front %-5d hv %6.2f%%  best dmg %-10.0f best cost %-8.0f evals %-9d",
+				g.Gen+1, g.Front, 100*g.NormHV, g.BestDamage, g.BestCost, g.Evaluations)
 			return true
 		}
 	}

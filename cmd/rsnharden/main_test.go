@@ -28,6 +28,13 @@ func TestMain(m *testing.M) {
 // runCLI re-execs the test binary as rsnharden and returns its stdout.
 func runCLI(t *testing.T, args ...string) string {
 	t.Helper()
+	stdout, _ := runCLIOutputs(t, args...)
+	return stdout
+}
+
+// runCLIOutputs is runCLI returning stderr as well.
+func runCLIOutputs(t *testing.T, args ...string) (string, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "RSNHARDEN_BE_MAIN=1")
 	var stdout, stderr bytes.Buffer
@@ -35,7 +42,41 @@ func runCLI(t *testing.T, args ...string) string {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("rsnharden %v: %v\nstderr: %s", args, err, stderr.String())
 	}
-	return stdout.String()
+	return stdout.String(), stderr.String()
+}
+
+// TestProgressCLI pins -progress: stderr carries one \r-led line per
+// generation, the last one for the final generation with the run's
+// full evaluation count, and stdout stays byte-identical to the run
+// without the flag.
+func TestProgressCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	args := []string{"-name", "TreeFlat", "-generations", "12", "-seed", "3"}
+	plain := runCLI(t, args...)
+	stdout, stderr := runCLIOutputs(t, append(args, "-progress")...)
+	if stdout != plain {
+		t.Errorf("-progress changed stdout\n got:\n%s\nwant:\n%s", stdout, plain)
+	}
+	var gens []string
+	for _, line := range strings.Split(strings.ReplaceAll(stderr, "\r", "\n"), "\n") {
+		if strings.HasPrefix(line, "gen ") {
+			gens = append(gens, line)
+		}
+	}
+	if len(gens) != 12 {
+		t.Fatalf("%d progress lines, want one per generation (12):\n%s", len(gens), stderr)
+	}
+	last := strings.Fields(gens[len(gens)-1])
+	if last[1] != "12" {
+		t.Errorf("last progress line reports generation %s, want 12: %q", last[1], gens[len(gens)-1])
+	}
+	// The line's evaluation count is the run's, as stdout reports it.
+	evals := last[len(last)-1]
+	if !strings.Contains(plain, "12  (spea2, "+evals+" evaluations)") {
+		t.Errorf("last progress line reports %s evaluations; stdout says:\n%s", evals, plain)
+	}
 }
 
 // TestResumeEquivalenceCLI is the end-to-end resume gate: a run

@@ -108,14 +108,14 @@ func (b *Batch) EvaluateBatch(gs []moea.Genome, outs [][]float64) {
 	}
 }
 
-// CancelAtGeneration returns a context plus an OnGeneration callback
+// CancelAtGeneration returns a context plus an OnProgress callback
 // that cancels it at the end of generation g — the deterministic stand-
 // in for a SIGINT arriving mid-run. Compose the callback with any
 // existing one before installing it.
-func CancelAtGeneration(g int) (context.Context, func(gen int, front []moea.Individual) bool) {
+func CancelAtGeneration(g int) (context.Context, func(p moea.Progress, front []moea.Individual) bool) {
 	ctx, cancel := context.WithCancel(context.Background())
-	return ctx, func(gen int, front []moea.Individual) bool {
-		if gen == g {
+	return ctx, func(p moea.Progress, front []moea.Individual) bool {
+		if p.Gen == g {
 			cancel()
 		}
 		return true

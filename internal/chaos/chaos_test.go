@@ -125,10 +125,10 @@ func TestChaosGracefulBatchPanic(t *testing.T) {
 func TestChaosGracefulCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		base := runtime.NumGoroutine()
-		ctx, onGen := CancelAtGeneration(5)
+		ctx, onProgress := CancelAtGeneration(5)
 		par := params(9, workers)
 		par.Context = ctx
-		par.OnGeneration = onGen
+		par.OnProgress = onProgress
 		res, err := moea.SPEA2(newTestProblem(3, 40), par)
 		if err != nil {
 			t.Fatalf("workers=%d: cancelled run errored: %v", workers, err)
@@ -168,10 +168,10 @@ func TestChaosGracefulCancelIslands(t *testing.T) {
 		base := runtime.NumGoroutine()
 		// Generation 8 is a migration generation (8 % MigrationEvery == 0):
 		// the cancellation lands on the exchange itself.
-		ctx, onGen := CancelAtGeneration(8)
+		ctx, onProgress := CancelAtGeneration(8)
 		par := mkPar(workers)
 		par.Context = ctx
-		par.OnGeneration = onGen
+		par.OnProgress = onProgress
 		par.CheckpointEvery = 1
 		var last *moea.Checkpoint
 		par.CheckpointFn = func(cp *moea.Checkpoint) error {
@@ -387,10 +387,10 @@ func TestChaosCancelDuringResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	var resume *moea.Checkpoint
 	for _, stopAt := range []int{4, 11} {
-		ctx, onGen := CancelAtGeneration(stopAt)
+		ctx, onProgress := CancelAtGeneration(stopAt)
 		par := params(2, 1)
 		par.Context = ctx
-		par.OnGeneration = onGen
+		par.OnProgress = onProgress
 		par.CheckpointEvery = 1
 		par.CheckpointFn = func(cp *moea.Checkpoint) error { return moea.SaveCheckpoint(path, cp) }
 		par.Resume = resume

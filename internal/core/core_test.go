@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"rsnrobust/internal/benchnets"
 	"rsnrobust/internal/faults"
@@ -17,6 +17,7 @@ import (
 	"rsnrobust/internal/spec"
 	"rsnrobust/internal/sptree"
 	"rsnrobust/internal/telemetry"
+	"rsnrobust/internal/yield"
 )
 
 func synthesizeExample(t *testing.T, opt Options) *Synthesis {
@@ -148,7 +149,10 @@ func TestProblemEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProblem(a, false)
+	p, err := NewProblemWithObjectives(a, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.NumBits() != len(net.Primitives()) {
 		t.Fatalf("NumBits = %d, want %d", p.NumBits(), len(net.Primitives()))
 	}
@@ -167,35 +171,126 @@ func TestProblemEvaluate(t *testing.T) {
 	}
 }
 
-// TestProblemEvaluateMatchesAnalysis is a property test: the packed-bit
-// evaluation must agree with the mask-based bookkeeping for random
-// genomes on random networks.
-func TestProblemEvaluateMatchesAnalysis(t *testing.T) {
-	net := benchnets.Random(benchnets.RandomOptions{Seed: 99, TargetPrims: 80})
-	tree, err := sptree.Build(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := spec.FromNetwork(net, spec.DefaultCostModel)
-	a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProblem(a, false)
-	check := func(seed int64) bool {
-		g := moea.NewGenome(p.NumBits())
-		rng := rand.New(rand.NewSource(seed))
-		g.Randomize(rng, 0.3, p.NumBits())
-		out := make([]float64, 2)
-		p.Evaluate(g, out)
-		mask := make([]bool, net.NumNodes())
-		for i, id := range p.Primitives() {
-			mask[id] = g.Get(i)
+// objectiveSubsets returns every objective set the table allows: the
+// 11 subsets of size at least two, each in canonical order.
+func objectiveSubsets() [][]string {
+	all := ObjectiveNames()
+	var sets [][]string
+	for m := 0; m < 1<<len(all); m++ {
+		if bits.OnesCount(uint(m)) < 2 {
+			continue
 		}
-		return out[0] == float64(a.ResidualDamage(mask)) && out[1] == float64(a.HardeningCost(mask))
+		var set []string
+		for k, name := range all {
+			if m&(1<<k) != 0 {
+				set = append(set, name)
+			}
+		}
+		sets = append(sets, set)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+	return sets
+}
+
+// referenceValue computes one objective for a hardening mask (forced
+// bits included) without the problem's rows: damage and cost from the
+// analysis' mask bookkeeping, test time from the recursive access-path
+// counts, yield loss from yield.DefaultModel at each primitive's actual
+// defect rate, in the objective's micro-damage units.
+func referenceValue(t *testing.T, a *faults.Analysis, counts map[rsn.NodeID]int64, name string, mask []bool) float64 {
+	t.Helper()
+	var v int64
+	switch name {
+	case ObjDamage:
+		v = a.ResidualDamage(mask)
+	case ObjCost:
+		v = a.HardeningCost(mask)
+	case ObjTestTime:
+		for _, id := range a.Prims {
+			if mask[id] {
+				v += counts[id]
+			}
+		}
+	case ObjYieldLoss:
+		for _, id := range a.Prims {
+			p := yield.DefaultModel.FailProb(a.Spec.Cost[id], mask[id])
+			v += int64(math.Round(p * float64(a.Damage[id]) * yieldScale))
+		}
+	default:
+		t.Fatalf("no reference for objective %q", name)
+	}
+	return float64(v)
+}
+
+// TestProblemEvaluateMatchesAnalysis is the evaluation oracle: on the
+// paper example and three random networks, for every objective subset
+// with and without ForceCritical, each slot of Evaluate must equal an
+// independent reference (referenceValue) on random genomes of every
+// density plus the empty and full genomes, and EvaluateBatch must match
+// Evaluate.
+func TestProblemEvaluateMatchesAnalysis(t *testing.T) {
+	nets := []*rsn.Network{fixture.PaperExample()}
+	for _, seed := range []int64{99, 101, 103} {
+		nets = append(nets, benchnets.Random(benchnets.RandomOptions{Seed: seed, TargetPrims: 60 + int(seed)}))
+	}
+	forced := 0
+	for ni, net := range nets {
+		a := analyzeNet(t, net)
+		counts := accessPathCounts(a)
+		n := len(a.Prims)
+		rng := rand.New(rand.NewSource(int64(ni)))
+		gs := []moea.Genome{moea.NewGenome(n), moea.NewGenome(n)}
+		for i := 0; i < n; i++ {
+			gs[1].Set(i, true)
+		}
+		for trial := 0; trial < 40; trial++ {
+			g := moea.NewGenome(n)
+			g.Randomize(rng, rng.Float64(), n)
+			gs = append(gs, g)
+		}
+		for _, force := range []bool{false, true} {
+			masks := make([][]bool, len(gs))
+			for j, g := range gs {
+				masks[j] = make([]bool, net.NumNodes())
+				for i, id := range a.Prims {
+					masks[j][id] = g.Get(i) || (force && a.CritHit[id])
+				}
+			}
+			if force {
+				for _, id := range a.Prims {
+					if a.CritHit[id] {
+						forced++
+					}
+				}
+			}
+			for _, objs := range objectiveSubsets() {
+				p, err := NewProblemWithObjectives(a, force, objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs := make([][]float64, len(gs))
+				for j := range outs {
+					outs[j] = make([]float64, len(objs))
+				}
+				p.EvaluateBatch(gs, outs)
+				got := make([]float64, len(objs))
+				for j, g := range gs {
+					p.Evaluate(g, got)
+					for k, name := range objs {
+						if want := referenceValue(t, a, counts, name, masks[j]); got[k] != want {
+							t.Fatalf("net %d force=%v objs=%v genome %d: %s = %v, reference %v",
+								ni, force, objs, j, name, got[k], want)
+						}
+						if outs[j][k] != got[k] {
+							t.Fatalf("net %d force=%v objs=%v genome %d: EvaluateBatch %s = %v, Evaluate %v",
+								ni, force, objs, j, name, outs[j][k], got[k])
+						}
+					}
+				}
+			}
+		}
+	}
+	if forced == 0 {
+		t.Fatal("no network has forced-critical primitives; the ForceCritical half checks nothing")
 	}
 }
 
@@ -272,9 +367,9 @@ func TestStagnationComposesWithUserCallback(t *testing.T) {
 	opt := DefaultOptions(300, 7)
 	opt.Stagnation = 50
 	calls := 0
-	opt.OnGeneration = func(gen int, front []moea.Individual) bool {
+	opt.OnProgress = func(p Progress) bool {
 		calls++
-		return gen < 3 // user stops first
+		return p.Gen < 3 // user stops first
 	}
 	s, err := Synthesize(net, sp, opt)
 	if err != nil {
@@ -330,41 +425,6 @@ func TestConstrainedPickEdgeCases(t *testing.T) {
 	}
 	if _, ok := tight.MinDamageWithCostAtMost(0.10); ok {
 		t.Error("MinDamageWithCostAtMost returned ok with no feasible solution")
-	}
-}
-
-// TestWordEvaluationMatchesBitEvaluation cross-checks the table-driven
-// word-level Evaluate against the per-bit reference, with and without a
-// forced-critical mask, on random genomes of every density.
-func TestWordEvaluationMatchesBitEvaluation(t *testing.T) {
-	net := benchnets.Random(benchnets.RandomOptions{Seed: 101, TargetPrims: 150})
-	tree, err := sptree.Build(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := spec.FromNetwork(net, spec.DefaultCostModel)
-	a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, force := range []bool{false, true} {
-		p := NewProblem(a, force)
-		if p.dmgTab == nil {
-			t.Fatal("word tables not built for a small problem")
-		}
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 200; trial++ {
-			g := moea.NewGenome(p.NumBits())
-			g.Randomize(rng, rng.Float64(), p.NumBits())
-			words := make([]float64, 2)
-			bits := make([]float64, 2)
-			p.evaluateWords(g, words)
-			p.evaluateBits(g, bits)
-			if words[0] != bits[0] || words[1] != bits[1] {
-				t.Fatalf("force=%v trial %d: word path (%v,%v) != bit path (%v,%v)",
-					force, trial, words[0], words[1], bits[0], bits[1])
-			}
-		}
 	}
 }
 

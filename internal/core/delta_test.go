@@ -31,19 +31,13 @@ func spliceChild(a, b moea.Genome, x, n int) moea.Genome {
 }
 
 // TestDeltaOracleProviders is the exactness gate of the core-layer
-// incremental evaluation across every shipped provider: for random
-// (base, child) pairs — single-bit mutations, multi-bit mutations and
+// incremental evaluation across every objective: for random (base,
+// child) pairs — single-bit mutations, multi-bit mutations and
 // crossover splices, the shapes the engine actually produces —
-// EvaluateDelta must reproduce a full evaluation bit for bit, on the
-// default 2-objective fast path and on every K-objective combination,
-// with and without the forced-critical mask.
+// EvaluateDelta must reproduce a full evaluation bit for bit on every
+// objective subset, with and without the forced-critical mask.
 func TestDeltaOracleProviders(t *testing.T) {
-	sets := [][]string{
-		nil, // default (damage, cost) fast path
-		{"damage", "cost", "test_time", "yield_loss"},
-		{"test_time", "yield_loss"},
-		{"damage", "test_time"},
-	}
+	sets := objectiveSubsets()
 	nets := map[string]*rsn.Network{
 		"paper":  fixture.PaperExample(),
 		"nested": fixture.NestedSIBs(),
@@ -104,57 +98,16 @@ func TestDeltaOracleProviders(t *testing.T) {
 	}
 }
 
-// TestDeltaOracleMixedProviders covers the mixed incremental path: a
-// flip-able linear objective alongside a genome-level objective without
-// flip deltas. The linear slot goes incremental, the genome slot is
-// fully evaluated per child, and both must match the full evaluation —
-// including the forced-critical union the genome evaluator sees.
-func TestDeltaOracleMixedProviders(t *testing.T) {
-	registerPopcountOnce.Do(func() { MustRegisterObjective(popcountObjective{}) })
-	a := analyzeNet(t, fixture.PaperExample())
-	for _, force := range []bool{false, true} {
-		p, err := NewProblemWithObjectives(a, force, []string{"damage", "popcount_test"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !p.CanDelta() {
-			t.Fatal("CanDelta() = false with one flip-able objective")
-		}
-		n := p.NumBits()
-		rng := rand.New(rand.NewSource(5))
-		for trial := 0; trial < 100; trial++ {
-			base := randomGenome(rng, n)
-			child := moea.NewGenome(n)
-			child.CopyFrom(base)
-			for j := 0; j <= rng.Intn(4); j++ {
-				i := rng.Intn(n)
-				child.Set(i, !child.Get(i))
-			}
-			m := p.NumObjectives()
-			baseObj := make([]float64, m)
-			want := make([]float64, m)
-			got := make([]float64, m)
-			p.Evaluate(base, baseObj)
-			p.Evaluate(child, want)
-			if !p.EvaluateDelta(child, base, baseObj, got) {
-				t.Fatal("EvaluateDelta declined")
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("force=%v obj %d: delta %v, full %v", force, k, got[k], want[k])
-				}
-			}
-		}
-	}
-}
-
 // TestDeltaOracleDeclines pins the fallback contract: pairs beyond the
 // deltaLimit cutoff and mismatched genome lengths decline, leaving the
 // caller to evaluate fully. The cutoff counts only non-forced bits.
 func TestDeltaOracleDeclines(t *testing.T) {
 	net := benchnets.Random(benchnets.RandomOptions{Seed: 101, TargetPrims: 400})
 	a := analyzeNet(t, net)
-	p := NewProblem(a, false)
+	p, err := NewProblemWithObjectives(a, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := p.NumBits()
 	if p.deltaLimit >= n {
 		t.Skipf("problem too small to exceed deltaLimit (%d bits, limit %d)", n, p.deltaLimit)

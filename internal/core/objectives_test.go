@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"rsnrobust/internal/faults"
@@ -51,10 +49,10 @@ func TestCanonicalObjectives(t *testing.T) {
 			t.Fatalf("canonical lists %v / %v, want %v", a, b, want)
 		}
 	}
-	// Unknown names error and name what is registered.
+	// Unknown names error and name the known objectives.
 	if _, err := CanonicalObjectives([]string{"damage", "nope"}); err == nil ||
 		!strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), ObjYieldLoss) {
-		t.Errorf("unknown objective error %v must quote the name and list registered providers", err)
+		t.Errorf("unknown objective error %v must quote the name and list the known objectives", err)
 	}
 	// Fewer than two distinct objectives is rejected.
 	if _, err := CanonicalObjectives([]string{"damage", "damage"}); err == nil {
@@ -78,11 +76,10 @@ func TestParseObjectives(t *testing.T) {
 	}
 }
 
-// TestKObjectiveEvaluateOracle cross-checks the three evaluation paths
-// of a general-objective problem — word tables, per-bit weights and a
-// naive recomputation from the compiled linear forms — on random
-// genomes, with and without a forced-critical mask. The damage and
-// cost slots must also agree exactly with the 2-obj fast path.
+// TestKObjectiveEvaluateOracle checks slot placement across objective
+// sets: on random genomes, with and without a forced-critical mask, the
+// damage and cost slots of the four-objective problem agree exactly
+// with the default pair's.
 func TestKObjectiveEvaluateOracle(t *testing.T) {
 	for _, force := range []bool{false, true} {
 		a := analyzeNet(t, fixture.NestedSIBs())
@@ -93,12 +90,9 @@ func TestKObjectiveEvaluateOracle(t *testing.T) {
 		if p.NumObjectives() != 4 {
 			t.Fatalf("NumObjectives = %d, want 4", p.NumObjectives())
 		}
-		fast := NewProblem(a, force)
-		// A table-free clone exercises the per-bit branch.
-		noTabs := *p
-		noTabs.objs = append([]compiledObjective(nil), p.objs...)
-		for k := range noTabs.objs {
-			noTabs.objs[k].tabs = nil
+		pair, err := NewProblemWithObjectives(a, force, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(9))
 		for trial := 0; trial < 200; trial++ {
@@ -106,109 +100,91 @@ func TestKObjectiveEvaluateOracle(t *testing.T) {
 			for i := 0; i < p.NumBits(); i++ {
 				g.Set(i, rng.Intn(2) == 0)
 			}
-			words := make([]float64, 4)
-			bits4 := make([]float64, 4)
-			p.Evaluate(g, words)
-			noTabs.Evaluate(g, bits4)
-			naive := naiveEvaluate(p, g)
-			for k := range words {
-				if words[k] != bits4[k] || words[k] != naive[k] {
-					t.Fatalf("force=%v trial %d obj %s: word %v, bit %v, naive %v",
-						force, trial, p.names[k], words[k], bits4[k], naive[k])
-				}
-			}
-			pair := make([]float64, 2)
-			fast.Evaluate(g, pair)
-			if words[0] != pair[0] || words[1] != pair[1] {
-				t.Fatalf("force=%v: K-path (damage,cost) = (%v,%v), fast path = (%v,%v)",
-					force, words[0], words[1], pair[0], pair[1])
+			all := make([]float64, 4)
+			two := make([]float64, 2)
+			p.Evaluate(g, all)
+			pair.Evaluate(g, two)
+			if all[0] != two[0] || all[1] != two[1] {
+				t.Fatalf("force=%v: 4-objective (damage,cost) = (%v,%v), pair = (%v,%v)",
+					force, all[0], all[1], two[0], two[1])
 			}
 		}
 	}
 }
 
-// naiveEvaluate recomputes every linear objective directly from base +
-// per-set-bit weights, honoring the forced-critical mask.
-func naiveEvaluate(p *Problem, g moea.Genome) []float64 {
-	out := make([]float64, len(p.objs))
-	for k, o := range p.objs {
-		sum := o.base
-		for i := 0; i < p.NumBits(); i++ {
-			on := g.Get(i) || (p.critMask != nil && p.critMask.Get(i))
-			if on {
-				sum += o.weights[i]
+// accessPathCounts is the independent oracle of the test-time
+// weights: for every instrument, a recursive walk descends the tree
+// taking both children of series nodes, the containing branch of
+// parallel nodes, and the shortest (ties left) branch of parallel
+// sections that do not contain the target, counting each primitive
+// it visits.
+func accessPathCounts(a *faults.Analysis) map[rsn.NodeID]int64 {
+	tr := a.Tree
+	var minLen func(ref sptree.NodeRef) int64
+	minLen = func(ref sptree.NodeRef) int64 {
+		switch tr.OpOf(ref) {
+		case sptree.OpLeaf:
+			return 1
+		case sptree.OpSeries:
+			l, r := tr.Children(ref)
+			return minLen(l) + minLen(r)
+		case sptree.OpParallel:
+			l, r := tr.Children(ref)
+			if a, b := minLen(l), minLen(r); a <= b {
+				return a
+			} else {
+				return b
 			}
 		}
-		out[k] = float64(sum)
+		return 0
 	}
-	return out
+	var contains func(ref sptree.NodeRef, id rsn.NodeID) bool
+	contains = func(ref sptree.NodeRef, id rsn.NodeID) bool {
+		switch tr.OpOf(ref) {
+		case sptree.OpLeaf:
+			return tr.PrimOf(ref) == id
+		case sptree.OpSeries, sptree.OpParallel:
+			l, r := tr.Children(ref)
+			return contains(l, id) || contains(r, id)
+		}
+		return false
+	}
+	counts := map[rsn.NodeID]int64{}
+	var walk func(ref sptree.NodeRef, target rsn.NodeID)
+	walk = func(ref sptree.NodeRef, target rsn.NodeID) {
+		switch tr.OpOf(ref) {
+		case sptree.OpLeaf:
+			counts[tr.PrimOf(ref)]++
+		case sptree.OpSeries:
+			l, r := tr.Children(ref)
+			walk(l, target)
+			walk(r, target)
+		case sptree.OpParallel:
+			l, r := tr.Children(ref)
+			switch {
+			case contains(l, target):
+				walk(l, target)
+			case contains(r, target):
+				walk(r, target)
+			case minLen(l) <= minLen(r):
+				walk(l, target)
+			default:
+				walk(r, target)
+			}
+		}
+	}
+	for _, id := range a.Net.Instruments() {
+		walk(tr.Root(), id)
+	}
+	return counts
 }
 
 // TestTestTimeWeightsOracle cross-checks the arena-pass traversal
-// counts against an independent recursive walk: for every instrument,
-// descend the tree taking both children of series nodes, the
-// containing branch of parallel nodes, and the shortest (ties left)
-// branch of parallel sections that do not contain the target.
+// counts against the recursive walk of accessPathCounts.
 func TestTestTimeWeightsOracle(t *testing.T) {
 	for _, net := range []*rsn.Network{fixture.PaperExample(), fixture.SIBChain(6), fixture.NestedSIBs()} {
 		a := analyzeNet(t, net)
-		tr := a.Tree
-		var minLen func(ref sptree.NodeRef) int64
-		minLen = func(ref sptree.NodeRef) int64 {
-			switch tr.OpOf(ref) {
-			case sptree.OpLeaf:
-				return 1
-			case sptree.OpSeries:
-				l, r := tr.Children(ref)
-				return minLen(l) + minLen(r)
-			case sptree.OpParallel:
-				l, r := tr.Children(ref)
-				if a, b := minLen(l), minLen(r); a <= b {
-					return a
-				} else {
-					return b
-				}
-			}
-			return 0
-		}
-		var contains func(ref sptree.NodeRef, id rsn.NodeID) bool
-		contains = func(ref sptree.NodeRef, id rsn.NodeID) bool {
-			switch tr.OpOf(ref) {
-			case sptree.OpLeaf:
-				return tr.PrimOf(ref) == id
-			case sptree.OpSeries, sptree.OpParallel:
-				l, r := tr.Children(ref)
-				return contains(l, id) || contains(r, id)
-			}
-			return false
-		}
-		counts := map[rsn.NodeID]int64{}
-		var walk func(ref sptree.NodeRef, target rsn.NodeID)
-		walk = func(ref sptree.NodeRef, target rsn.NodeID) {
-			switch tr.OpOf(ref) {
-			case sptree.OpLeaf:
-				counts[tr.PrimOf(ref)]++
-			case sptree.OpSeries:
-				l, r := tr.Children(ref)
-				walk(l, target)
-				walk(r, target)
-			case sptree.OpParallel:
-				l, r := tr.Children(ref)
-				switch {
-				case contains(l, target):
-					walk(l, target)
-				case contains(r, target):
-					walk(r, target)
-				case minLen(l) <= minLen(r):
-					walk(l, target)
-				default:
-					walk(r, target)
-				}
-			}
-		}
-		for _, id := range net.Instruments() {
-			walk(tr.Root(), id)
-		}
+		counts := accessPathCounts(a)
 		w := testTimeWeights(a)
 		for i, id := range a.Prims {
 			if w[i] != counts[id] {
@@ -230,11 +206,8 @@ func TestTestTimeWeightsOracle(t *testing.T) {
 // non-positive, and hardening everything cancels the base exactly.
 func TestYieldLossObjective(t *testing.T) {
 	a := analyzeNet(t, fixture.PaperExample())
-	base, w, scale, err := (yieldLossProvider{}).Linear(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale != yieldScale {
+	base, w := yieldLossLinear(a)
+	if scale := objectives[objectiveIndex(ObjYieldLoss)].scale; scale != yieldScale {
 		t.Errorf("scale = %v, want %v", scale, yieldScale)
 	}
 	if base <= 0 {
@@ -249,60 +222,6 @@ func TestYieldLossObjective(t *testing.T) {
 	}
 	if base+sum != 0 {
 		t.Errorf("hardening everything leaves %d micro-damage; perfect hardening must cancel the base", base+sum)
-	}
-}
-
-// popcountObjective is a genome-level test provider: the number of
-// hardened primitives. Used to exercise the GenomeObjective path,
-// including the forced-critical union.
-type popcountObjective struct{}
-
-func (popcountObjective) Name() string { return "popcount_test" }
-
-func (popcountObjective) Evaluator(a *faults.Analysis) (func(moea.Genome) float64, float64, error) {
-	return func(g moea.Genome) float64 {
-		n := 0
-		for _, w := range g {
-			n += bits.OnesCount64(w)
-		}
-		return float64(n)
-	}, float64(len(a.Prims)), nil
-}
-
-var registerPopcountOnce sync.Once
-
-func TestGenomeObjectiveProvider(t *testing.T) {
-	registerPopcountOnce.Do(func() { MustRegisterObjective(popcountObjective{}) })
-	a := analyzeNet(t, fixture.PaperExample())
-	p, err := NewProblemWithObjectives(a, true, []string{"popcount_test", "damage"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := p.ObjectiveNames()
-	if names[len(names)-1] != "popcount_test" {
-		t.Fatalf("custom objective not last in canonical order: %v", names)
-	}
-	var forced int
-	for i := 0; i < p.NumBits(); i++ {
-		if p.critMask.Get(i) {
-			forced++
-		}
-	}
-	if forced == 0 {
-		t.Fatal("fixture has no forced-critical primitives; test needs them")
-	}
-	out := make([]float64, 2)
-	p.Evaluate(moea.NewGenome(p.NumBits()), out)
-	if out[1] != float64(forced) {
-		t.Errorf("popcount of empty genome = %v, want forced count %d (critMask must apply)", out[1], forced)
-	}
-	maxes := p.ObjectiveMaxes()
-	if maxes[1] != float64(p.NumBits()) {
-		t.Errorf("genome objective max = %v, want %v", maxes[1], float64(p.NumBits()))
-	}
-	// Registering twice errors instead of corrupting the registry.
-	if err := RegisterObjective(popcountObjective{}); err == nil {
-		t.Error("duplicate registration accepted")
 	}
 }
 

@@ -286,8 +286,8 @@ func TestCancelPartialResult(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			par := ckptParams(11, workers)
 			par.Context = ctx
-			par.OnGeneration = func(gen int, front []Individual) bool {
-				if gen == 5 {
+			par.OnProgress = func(pr Progress, front []Individual) bool {
+				if pr.Gen == 5 {
 					cancel()
 				}
 				return true

@@ -75,7 +75,7 @@ func TestWorkerInvariance(t *testing.T) {
 
 // TestEvaluationAccounting pins the exact evaluation counts of both
 // algorithms: SPEA2 runs G·P evaluations (the last generation breeds no
-// offspring), NSGA2 (G+1)·P; an OnGeneration break after callback k
+// offspring), NSGA2 (G+1)·P; an OnProgress break after callback k
 // (0-based) gives (k+1)·P resp. (k+2)·P because NSGA2 breeds before the
 // callback.
 func TestEvaluationAccounting(t *testing.T) {
@@ -99,7 +99,7 @@ func TestEvaluationAccounting(t *testing.T) {
 	}
 
 	parBreak := par
-	parBreak.OnGeneration = func(gen int, front []Individual) bool { return gen < 4 }
+	parBreak.OnProgress = func(pr Progress, front []Individual) bool { return pr.Gen < 4 }
 	s, err = SPEA2(p, parBreak)
 	if err != nil {
 		t.Fatal(err)

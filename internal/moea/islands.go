@@ -104,7 +104,6 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 			kp.Resume = resumes[k]
 		}
 		// The driver owns the cross-island protocol; islands are silent.
-		kp.OnGeneration = nil
 		kp.OnProgress = nil
 		kp.CheckpointEvery = 0
 		kp.CheckpointFn = nil
@@ -259,30 +258,22 @@ func foldPhaseErrors(errs []error) error {
 	return interrupted
 }
 
-// islandHooks fires the user callbacks with the merged cross-island
+// islandHooks fires the user callback with the merged cross-island
 // front and the summed per-island progress counters, exactly once per
 // lockstep generation.
 func islandHooks(gen int, par *Params, runs []islandRun, engines []*engine) bool {
-	if par.OnGeneration == nil && par.OnProgress == nil {
+	if par.OnProgress == nil {
 		return true
 	}
 	var all []Individual
 	for _, r := range runs {
 		all = append(all, r.current()...)
 	}
-	front := ParetoFilter(all)
-	cont := true
-	if par.OnProgress != nil {
-		p := Progress{Gen: gen}
-		for _, e := range engines {
-			p.Evaluations += e.res.Evaluations
-		}
-		cont = par.OnProgress(p, front)
+	p := Progress{Gen: gen}
+	for _, e := range engines {
+		p.Evaluations += e.res.Evaluations
 	}
-	if par.OnGeneration != nil && !par.OnGeneration(gen, front) {
-		cont = false
-	}
-	return cont
+	return par.OnProgress(p, ParetoFilter(all))
 }
 
 // migrate performs one ring migration k → (k+1) mod K: each island's

@@ -271,8 +271,8 @@ func TestIslandCancelPartialResult(t *testing.T) {
 		cp = decoded
 		return nil
 	}
-	par.OnGeneration = func(gen int, front []Individual) bool {
-		if gen == 6 { // 6 % MigrationEvery == 0: a migration generation
+	par.OnProgress = func(pr Progress, front []Individual) bool {
+		if pr.Gen == 6 { // 6 % MigrationEvery == 0: a migration generation
 			cancel()
 		}
 		return true

@@ -352,9 +352,9 @@ func TestEarlyStop(t *testing.T) {
 	calls := 0
 	par := Params{
 		Population: 20, Generations: 100, PCrossover: 0.95, PMutateBit: 0.01, Seed: 7,
-		OnGeneration: func(gen int, front []Individual) bool {
+		OnProgress: func(pr Progress, front []Individual) bool {
 			calls++
-			return gen < 4
+			return pr.Gen < 4
 		},
 	}
 	res, err := SPEA2(p, par)
@@ -365,7 +365,7 @@ func TestEarlyStop(t *testing.T) {
 		t.Errorf("stopped after %d generations, want 5 (gen index 4 returns false)", res.Generations)
 	}
 	if calls != 5 {
-		t.Errorf("OnGeneration called %d times, want 5", calls)
+		t.Errorf("OnProgress called %d times, want 5", calls)
 	}
 }
 
@@ -493,11 +493,11 @@ func TestDefaults(t *testing.T) {
 // one-time warm-up allocations.
 func TestGenerationAllocs(t *testing.T) {
 	p := newKnapsack(17, 96)
-	run := func(algo func(Problem, Params) (*Result, error), gens int, hook func(int, []Individual) bool) uint64 {
+	run := func(algo func(Problem, Params) (*Result, error), gens int, hook func(Progress, []Individual) bool) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := algo(p, Params{Population: 60, Generations: gens,
-			PCrossover: 0.95, PMutateBit: 0.02, Seed: 9, Workers: 1, OnGeneration: hook})
+			PCrossover: 0.95, PMutateBit: 0.02, Seed: 9, Workers: 1, OnProgress: hook})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -505,7 +505,7 @@ func TestGenerationAllocs(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	for name, algo := range map[string]func(Problem, Params) (*Result, error){"SPEA2": SPEA2, "NSGA2": NSGA2} {
-		perGen := func(hook func(int, []Individual) bool) float64 {
+		perGen := func(hook func(Progress, []Individual) bool) float64 {
 			short, long := run(algo, 30, hook), run(algo, 130, hook)
 			return float64(long-short) / 100
 		}
@@ -523,10 +523,10 @@ func TestGenerationAllocs(t *testing.T) {
 		// A hook adds the per-generation ParetoFilter every service
 		// harden pays for its progress callbacks: two allocations, the
 		// sweep order and the returned front.
-		hooked := perGen(func(int, []Individual) bool { return true })
+		hooked := perGen(func(Progress, []Individual) bool { return true })
 		if hooked > plain+2.5 {
-			t.Errorf("%s: %.1f allocs per generation with OnGeneration, want <= %.1f + 2.5", name, hooked, plain)
+			t.Errorf("%s: %.1f allocs per generation with OnProgress, want <= %.1f + 2.5", name, hooked, plain)
 		}
-		t.Logf("%s: %.1f allocs/gen steady-state, %.1f with OnGeneration", name, plain, hooked)
+		t.Logf("%s: %.1f allocs/gen steady-state, %.1f with OnProgress", name, plain, hooked)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // optimizer cited by the paper. Selection uses fast nondominated sorting
 // and crowding distance; variation uses the same one-point crossover and
 // per-bit mutation operators as SPEA2. Initialization, batched
-// evaluation, buffer recycling and the OnGeneration protocol come from
+// evaluation, buffer recycling and the OnProgress protocol come from
 // the shared engine runtime.
 func NSGA2(p Problem, par Params) (*Result, error) {
 	if par.Islands > 1 {

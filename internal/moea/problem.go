@@ -171,20 +171,14 @@ type Params struct {
 	// the run fails with ErrCheckpointMismatch. A resumed run is
 	// bit-identical to the uninterrupted run from the same parameters.
 	Resume *Checkpoint
-	// OnGeneration, if non-nil, is called after every generation with
-	// the current nondominated front; returning false stops the run
-	// early. The individuals (including their genome and objective
-	// slices) are only valid for the duration of the call — the engine
-	// recycles the buffers of non-survivors into the next generation.
-	// Callers that retain them must deep-copy.
-	OnGeneration func(gen int, front []Individual) bool
 	// OnProgress, if non-nil, is called after every generation with the
 	// run's exact per-run progress counters (unlike collector-global
 	// telemetry, these are not polluted by concurrent runs) and the
-	// current nondominated front. Returning false stops the run early,
-	// exactly like OnGeneration; when both hooks are set, both are
-	// called (OnProgress first) and the run stops if either says so.
-	// The front slice follows the OnGeneration validity contract.
+	// current nondominated front; returning false stops the run early.
+	// The individuals (including their genome and objective slices) are
+	// only valid for the duration of the call — the engine recycles the
+	// buffers of non-survivors into the next generation. Callers that
+	// retain them must deep-copy.
 	OnProgress func(p Progress, front []Individual) bool
 }
 

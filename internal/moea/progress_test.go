@@ -61,32 +61,6 @@ func TestOnProgressEarlyStop(t *testing.T) {
 	}
 }
 
-func TestOnProgressComposesWithOnGeneration(t *testing.T) {
-	p := newKnapsack(37, 20)
-	var progressCalls, genCalls int
-	par := Params{
-		Population: 20, Generations: 100, PCrossover: 0.95, PMutateBit: 0.01, Seed: 17,
-		OnProgress: func(pr Progress, front []Individual) bool {
-			progressCalls++
-			return true // OnProgress wants to continue...
-		},
-		OnGeneration: func(gen int, front []Individual) bool {
-			genCalls++
-			return gen < 2 // ...but OnGeneration stops — stop wins.
-		},
-	}
-	res, err := SPEA2(p, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Generations != 3 {
-		t.Errorf("generations = %d, want 3", res.Generations)
-	}
-	if progressCalls != 3 || genCalls != 3 {
-		t.Errorf("calls = %d/%d, want both 3 (both hooks fire every generation)", progressCalls, genCalls)
-	}
-}
-
 func TestOnProgressDoesNotPerturbDeterminism(t *testing.T) {
 	p := newKnapsack(41, 25)
 	base := Params{Population: 30, Generations: 15, PCrossover: 0.95, PMutateBit: 0.01, Seed: 19}

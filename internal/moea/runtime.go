@@ -10,7 +10,7 @@ import (
 // historically duplicated between SPEA2 and NSGA2 — parameter
 // normalization, the seeded RNG, diversified population initialization,
 // batched objective evaluation with exact accounting, offspring
-// breeding, and the OnGeneration stop protocol. The algorithm files
+// breeding, and the OnProgress stop protocol. The algorithm files
 // reduce to fitness assignment plus selection on top of it.
 //
 // Evaluation goes through the Executor at a whole-population batch
@@ -232,7 +232,7 @@ func (e *engine) grabObj() []float64 {
 // that did not survive selection to the pools. Survivors are identified
 // by genome backing array, so the pools never hold a buffer an alive
 // individual still references. Callers must not retain references to
-// non-surviving individuals across generations (the OnGeneration
+// non-surviving individuals across generations (the OnProgress
 // contract).
 func (e *engine) recycle(union, survivors []Individual) {
 	clear(e.live)
@@ -371,24 +371,16 @@ func (e *engine) vary(dst []Individual, pa, pb *Individual) []Individual {
 	return dst
 }
 
-// hooks invokes the user callbacks (if any) on the current
+// hooks invokes the user callback (if any) on the current
 // nondominated front; it reports whether the run should continue. The
 // generation counter itself is advanced by the algorithms' selection
 // phase so that island runs (which suppress per-island hooks) still
 // count generations.
 func (e *engine) hooks(gen int, current []Individual) bool {
-	if e.par.OnGeneration == nil && e.par.OnProgress == nil {
+	if e.par.OnProgress == nil {
 		return true
 	}
-	front := ParetoFilter(current)
-	cont := true
-	if e.par.OnProgress != nil {
-		cont = e.par.OnProgress(Progress{Gen: gen, Evaluations: e.res.Evaluations}, front)
-	}
-	if e.par.OnGeneration != nil && !e.par.OnGeneration(gen, front) {
-		cont = false
-	}
-	return cont
+	return e.par.OnProgress(Progress{Gen: gen, Evaluations: e.res.Evaluations}, ParetoFilter(current))
 }
 
 // finish extracts the final nondominated front and returns the

@@ -28,7 +28,7 @@ import (
 //
 // Population initialization, batched (optionally parallel and
 // incremental) objective evaluation, evaluation accounting, buffer recycling,
-// checkpointing, cancellation and the OnGeneration protocol live in the
+// checkpointing, cancellation and the OnProgress protocol live in the
 // shared engine runtime. Cancellation (Params.Context) is observed at
 // the loop top and at evaluation-chunk boundaries; an interrupted run
 // returns a valid partial Result with Interrupted set, never an error.

@@ -159,7 +159,7 @@ func hardenCacheKey(req *HardenRequest) uint64 {
 	// Islands was canonicalized by validate (1 collapsed to 0), so the
 	// two spellings of a single-population run share one entry.
 	k.i64("islands", int64(o.Islands))
-	// Objectives were canonicalized by validate (sorted into registry
+	// Objectives were canonicalized by validate (sorted into table
 	// order, deduplicated, default pair collapsed to empty), so a
 	// permuted spelling of the same set hashes identically.
 	k.str("objs", strings.Join(o.Objectives, ","))

@@ -96,8 +96,8 @@ type HardenOptions struct {
 	// never on the server's worker budget.
 	Islands int `json:"islands,omitempty"`
 	// Objectives names the objectives to optimize (empty = the paper's
-	// damage/cost pair). Names are validated against the registered
-	// providers and canonicalized — trimmed, deduplicated, reordered —
+	// damage/cost pair). Names are validated against core's objective
+	// table and canonicalized — trimmed, deduplicated, reordered —
 	// before the run and the cache key, so permutations of the same set
 	// are one request.
 	Objectives []string `json:"objectives,omitempty"`

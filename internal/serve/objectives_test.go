@@ -8,7 +8,7 @@ import (
 )
 
 // Regressions for the objectives knob of /v1/harden: unknown names are
-// a 400 that lists the registered providers, permuted spellings of one
+// a 400 that lists the known objectives, permuted spellings of one
 // objective set share a cache entry, and a K-objective run returns a
 // deterministic front with named per-point values.
 

@@ -147,6 +147,14 @@ func Generate(net *rsn.Network, opt GenOptions) (*Spec, error) {
 	if opt.WeightMax <= 0 {
 		return nil, fmt.Errorf("spec: WeightMax must be positive, got %d", opt.WeightMax)
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"FracObs", opt.FracObs}, {"FracSet", opt.FracSet}, {"FracCritObs", opt.FracCritObs}, {"FracCritSet", opt.FracCritSet}} {
+		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
+			return nil, fmt.Errorf("spec: %s must be in [0, 1], got %v", f.name, f.v)
+		}
+	}
 	s := New(net, opt.Cost)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	instr := net.Instruments()

@@ -3,6 +3,8 @@ package spec
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +157,30 @@ func TestGenerateRejectsBadOptions(t *testing.T) {
 	net := fixture.PaperExample()
 	if _, err := Generate(net, GenOptions{WeightMax: 0}); err == nil {
 		t.Fatal("Generate accepted WeightMax = 0")
+	}
+	// Every fraction outside [0, 1], or NaN, is an error, not a panic
+	// on the instrument permutation's bounds.
+	fracs := map[string]func(*GenOptions) *float64{
+		"FracObs":     func(o *GenOptions) *float64 { return &o.FracObs },
+		"FracSet":     func(o *GenOptions) *float64 { return &o.FracSet },
+		"FracCritObs": func(o *GenOptions) *float64 { return &o.FracCritObs },
+		"FracCritSet": func(o *GenOptions) *float64 { return &o.FracCritSet },
+	}
+	for name, field := range fracs {
+		for _, v := range []float64{1.5, -0.5, math.NaN(), math.Inf(1)} {
+			opt := PaperGenOptions(1)
+			*field(&opt) = v
+			if _, err := Generate(fixture.PaperExample(), opt); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: err = %v, want an error naming the field", name, v, err)
+			}
+		}
+		for _, v := range []float64{0, 1} {
+			opt := PaperGenOptions(1)
+			*field(&opt) = v
+			if _, err := Generate(fixture.PaperExample(), opt); err != nil {
+				t.Errorf("%s = %v rejected: %v", name, v, err)
+			}
+		}
 	}
 }
 
