@@ -54,9 +54,11 @@ race:
 # critical hits) of Table I and random networks under every option
 # combination by hash; ProblemEvaluateMatchesAnalysis holds every slot
 # of every objective subset's evaluation to a reference that does not
-# read the problem's rows.
+# read the problem's rows; ProgressMeasuresOnlyWhenRead holds the lazy
+# generation records to the every-generation reader's and the
+# stagnation stops to their pinned generations.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis|ProgressMeasuresOnlyWhenRead' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,
@@ -103,11 +105,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/moea
 	$(GO) test -run=NONE -fuzz=FuzzParetoFilter -fuzztime=30s ./internal/moea
 
-# The root package's benchmarks, then the by-name MBIST_5_100_20 analyze
-# job body (load, validate, spec, SP tree, criticality) on one CPU.
+# The root package's benchmarks, then, on one CPU, the by-name
+# MBIST_5_100_20 analyze job body (load, validate, spec, SP tree,
+# criticality) and a served 150-generation TreeFlat_Ex harden miss,
+# plain and streamed.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-	$(GO) test -bench=AnalyzeNamed -benchmem -cpu 1 -run=^$$ ./internal/serve
+	$(GO) test -bench='AnalyzeNamed|HardenServed' -benchmem -cpu 1 -run=^$$ ./internal/serve
 
 # One-command perf smoke: every Table I row once at the reduced bench
 # budget, to spot regressions before committing.

@@ -204,7 +204,8 @@ func main() {
 		logger.Info("resuming", "checkpoint", *resume, "generation", cp.Generation)
 	}
 	if *prog {
-		opt.OnProgress = func(g core.Progress) bool {
+		opt.OnProgress = func(p core.Progress) bool {
+			g := p.Record()
 			fmt.Fprintf(os.Stderr, "\rgen %-6d front %-5d hv %6.2f%%  best dmg %-10.0f best cost %-8.0f evals %-9d",
 				g.Gen+1, g.Front, 100*g.NormHV, g.BestDamage, g.BestCost, g.Evaluations)
 			return true

@@ -67,11 +67,12 @@ type SizedOptions struct {
 	MinSegLen, MaxSegLen int
 }
 
-// plan is an abstract hierarchy node rendered into builder calls. A nil
-// receiver never occurs; leaves have no children.
+// plan is an abstract hierarchy node rendered into builder calls: one
+// section (fan-out, chain, mux). Leaves have no children; a node's
+// children are a run of the generator's plan slab.
 type plan struct {
 	sib      bool // true: SIB gating the sub-network; false: bypass mux
-	children []*plan
+	children []plan
 	// instr is the number of instrument segments placed in this node's
 	// sub-network chain, interleaved before the children.
 	instr int
@@ -99,8 +100,9 @@ func Sized(opt SizedOptions) (*rsn.Network, error) {
 		opt.MaxSegLen = opt.MinSegLen + 12
 	}
 
-	g := &sizedGen{opt: opt, rng: rand.New(rand.NewSource(opt.Seed))}
-	var roots []*plan
+	// Every plan node is one section, so the slab holds exactly Muxes.
+	g := &sizedGen{opt: opt, rng: rand.New(rand.NewSource(opt.Seed)), slab: make([]plan, opt.Muxes)}
+	var roots []plan
 	var err error
 	switch opt.Shape {
 	case ShapeFlat:
@@ -127,6 +129,7 @@ func Sized(opt SizedOptions) (*rsn.Network, error) {
 	b.Network().Grow(opt.Segments + 2*opt.Muxes + 1)
 	g.instrs = make([]rsn.Instrument, opt.Segments)
 	g.names = segmentNames(opt.Segments)
+	g.sections = sectionNames(roots, opt.Muxes)
 	g.render(b, roots)
 	net := b.Finish()
 
@@ -140,17 +143,28 @@ func Sized(opt SizedOptions) (*rsn.Network, error) {
 }
 
 type sizedGen struct {
-	opt   SizedOptions
-	rng   *rand.Rand
-	nSeg  int
-	nSIB  int
-	nMux  int
-	nFork int
+	opt  SizedOptions
+	rng  *rand.Rand
+	nSeg int
+	nMux int
+	// slab holds every plan node; take hands out its runs in order.
+	slab []plan
 	// instrs holds the instrument of every segment, in emission order.
 	instrs []rsn.Instrument
 	// names is "i1i2...iN"; the next segment's name starts at nameOff.
 	names   string
 	nameOff int
+	// sections holds every section's fan-out name in render order (see
+	// sectionNames); the next one starts at secOff.
+	sections string
+	secOff   int
+}
+
+// take returns the next n plan nodes of the slab.
+func (g *sizedGen) take(n int) []plan {
+	s := g.slab[:n:n]
+	g.slab = g.slab[n:]
+	return s
 }
 
 // segmentNames returns the names "i1" ... "in" concatenated, so that
@@ -166,80 +180,98 @@ func segmentNames(n int) string {
 	return sb.String()
 }
 
+// sectionNames returns the fan-out names of the n sections of roots in
+// render order (depth first, children in order) concatenated: section
+// k is "sec<k>.fo" when it is a SIB and "m<k>.fo" when it is a bypass
+// mux, and its mux name is the same without ".fo".
+func sectionNames(roots []plan, n int) string {
+	var sb strings.Builder
+	sb.Grow(n * (6 + digitCount(n)))
+	k := 0
+	var digits [20]byte
+	var walk func([]plan)
+	walk = func(nodes []plan) {
+		for i := range nodes {
+			k++
+			if nodes[i].sib {
+				sb.WriteString("sec")
+			} else {
+				sb.WriteByte('m')
+			}
+			sb.Write(strconv.AppendInt(digits[:0], int64(k), 10))
+			sb.WriteString(".fo")
+			walk(nodes[i].children)
+		}
+	}
+	walk(roots)
+	return sb.String()
+}
+
 // extra returns the number of instrument segments to distribute.
 func (g *sizedGen) extra() int { return g.opt.Segments }
 
-// share splits total into n non-negative parts that sum exactly to
-// total, front-loading the remainder.
-func share(total, n int) []int {
-	out := make([]int, n)
-	if n == 0 {
-		return out
+// part returns part i of total split into n > 0 non-negative parts
+// that sum exactly to total, the remainder front-loaded.
+func part(total, n, i int) int {
+	if i < total%n {
+		return total/n + 1
 	}
-	base, rem := total/n, total%n
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
+	return total / n
 }
 
 // planFlat lays all SIBs on the trunk, sub-network chains holding the
 // instrument segments.
-func (g *sizedGen) planFlat() []*plan {
+func (g *sizedGen) planFlat() []plan {
 	n := g.opt.Muxes
-	shares := share(g.extra(), n)
-	roots := make([]*plan, n)
+	roots := g.take(n)
 	for i := range roots {
-		roots[i] = &plan{sib: true, instr: shares[i]}
+		roots[i] = plan{sib: true, instr: part(g.extra(), n, i)}
 	}
 	return roots
 }
 
 // planUnbalanced nests every SIB inside its predecessor's sub-network.
-func (g *sizedGen) planUnbalanced() []*plan {
+func (g *sizedGen) planUnbalanced() []plan {
 	n := g.opt.Muxes
-	shares := share(g.extra(), n)
-	var child *plan
-	for i := n - 1; i >= 0; i-- {
-		node := &plan{sib: true, instr: shares[i]}
-		if child != nil {
-			node.children = []*plan{child}
+	chain := g.take(n)
+	for i := range chain {
+		chain[i] = plan{sib: true, instr: part(g.extra(), n, i)}
+		if i+1 < n {
+			chain[i].children = chain[i+1 : i+2 : i+2]
 		}
-		child = node
 	}
-	return []*plan{child}
+	return chain[:1]
 }
 
 // planBalanced builds a balanced binary tree of SIBs.
-func (g *sizedGen) planBalanced() []*plan {
-	shares := share(g.extra(), g.opt.Muxes)
+func (g *sizedGen) planBalanced() []plan {
 	idx := 0
-	var build func(n int) *plan
-	build = func(n int) *plan {
-		node := &plan{sib: true, instr: shares[idx]}
+	var build func(node *plan, n int)
+	build = func(node *plan, n int) {
+		*node = plan{sib: true, instr: part(g.extra(), g.opt.Muxes, idx)}
 		idx++
 		n-- // this node
 		if n > 0 {
 			left := n / 2
 			right := n - left
 			if left > 0 {
-				node.children = append(node.children, build(left))
-			}
-			if right > 0 {
-				node.children = append(node.children, build(right))
+				node.children = g.take(2)
+				build(&node.children[0], left)
+				build(&node.children[1], right)
+			} else {
+				node.children = g.take(1)
+				build(&node.children[0], right)
 			}
 		}
-		return node
 	}
-	return []*plan{build(g.opt.Muxes)}
+	root := g.take(1)
+	build(&root[0], g.opt.Muxes)
+	return root
 }
 
 // planSoC wraps modules behind plain bypass multiplexers; each module
 // chain carries its share of SIB-gated instrument groups.
-func (g *sizedGen) planSoC() []*plan {
+func (g *sizedGen) planSoC() []plan {
 	modules := int(math.Round(math.Sqrt(float64(g.opt.Muxes))))
 	if modules < 2 {
 		modules = 2
@@ -248,28 +280,27 @@ func (g *sizedGen) planSoC() []*plan {
 		modules = g.opt.Muxes
 	}
 	sibs := g.opt.Muxes - modules
-	sibShare := share(sibs, modules)
-	instrShare := share(g.extra(), modules)
-	roots := make([]*plan, modules)
+	roots := g.take(modules)
 	for mi := range roots {
-		mod := &plan{sib: false}
-		inner := share(instrShare[mi], max(1, sibShare[mi]))
-		if sibShare[mi] == 0 {
+		mod := &roots[mi]
+		*mod = plan{sib: false}
+		nSIB, nInstr := part(sibs, modules, mi), part(g.extra(), modules, mi)
+		if nSIB == 0 {
 			// Module without internal SIBs: instruments sit directly on
 			// the module chain.
-			mod.instr = instrShare[mi]
+			mod.instr = nInstr
 		} else {
-			for si := 0; si < sibShare[mi]; si++ {
-				mod.children = append(mod.children, &plan{sib: true, instr: inner[si]})
+			mod.children = g.take(nSIB)
+			for si := range mod.children {
+				mod.children[si] = plan{sib: true, instr: part(nInstr, nSIB, si)}
 			}
 		}
-		roots[mi] = mod
 	}
 	return roots
 }
 
 // planMBIST builds the three-level controller/group/memory hierarchy.
-func (g *sizedGen) planMBIST() ([]*plan, error) {
+func (g *sizedGen) planMBIST() ([]plan, error) {
 	a, b := g.opt.Controllers, g.opt.Groups
 	if a < 1 || b < 1 {
 		return nil, fmt.Errorf("benchnets: %q: MBIST shape needs controllers and groups", g.opt.Name)
@@ -279,31 +310,33 @@ func (g *sizedGen) planMBIST() ([]*plan, error) {
 		return nil, fmt.Errorf("benchnets: %q: %d muxes cannot host %d controllers and %d groups",
 			g.opt.Name, g.opt.Muxes, a, a*b)
 	}
-	memShare := share(memories, a*b)
-	instrShare := share(g.extra(), maxInt(memories, 1))
+	instrParts := maxInt(memories, 1)
 
-	roots := make([]*plan, a)
+	roots := g.take(a)
 	mem := 0
-	for ci := 0; ci < a; ci++ {
-		ctl := &plan{sib: true}
-		for gi := 0; gi < b; gi++ {
-			grp := &plan{sib: true}
-			for mi := 0; mi < memShare[ci*b+gi]; mi++ {
-				node := &plan{sib: true}
-				if mem < len(instrShare) {
-					node.instr = instrShare[mem]
+	for ci := range roots {
+		ctl := &roots[ci]
+		*ctl = plan{sib: true, children: g.take(b)}
+		for gi := range ctl.children {
+			grp := &ctl.children[gi]
+			*grp = plan{sib: true}
+			if k := part(memories, a*b, ci*b+gi); k > 0 {
+				grp.children = g.take(k)
+			}
+			for mi := range grp.children {
+				node := &grp.children[mi]
+				*node = plan{sib: true}
+				if mem < instrParts {
+					node.instr = part(g.extra(), instrParts, mem)
 				}
 				mem++
-				grp.children = append(grp.children, node)
 			}
 			if memories == 0 && ci == 0 && gi == 0 {
 				// Degenerate family member with no memory SIBs: all
 				// instruments go into the first group.
 				grp.instr = g.extra()
 			}
-			ctl.children = append(ctl.children, grp)
 		}
-		roots[ci] = ctl
 	}
 	return roots, nil
 }
@@ -327,17 +360,21 @@ func maxInt(a, b int) int { return max(a, b) }
 // isolated there, because the section can always be deselected. In-path
 // SIB control registers (rsn.Builder.SIB) remain part of the general
 // model and are exercised by the fixtures and the analysis options.
-func (g *sizedGen) render(b *rsn.Builder, nodes []*plan) {
-	for _, n := range nodes {
+func (g *sizedGen) render(b *rsn.Builder, nodes []plan) {
+	for i := range nodes {
+		n := &nodes[i]
 		g.nMux++
-		name := fmt.Sprintf("m%d", g.nMux)
+		prefix := 1 // "m"
 		if n.sib {
-			name = fmt.Sprintf("sec%d", g.nMux)
+			prefix = 3 // "sec"
 		}
-		bs := b.Fork(name+".fo", 2)
+		end := g.secOff + prefix + digitCount(g.nMux) + len(".fo")
+		fo := g.sections[g.secOff:end]
+		g.secOff = end
+		bs := b.Fork(fo, 2)
 		g.renderChain(bs.Branch(0), n)
 		// Branch 1 stays empty: the bypass wire.
-		bs.Join(name, rsn.External())
+		bs.Join(fo[:len(fo)-len(".fo")], rsn.External())
 	}
 }
 

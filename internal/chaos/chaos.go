@@ -112,9 +112,9 @@ func (b *Batch) EvaluateBatch(gs []moea.Genome, outs [][]float64) {
 // that cancels it at the end of generation g — the deterministic stand-
 // in for a SIGINT arriving mid-run. Compose the callback with any
 // existing one before installing it.
-func CancelAtGeneration(g int) (context.Context, func(p moea.Progress, front []moea.Individual) bool) {
+func CancelAtGeneration(g int) (context.Context, func(p moea.Progress) bool) {
 	ctx, cancel := context.WithCancel(context.Background())
-	return ctx, func(p moea.Progress, front []moea.Individual) bool {
+	return ctx, func(p moea.Progress) bool {
 		if p.Gen == g {
 			cancel()
 		}

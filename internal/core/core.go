@@ -133,15 +133,17 @@ type Options struct {
 	// Resume — the early-stop state is not checkpointed.
 	Resume *moea.Checkpoint
 	// OnProgress, if non-nil, receives one Progress per generation with
-	// exact per-run convergence and effort counters — the same record
-	// the collector receives, scoped to this run alone and so safe under
-	// concurrent synthesis jobs sharing a collector. Returning false
-	// stops the run early.
+	// exact per-run effort counters, scoped to this run alone and so
+	// safe under concurrent synthesis jobs sharing a collector; its
+	// Record measures the generation's convergence record on demand.
+	// Returning false stops the run early.
 	OnProgress func(p Progress) bool
 	// Telemetry, if non-nil, receives span timings for every pipeline
 	// stage, structural gauges from the tree and the analysis, the
-	// moea.evaluations counter and per-generation convergence records.
-	// The nil default adds no overhead.
+	// moea.evaluations counter and the generations' convergence records:
+	// every generation's without an OnProgress, else those that
+	// OnProgress or Stagnation measure. The nil default adds no
+	// overhead.
 	Telemetry *telemetry.Collector
 	// ParentSpan, if non-nil, becomes the parent of the run's
 	// "synthesize" root span, attributing the whole pipeline to an
@@ -161,11 +163,28 @@ func DefaultOptions(generations int, seed int64) Options {
 	}
 }
 
-// Progress is one per-generation report handed to Options.OnProgress:
-// the standard convergence record of this run. Every field is computed
-// from this run's own state — nothing is read from shared telemetry
-// instruments, so concurrent runs cannot pollute each other's reports.
-type Progress = telemetry.Generation
+// Progress is one per-generation report handed to Options.OnProgress.
+// Every field comes from this run's own state — nothing is read from
+// shared telemetry instruments, so concurrent runs cannot pollute each
+// other's reports.
+type Progress struct {
+	// Gen is the zero-based generation index just completed.
+	Gen int
+	// Evaluations counts this run's objective evaluations so far.
+	Evaluations int64
+	// ElapsedMS is the wall time since the previous generation's report
+	// (since the hook was installed, for the first).
+	ElapsedMS float64
+	rec       *recorder
+}
+
+// Record returns the generation's convergence record: the fields above
+// plus the front's size, hypervolume and per-objective bests. The front
+// is measured on the first call in a generation, by whichever reader
+// asks first (this call or the Stagnation window), and that record is
+// put into the run's collector; later calls return it unchanged. Valid
+// during the OnProgress call only.
+func (p Progress) Record() telemetry.Generation { return p.rec.record() }
 
 // Solution is one hardening decision with its evaluated objectives.
 type Solution struct {
@@ -616,39 +635,66 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	return s, nil
 }
 
-// progressHook is the run's one per-generation hook. It computes the
-// convergence record once from the live front (frontStats) and stamps
-// it with the engine's per-run effort counters — never a collector-wide
-// counter, which concurrent runs sharing the collector would inflate.
-// It then records the generation in tel (nil-safe), checks hypervolume
-// stagnation over window generations (0 disables) on the same
-// hypervolume, and hands the record to user (if any). The run stops
-// when stagnation or the user says so.
-func progressHook(tel *telemetry.Collector, ref []float64, window int, user func(Progress) bool) func(moea.Progress, []moea.Individual) bool {
+// progressHook is the run's one per-generation hook. It stamps each
+// generation with the engine's per-run effort counters — never a
+// collector-wide counter, which concurrent runs sharing the collector
+// would inflate — and times it into moea.gen_ms. The convergence record
+// (frontStats over the engine's lazily filtered front) is measured only
+// for a reader: the hypervolume stagnation window over window
+// generations (0 disables), user (if any) through Progress.Record, and,
+// without a user hook, tel (nil-safe). The run stops when stagnation or
+// the user says so.
+func progressHook(tel *telemetry.Collector, ref []float64, window int, user func(Progress) bool) func(moea.Progress) bool {
 	genHist := tel.Histogram("moea.gen_ms")
 	last := time.Now()
 	best, flat := -1.0, 0
-	return func(p moea.Progress, front []moea.Individual) bool {
+	r := &recorder{tel: tel, ref: ref}
+	return func(p moea.Progress) bool {
 		now := time.Now()
-		g := frontStats(front, ref)
-		g.Gen, g.Evaluations = p.Gen, int64(p.Evaluations)
-		g.ElapsedMS = float64(now.Sub(last)) / float64(time.Millisecond)
+		ms := float64(now.Sub(last)) / float64(time.Millisecond)
 		last = now
-		tel.RecordGeneration(g)
-		genHist.Observe(g.ElapsedMS)
+		genHist.Observe(ms)
+		r.p, r.done = p, false
+		r.g = telemetry.Generation{Gen: p.Gen, Evaluations: int64(p.Evaluations), ElapsedMS: ms}
 		cont := true
 		if window > 0 {
-			if g.Hypervolume > best {
-				best, flat = g.Hypervolume, 0
+			if hv := r.record().Hypervolume; hv > best {
+				best, flat = hv, 0
 			} else if flat++; flat >= window {
 				cont = false
 			}
 		}
-		if user != nil && !user(g) {
-			cont = false
+		if user != nil {
+			if !user(Progress{Gen: p.Gen, Evaluations: r.g.Evaluations, ElapsedMS: ms, rec: r}) {
+				cont = false
+			}
+		} else if tel != nil {
+			r.record()
 		}
+		r.p, r.done = moea.Progress{}, true
 		return cont
 	}
+}
+
+// recorder holds one generation's convergence record behind
+// Progress.Record: stamped with the generation's counters when the hook
+// opens it, completed by frontStats and put into tel at most once.
+type recorder struct {
+	tel  *telemetry.Collector
+	ref  []float64
+	p    moea.Progress
+	g    telemetry.Generation
+	done bool
+}
+
+func (r *recorder) record() telemetry.Generation {
+	if !r.done {
+		g := frontStats(r.p.Front(), r.ref)
+		g.Gen, g.Evaluations, g.ElapsedMS = r.g.Gen, r.g.Evaluations, r.g.ElapsedMS
+		r.g, r.done = g, true
+		r.tel.RecordGeneration(g)
+	}
+	return r.g
 }
 
 // frontStats is the convergence part of a generation record: the front

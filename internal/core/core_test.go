@@ -493,9 +493,10 @@ func TestWorkerDeterminism(t *testing.T) {
 // archive, q12710 and MBIST_2_5_20 truncate an overfull one — at the
 // quick budget, seeds 1 and 7, one population and three islands: an
 // FNV-64a hash of the final front (cost, damage, hardened IDs) and the
-// evaluation count. One more run attaches a collector and OnProgress and
-// also hashes the deterministic fields of every progress record, so a
-// change to the fronts handed to the hooks shows as well. Work saved in
+// evaluation count. One more run attaches a collector and an OnProgress
+// that reads every generation's record and also hashes its
+// deterministic fields, so a change to the fronts the hooks measure
+// shows as well. Work saved in
 // selection or in the front filter must leave every hash unchanged.
 func TestSynthesizeFingerprints(t *testing.T) {
 	want := map[string]uint64{
@@ -545,13 +546,14 @@ func TestSynthesizeFingerprints(t *testing.T) {
 		if hooked {
 			opt.Telemetry = telemetry.New()
 			opt.OnProgress = func(p Progress) bool {
-				put(uint64(p.Gen))
-				put(uint64(p.Front))
-				put(math.Float64bits(p.Hypervolume))
-				put(math.Float64bits(p.NormHV))
-				put(math.Float64bits(p.BestDamage))
-				put(math.Float64bits(p.BestCost))
-				put(uint64(p.Evaluations))
+				g := p.Record()
+				put(uint64(g.Gen))
+				put(uint64(g.Front))
+				put(math.Float64bits(g.Hypervolume))
+				put(math.Float64bits(g.NormHV))
+				put(math.Float64bits(g.BestDamage))
+				put(math.Float64bits(g.BestCost))
+				put(uint64(g.Evaluations))
 				return true
 			}
 		}

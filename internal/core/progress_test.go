@@ -1,18 +1,24 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"rsnrobust/internal/benchnets"
+	"rsnrobust/internal/rsn"
 	"rsnrobust/internal/spec"
 	"rsnrobust/internal/telemetry"
 )
 
 func TestOnProgressReportsPerRunState(t *testing.T) {
-	var seen []Progress
+	var seen []telemetry.Generation
 	opt := DefaultOptions(12, 3)
 	opt.OnProgress = func(p Progress) bool {
-		seen = append(seen, p)
+		g := p.Record()
+		if g.Gen != p.Gen || g.Evaluations != p.Evaluations || g.ElapsedMS != p.ElapsedMS {
+			t.Errorf("gen %d: record %+v disagrees with its progress %+v", p.Gen, g, p)
+		}
+		seen = append(seen, g)
 		return true
 	}
 	s := synthesizeExample(t, opt)
@@ -79,12 +85,12 @@ func TestGenerationRecordsPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	var runs [2][]Progress
+	var runs [2][]telemetry.Generation
 	for r := range runs {
 		opt := DefaultOptions(5, int64(r+1))
 		opt.Telemetry = tel
 		opt.OnProgress = func(p Progress) bool {
-			runs[r] = append(runs[r], p)
+			runs[r] = append(runs[r], p.Record())
 			return true
 		}
 		if _, err := Synthesize(net, sp, opt); err != nil {
@@ -100,6 +106,131 @@ func TestGenerationRecordsPerRun(t *testing.T) {
 		if second[i].Gen != p.Gen || second[i].Evaluations != p.Evaluations {
 			t.Errorf("second run, record %d: gen %d with %d evaluations, OnProgress reported gen %d with %d",
 				i, second[i].Gen, second[i].Evaluations, p.Gen, p.Evaluations)
+		}
+	}
+}
+
+// TestProgressMeasuresOnlyWhenRead: a generation's convergence record
+// is measured, and so recorded in the collector, only for a reader —
+// the user hook's Record, the Stagnation window, or, without a user
+// hook, the collector itself.
+func TestProgressMeasuresOnlyWhenRead(t *testing.T) {
+	load := func(name string) (*rsn.Network, *spec.Spec) {
+		net, err := benchnets.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := spec.Generate(net, spec.PaperGenOptions(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, sp
+	}
+	net, sp := load("TreeFlat")
+	run := func(gens int, tel *telemetry.Collector, hook func(Progress) bool) *Synthesis {
+		opt := DefaultOptions(gens, 5)
+		opt.Workers = 1
+		opt.Telemetry = tel
+		opt.OnProgress = hook
+		s, err := Synthesize(net, sp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	silent := func(Progress) bool { return true }
+
+	// A hook that reads nothing: no record, and no per-generation cost
+	// over a bare run. The collector's spans and instruments are a
+	// constant 56 allocations; measuring every generation would add
+	// about 4.5 per generation, 540 over this run.
+	tel := telemetry.New()
+	run(40, tel, silent)
+	if n := len(tel.Snapshot().Generations); n != 0 {
+		t.Errorf("a hook that reads nothing left %d generation records", n)
+	}
+	bare := testing.AllocsPerRun(3, func() { run(120, nil, nil) })
+	hooked := testing.AllocsPerRun(3, func() { run(120, telemetry.New(), silent) })
+	if hooked > bare+100 {
+		t.Errorf("collector and silent hook: %.0f allocations per 120-generation run, bare run %.0f; want within 100", hooked, bare)
+	}
+
+	// Every generation's record, from a reader of each, and from the
+	// collector alone (no user hook: CLI -telemetry runs and table1).
+	var all []telemetry.Generation
+	run(40, nil, func(p Progress) bool {
+		all = append(all, p.Record())
+		return true
+	})
+	same := func(a, b telemetry.Generation) bool {
+		return a.Gen == b.Gen && a.Front == b.Front && a.Evaluations == b.Evaluations &&
+			math.Float64bits(a.Hypervolume) == math.Float64bits(b.Hypervolume) &&
+			math.Float64bits(a.NormHV) == math.Float64bits(b.NormHV) &&
+			math.Float64bits(a.BestDamage) == math.Float64bits(b.BestDamage) &&
+			math.Float64bits(a.BestCost) == math.Float64bits(b.BestCost)
+	}
+	tel = telemetry.New()
+	run(40, tel, nil)
+	if recs := tel.Snapshot().Generations; len(recs) != len(all) {
+		t.Errorf("collector without a hook holds %d records for %d generations", len(recs), len(all))
+	} else {
+		for i := range recs {
+			if !same(recs[i], all[i]) {
+				t.Errorf("collector record %d = %+v, reader got %+v", i, recs[i], all[i])
+			}
+		}
+	}
+
+	// A reader of every 7th generation: the collector holds exactly
+	// those, bit-identical to the every-generation reader's, and a
+	// second Record in the same callback returns the same record
+	// without recording it twice.
+	tel = telemetry.New()
+	run(40, tel, func(p Progress) bool {
+		if p.Gen%7 == 0 {
+			if a, b := p.Record(), p.Record(); a != b {
+				t.Errorf("gen %d: two Record calls disagree", p.Gen)
+			}
+		}
+		return true
+	})
+	recs := tel.Snapshot().Generations
+	if len(recs) != 6 {
+		t.Fatalf("every-7th reader: collector holds %d records, want 6 (gens 0, 7, ..., 35)", len(recs))
+	}
+	for i, g := range recs {
+		if g.Gen != 7*i || !same(g, all[7*i]) {
+			t.Errorf("every-7th reader: record %d = %+v, want %+v", i, g, all[7*i])
+		}
+	}
+
+	// Stagnation reads every generation, so a run with a silent hook
+	// stops where it always has and records every generation.
+	for _, c := range []struct {
+		name      string
+		seed      int64
+		window    int
+		wantGens  int
+		wantEvals int
+	}{
+		{"TreeFlat", 3, 8, 165, 16500},
+		{"q12710", 5, 8, 144, 14400},
+	} {
+		net, sp := load(c.name)
+		opt := DefaultOptions(400, c.seed)
+		opt.Stagnation = c.window
+		opt.Telemetry = telemetry.New()
+		opt.OnProgress = silent
+		s, err := Synthesize(net, sp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Generations != c.wantGens || s.Evaluations != c.wantEvals {
+			t.Errorf("%s seed %d stagnation %d: stopped after %d generations, %d evaluations; want %d, %d",
+				c.name, c.seed, c.window, s.Generations, s.Evaluations, c.wantGens, c.wantEvals)
+		}
+		if n := len(opt.Telemetry.Snapshot().Generations); n != s.Generations {
+			t.Errorf("%s: stagnation run recorded %d of %d generations", c.name, n, s.Generations)
 		}
 	}
 }

@@ -286,7 +286,7 @@ func TestCancelPartialResult(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			par := ckptParams(11, workers)
 			par.Context = ctx
-			par.OnProgress = func(pr Progress, front []Individual) bool {
+			par.OnProgress = func(pr Progress) bool {
 				if pr.Gen == 5 {
 					cancel()
 				}

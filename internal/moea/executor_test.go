@@ -99,7 +99,7 @@ func TestEvaluationAccounting(t *testing.T) {
 	}
 
 	parBreak := par
-	parBreak.OnProgress = func(pr Progress, front []Individual) bool { return pr.Gen < 4 }
+	parBreak.OnProgress = func(pr Progress) bool { return pr.Gen < 4 }
 	s, err = SPEA2(p, parBreak)
 	if err != nil {
 		t.Fatal(err)

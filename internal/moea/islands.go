@@ -185,6 +185,7 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 		return nil
 	}
 
+	view := &frontView{runs: runs}
 	stop := func() bool { return par.Context != nil && par.Context.Err() != nil }
 	interrupted := false
 	for gen := gen0; gen < par.Generations; gen++ {
@@ -210,7 +211,7 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 			}
 			return nil, err
 		}
-		if !islandHooks(gen, &par, runs, engines) || gen == par.Generations-1 {
+		if !islandHooks(gen, &par, view, engines) || gen == par.Generations-1 {
 			break
 		}
 		if gen > 0 && gen%par.MigrationEvery == 0 {
@@ -258,22 +259,18 @@ func foldPhaseErrors(errs []error) error {
 	return interrupted
 }
 
-// islandHooks fires the user callback with the merged cross-island
-// front and the summed per-island progress counters, exactly once per
-// lockstep generation.
-func islandHooks(gen int, par *Params, runs []islandRun, engines []*engine) bool {
+// islandHooks fires the user callback with the summed per-island
+// progress counters, exactly once per lockstep generation; view merges
+// the islands' fronts only if the callback reads Progress.Front.
+func islandHooks(gen int, par *Params, view *frontView, engines []*engine) bool {
 	if par.OnProgress == nil {
 		return true
-	}
-	var all []Individual
-	for _, r := range runs {
-		all = append(all, r.current()...)
 	}
 	p := Progress{Gen: gen}
 	for _, e := range engines {
 		p.Evaluations += e.res.Evaluations
 	}
-	return par.OnProgress(p, ParetoFilter(all))
+	return view.report(par.OnProgress, p, nil)
 }
 
 // migrate performs one ring migration k → (k+1) mod K: each island's

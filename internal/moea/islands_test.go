@@ -271,7 +271,7 @@ func TestIslandCancelPartialResult(t *testing.T) {
 		cp = decoded
 		return nil
 	}
-	par.OnProgress = func(pr Progress, front []Individual) bool {
+	par.OnProgress = func(pr Progress) bool {
 		if pr.Gen == 6 { // 6 % MigrationEvery == 0: a migration generation
 			cancel()
 		}

@@ -173,13 +173,10 @@ type Params struct {
 	Resume *Checkpoint
 	// OnProgress, if non-nil, is called after every generation with the
 	// run's exact per-run progress counters (unlike collector-global
-	// telemetry, these are not polluted by concurrent runs) and the
-	// current nondominated front; returning false stops the run early.
-	// The individuals (including their genome and objective slices) are
-	// only valid for the duration of the call — the engine recycles the
-	// buffers of non-survivors into the next generation. Callers that
-	// retain them must deep-copy.
-	OnProgress func(p Progress, front []Individual) bool
+	// telemetry, these are not polluted by concurrent runs); returning
+	// false stops the run early. The current nondominated front is
+	// Progress.Front, filtered only if the callback reads it.
+	OnProgress func(p Progress) bool
 }
 
 // Progress is the exact per-run state handed to Params.OnProgress at
@@ -191,6 +188,59 @@ type Progress struct {
 	Gen int
 	// Evaluations counts the objective evaluations so far.
 	Evaluations int
+	view        *frontView
+}
+
+// Front returns the generation's nondominated front, sorted by the
+// first objective with duplicates removed — what ParetoFilter returns
+// for the live population (an island run's islands merged in ring
+// order). The filter runs on the first call in a generation; later
+// calls return the same slice, and a generation whose Front is never
+// called pays nothing for it. The slice and its individuals (genome
+// and objective slices included) are valid only during the OnProgress
+// call: the engine recycles non-survivors' buffers into the next
+// generation, so callers that retain them must deep-copy. After the
+// call returns, Front returns nil.
+func (p Progress) Front() []Individual {
+	v := p.view
+	if v == nil {
+		return nil
+	}
+	if !v.read {
+		pop := v.pop
+		if v.runs != nil {
+			v.merged = v.merged[:0]
+			for _, r := range v.runs {
+				v.merged = append(v.merged, r.current()...)
+			}
+			pop = v.merged
+		}
+		v.front, v.read = ParetoFilter(pop), true
+	}
+	return v.front
+}
+
+// frontView is the engine-owned state behind Progress.Front: the live
+// population of the generation being reported — or, for an island run,
+// the islands whose current sets merge into a buffer reused across
+// generations — and, once read, its front.
+type frontView struct {
+	pop    []Individual
+	runs   []islandRun
+	merged []Individual
+	front  []Individual
+	read   bool
+}
+
+// report hands p to hook with the view open over pop, and closes it
+// when the hook returns, so that a Progress kept past its callback
+// reads a nil front.
+func (v *frontView) report(hook func(Progress) bool, p Progress, pop []Individual) bool {
+	v.pop, v.front, v.read = pop, nil, false
+	p.view = v
+	cont := hook(p)
+	v.pop, v.front, v.read = nil, nil, true
+	return cont
 }
 
 // Defaults returns the paper's parameters for a problem with the given

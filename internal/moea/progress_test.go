@@ -12,8 +12,8 @@ func TestOnProgressExactAccounting(t *testing.T) {
 	var seen []Progress
 	par := Params{
 		Population: 20, Generations: 6, PCrossover: 0.95, PMutateBit: 0.01, Seed: 11,
-		OnProgress: func(pr Progress, front []Individual) bool {
-			if len(front) == 0 {
+		OnProgress: func(pr Progress) bool {
+			if len(pr.Front()) == 0 {
 				t.Errorf("gen %d: empty front in OnProgress", pr.Gen)
 			}
 			seen = append(seen, pr)
@@ -47,7 +47,7 @@ func TestOnProgressEarlyStop(t *testing.T) {
 	calls := 0
 	par := Params{
 		Population: 20, Generations: 100, PCrossover: 0.95, PMutateBit: 0.01, Seed: 13,
-		OnProgress: func(pr Progress, front []Individual) bool {
+		OnProgress: func(pr Progress) bool {
 			calls++
 			return pr.Gen < 3
 		},
@@ -69,7 +69,10 @@ func TestOnProgressDoesNotPerturbDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooked := base
-	hooked.OnProgress = func(pr Progress, front []Individual) bool { return true }
+	hooked.OnProgress = func(pr Progress) bool {
+		pr.Front()
+		return true
+	}
 	withHook, err := SPEA2(p, hooked)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +83,51 @@ func TestOnProgressDoesNotPerturbDeterminism(t *testing.T) {
 	for i := range plain.Front {
 		if !equalObjectives(plain.Front[i].Obj, withHook.Front[i].Obj) {
 			t.Fatalf("front member %d differs when OnProgress is attached", i)
+		}
+	}
+}
+
+// TestProgressFrontIsLazy: Progress.Front filters the live population
+// once per generation, on demand. Its final read equals the run's own
+// front for single-population and island runs of both algorithms (so
+// the hook sees what the result extraction sees), a second read in the
+// same callback returns the same slice, and a Progress kept past its
+// callback reads nil.
+func TestProgressFrontIsLazy(t *testing.T) {
+	p := newKnapsack(43, 40)
+	for _, algo := range []string{"spea2", "nsga2"} {
+		for _, islands := range []int{1, 3} {
+			par := Params{Population: 30, Generations: 12, PCrossover: 0.95, PMutateBit: 0.02,
+				Seed: 5, Islands: islands, MigrationEvery: 4}
+			var last []Individual
+			var kept Progress
+			par.OnProgress = func(pr Progress) bool {
+				if pr.Gen%3 != 2 && pr.Gen != par.Generations-1 {
+					return true // most generations read nothing
+				}
+				f := pr.Front()
+				if g := pr.Front(); len(g) != len(f) || (len(f) > 0 && &g[0] != &f[0]) {
+					t.Errorf("%s islands=%d gen %d: second Front call refiltered", algo, islands, pr.Gen)
+				}
+				last = last[:0]
+				for _, ind := range f {
+					last = append(last, Individual{Obj: append([]float64(nil), ind.Obj...)})
+				}
+				kept = pr
+				return true
+			}
+			res := runAlgo(t, algo, p, par)
+			if len(last) != len(res.Front) {
+				t.Fatalf("%s islands=%d: final hook front has %d members, result %d", algo, islands, len(last), len(res.Front))
+			}
+			for i := range last {
+				if !equalObjectives(last[i].Obj, res.Front[i].Obj) {
+					t.Errorf("%s islands=%d: final hook front member %d differs from the result's", algo, islands, i)
+				}
+			}
+			if f := kept.Front(); f != nil {
+				t.Errorf("%s islands=%d: a Progress kept past its callback reads %d members", algo, islands, len(f))
+			}
 		}
 	}
 }

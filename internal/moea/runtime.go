@@ -45,6 +45,7 @@ type engine struct {
 	bases      []EvalBase // per-offspring evaluation bases, parallel to dst
 	sel        selScratch
 	nsga       nsgaScratch
+	view       frontView // behind the OnProgress Progress.Front
 }
 
 // grow returns buf resized to n, reallocating only when the capacity is
@@ -371,16 +372,16 @@ func (e *engine) vary(dst []Individual, pa, pb *Individual) []Individual {
 	return dst
 }
 
-// hooks invokes the user callback (if any) on the current
-// nondominated front; it reports whether the run should continue. The
-// generation counter itself is advanced by the algorithms' selection
-// phase so that island runs (which suppress per-island hooks) still
-// count generations.
+// hooks invokes the user callback (if any) with the generation's
+// progress, its front drawn from current on demand; it reports whether
+// the run should continue. The generation counter itself is advanced
+// by the algorithms' selection phase so that island runs (which
+// suppress per-island hooks) still count generations.
 func (e *engine) hooks(gen int, current []Individual) bool {
 	if e.par.OnProgress == nil {
 		return true
 	}
-	return e.par.OnProgress(Progress{Gen: gen, Evaluations: e.res.Evaluations}, ParetoFilter(current))
+	return e.view.report(e.par.OnProgress, Progress{Gen: gen, Evaluations: e.res.Evaluations}, current)
 }
 
 // finish extracts the final nondominated front and returns the

@@ -54,9 +54,13 @@ func (b *Builder) Segment(name string, length int, instr *Instrument) NodeID {
 // sub-builder; Join closes the section with a multiplexer whose port i
 // receives branch i.
 type BranchSet struct {
-	parent   *Builder
-	fanout   NodeID
-	branches []*Builder
+	parent *Builder
+	fanout NodeID
+	// fixed holds Fork's branch builders in one slab. added holds the
+	// branches NewBranch appends after them, each allocated on its own
+	// so that the sub-builders it returned stay valid as the set grows.
+	fixed []Builder
+	added []*Builder
 }
 
 // Fork opens a parallel section with n branches, inserting a fanout node
@@ -67,16 +71,21 @@ func (b *Builder) Fork(name string, n int) *BranchSet {
 	}
 	f := b.net.AddNode(Node{Kind: KindFanout, Name: name, Partner: None})
 	b.append(f)
-	bs := &BranchSet{parent: b, fanout: f}
-	for i := 0; i < n; i++ {
-		bs.branches = append(bs.branches, &Builder{net: b.net, cursor: None, headID: None})
+	bs := &BranchSet{parent: b, fanout: f, fixed: make([]Builder, n)}
+	for i := range bs.fixed {
+		bs.fixed[i] = Builder{net: b.net, cursor: None, headID: None}
 	}
 	return bs
 }
 
 // Branch returns the sub-builder for branch i. A branch left empty
 // becomes a direct bypass wire from the fanout to the joining mux.
-func (bs *BranchSet) Branch(i int) *Builder { return bs.branches[i] }
+func (bs *BranchSet) Branch(i int) *Builder {
+	if i < len(bs.fixed) {
+		return &bs.fixed[i]
+	}
+	return bs.added[i-len(bs.fixed)]
+}
 
 // ForkAny opens a parallel section whose branch count is not known up
 // front; add branches with BranchSet.NewBranch before Join. Used by
@@ -91,7 +100,7 @@ func (b *Builder) ForkAny(name string) *BranchSet {
 // returns its sub-builder.
 func (bs *BranchSet) NewBranch() *Builder {
 	br := &Builder{net: bs.parent.net, cursor: None, headID: None}
-	bs.branches = append(bs.branches, br)
+	bs.added = append(bs.added, br)
 	return br
 }
 
@@ -102,7 +111,8 @@ func (bs *BranchSet) NewBranch() *Builder {
 func (bs *BranchSet) Join(name string, ctrl Control) NodeID {
 	p := bs.parent
 	m := p.net.AddNode(Node{Kind: KindMux, Name: name, Ctrl: ctrl, Partner: None})
-	for _, br := range bs.branches {
+	for i := range len(bs.fixed) + len(bs.added) {
+		br := bs.Branch(i)
 		if br.cursor == None { // empty branch: bypass wire
 			p.net.AddEdge(bs.fanout, m)
 		} else {

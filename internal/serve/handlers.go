@@ -359,17 +359,20 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 	throttle := newStreamThrottle(req.Options.StreamEvery)
 	// The job runs on this goroutine (the queue degrades its single-job
 	// RunSet to a serial loop), so emitting SSE frames from the progress
-	// hook needs no synchronization.
+	// hook needs no synchronization. Only a generation the stream emits
+	// is measured, and so recorded in the server's collector; the jobs
+	// registry reads the generation index alone.
 	onProgress := func(p core.Progress) bool {
 		s.jobs.progress(jobID, p.Gen)
-		if sse != nil && throttle.admit(p.Gen, time.Now()) {
+		if sse != nil && sse.Err() == nil && throttle.admit(p.Gen, time.Now()) {
+			g := p.Record()
 			sse.event("generation", generationEvent{
-				Gen:         p.Gen,
-				Front:       p.Front,
-				Hypervolume: p.Hypervolume,
-				NormHV:      p.NormHV,
-				Evaluations: p.Evaluations,
-				ElapsedMS:   p.ElapsedMS,
+				Gen:         g.Gen,
+				Front:       g.Front,
+				Hypervolume: g.Hypervolume,
+				NormHV:      g.NormHV,
+				Evaluations: g.Evaluations,
+				ElapsedMS:   g.ElapsedMS,
 			})
 		}
 		return true

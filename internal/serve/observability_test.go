@@ -3,9 +3,12 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -79,6 +82,22 @@ const streamHardenBody = `{"network":{"name":"TreeFlat"},"spec":{"seed":3},` +
 
 var elapsedRe = regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
 
+// generationDigest hashes the deterministic fields of a stream's
+// generation events in order (elapsed_ms is wall clock).
+func generationDigest(gens []generationEvent) uint64 {
+	h := fnv.New64a()
+	for _, g := range gens {
+		var b [40]byte
+		binary.LittleEndian.PutUint64(b[0:], uint64(g.Gen))
+		binary.LittleEndian.PutUint64(b[8:], uint64(g.Front))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(g.Hypervolume))
+		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(g.NormHV))
+		binary.LittleEndian.PutUint64(b[32:], uint64(g.Evaluations))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
 func TestStreamedHardenEmitsGenerationsThenResult(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, body := postStream(t, ts, "/v1/harden", streamHardenBody)
@@ -96,7 +115,7 @@ func TestStreamedHardenEmitsGenerationsThenResult(t *testing.T) {
 	if last.name != "result" {
 		t.Fatalf("terminal event is %q, want result", last.name)
 	}
-	gens := 0
+	var gens []generationEvent
 	prevGen := -1
 	for _, ev := range events[:len(events)-1] {
 		if ev.name != "generation" {
@@ -113,14 +132,20 @@ func TestStreamedHardenEmitsGenerationsThenResult(t *testing.T) {
 		if g.Front <= 0 {
 			t.Errorf("gen %d: empty front", g.Gen)
 		}
-		gens++
+		gens = append(gens, g)
 	}
-	if gens < 1 {
+	if len(gens) < 1 {
 		t.Fatal("no per-generation events before the terminal result")
 	}
 	// stream_every=1 on a 40-generation run: every generation streams.
-	if gens != 40 {
-		t.Errorf("got %d generation events, want 40 with stream_every=1", gens)
+	if len(gens) != 40 {
+		t.Errorf("got %d generation events, want 40 with stream_every=1", len(gens))
+	}
+	// The payloads are the convergence records the run has always
+	// streamed, pinned by hash: measuring a generation only when the
+	// stream emits it must not change what it emits.
+	if got, want := generationDigest(gens), uint64(0xc5ccf1e517caeb00); got != want {
+		t.Errorf("generation events digest %#016x, want %#016x", got, want)
 	}
 	var res HardenResponse
 	if err := json.Unmarshal(last.data, &res); err != nil {
@@ -128,6 +153,56 @@ func TestStreamedHardenEmitsGenerationsThenResult(t *testing.T) {
 	}
 	if res.Generations != 40 || len(res.Front) == 0 {
 		t.Errorf("terminal result degenerate: generations=%d front=%d", res.Generations, len(res.Front))
+	}
+}
+
+// TestMetricsHistoryHoldsStreamedGenerations: a served harden measures
+// and records a generation only when its stream emits it, so the
+// generation history of /metrics?format=json holds exactly the streamed
+// records, and a plain harden adds none.
+func TestMetricsHistoryHoldsStreamedGenerations(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	history := func() []telemetry.Generation {
+		t.Helper()
+		status, b := get(t, ts, "/metrics?format=json")
+		if status != http.StatusOK {
+			t.Fatalf("metrics status = %d", status)
+		}
+		return decode[telemetry.Snapshot](t, b).Generations
+	}
+	plain := `{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":40,"population":30,"seed":7,"no_cache":true}}`
+	if status, _, b := post(t, ts, "/v1/harden", plain); status != http.StatusOK {
+		t.Fatalf("plain harden: %d %s", status, b)
+	}
+	if h := history(); len(h) != 0 {
+		t.Fatalf("a plain harden left %d generation records", len(h))
+	}
+	streamed := strings.Replace(plain, `"no_cache":true`, `"no_cache":true,"stream_every":5`, 1)
+	_, body := postStream(t, ts, "/v1/harden", streamed)
+	var events []generationEvent
+	for _, ev := range parseSSE(t, body) {
+		if ev.name != "generation" {
+			continue
+		}
+		var g generationEvent
+		if err := json.Unmarshal(ev.data, &g); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, g)
+	}
+	if len(events) != 8 {
+		t.Fatalf("stream_every=5 on 40 generations streamed %d events, want 8", len(events))
+	}
+	h := history()
+	if len(h) != len(events) {
+		t.Fatalf("metrics history holds %d records for %d streamed generations", len(h), len(events))
+	}
+	for i, g := range h {
+		ev := events[i]
+		if g.Gen != ev.Gen || g.Front != ev.Front || g.Hypervolume != ev.Hypervolume ||
+			g.NormHV != ev.NormHV || g.Evaluations != ev.Evaluations || g.ElapsedMS != ev.ElapsedMS {
+			t.Errorf("history record %d = %+v, streamed %+v", i, g, ev)
+		}
 	}
 }
 

@@ -320,20 +320,6 @@ func makeRoom[T any](h []T, limit int) []T {
 	return h
 }
 
-// LastGeneration returns the most recent convergence record, if any.
-// Safe on a nil collector.
-func (c *Collector) LastGeneration() (Generation, bool) {
-	if c == nil {
-		return Generation{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.gens) == 0 {
-		return Generation{}, false
-	}
-	return c.gens[len(c.gens)-1], true
-}
-
 // Snapshot is a point-in-time copy of everything the collector holds.
 type Snapshot struct {
 	Counters    map[string]int64    `json:"counters,omitempty"`

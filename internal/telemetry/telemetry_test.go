@@ -33,15 +33,12 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	}
 	sp.End()
 	c.RecordGeneration(Generation{Gen: 1})
-	if _, ok := c.LastGeneration(); ok {
-		t.Error("nil collector has a last generation")
-	}
 	c.SetOutput(&bytes.Buffer{})
 	c.Meta(map[string]any{"a": 1})
 	if err := c.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
-	if s := c.Snapshot(); len(s.Counters) != 0 || len(s.Spans) != 0 {
+	if s := c.Snapshot(); len(s.Counters) != 0 || len(s.Spans) != 0 || len(s.Generations) != 0 {
 		t.Error("nil snapshot not empty")
 	}
 }
@@ -153,19 +150,6 @@ func TestJSONLStream(t *testing.T) {
 	}
 }
 
-func TestLastGeneration(t *testing.T) {
-	c := New()
-	if _, ok := c.LastGeneration(); ok {
-		t.Error("fresh collector reports a generation")
-	}
-	c.RecordGeneration(Generation{Gen: 0})
-	c.RecordGeneration(Generation{Gen: 1, Front: 9})
-	g, ok := c.LastGeneration()
-	if !ok || g.Gen != 1 || g.Front != 9 {
-		t.Errorf("last generation = %+v, %v", g, ok)
-	}
-}
-
 // TestSpanLimitBoundsGenerations: the span limit also bounds the
 // generation history, so a server that records every generation of
 // every job keeps only the most recent ones.
@@ -184,8 +168,8 @@ func TestSpanLimitBoundsGenerations(t *testing.T) {
 			t.Errorf("retained generations not consecutive: %d after %d", gens[i].Gen, gens[i-1].Gen)
 		}
 	}
-	if g, ok := c.LastGeneration(); !ok || g.Gen != 99 {
-		t.Errorf("last generation = %+v, %v; want gen 99", g, ok)
+	if len(gens) == 0 || gens[len(gens)-1].Gen != 99 {
+		t.Errorf("retained generations %+v; want the last to be gen 99", gens)
 	}
 }
 
