@@ -56,9 +56,11 @@ race:
 # of every objective subset's evaluation to a reference that does not
 # read the problem's rows; ProgressMeasuresOnlyWhenRead holds the lazy
 # generation records to the every-generation reader's and the
-# stagnation stops to their pinned generations.
+# stagnation stops to their pinned generations; CheckpointBytesPinned
+# pins the encoded checkpoint of single-population and island runs by
+# hash.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis|ProgressMeasuresOnlyWhenRead' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis|ProgressMeasuresOnlyWhenRead|CheckpointBytesPinned' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,

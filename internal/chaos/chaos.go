@@ -1,6 +1,6 @@
 // Package chaos provides seeded, deterministic fault injection for the
 // synthesis runtime: evaluation panics, generation-boundary
-// cancellation, batch delays, and checkpoint-file corruption. The chaos
+// cancellation, evaluation delays, and checkpoint-file corruption. The chaos
 // test suites drive every failure path of the optimizer — panic
 // isolation, cooperative cancellation, resume equivalence, decoder
 // hardening — through these hooks instead of relying on timing or
@@ -28,12 +28,7 @@ type Options struct {
 	PanicAtEval int64
 	// DelayEval sleeps Delay before the Nth objective evaluation.
 	DelayEval int64
-	// PanicAtBatch panics on the Kth EvaluateBatch chunk (Batch only).
-	PanicAtBatch int64
-	// DelayBatch sleeps Delay before the Kth EvaluateBatch chunk
-	// (Batch only).
-	DelayBatch int64
-	// Delay is the sleep used by DelayEval/DelayBatch (default 1ms).
+	// Delay is the sleep used by DelayEval (default 1ms).
 	Delay time.Duration
 }
 
@@ -46,9 +41,9 @@ func (o Options) delay() time.Duration {
 
 // Problem wraps a moea.Problem with per-evaluation fault injection. It
 // deliberately embeds the interface, not a concrete type, so it never
-// exposes EvaluateBatch: the executor falls back to per-genome
-// evaluation and every injection point is a single attributable
-// evaluation.
+// exposes the wrapped problem's EvaluateDelta: the executor evaluates
+// every genome through Evaluate, and every injection point is a single
+// attributable evaluation.
 type Problem struct {
 	moea.Problem
 	opts  Options
@@ -74,38 +69,6 @@ func (p *Problem) Evaluate(g moea.Genome, out []float64) {
 		time.Sleep(p.opts.delay())
 	}
 	p.Problem.Evaluate(g, out)
-}
-
-// Batch is Problem plus a batch entry point, for driving the
-// executor's BatchProblem fast path (chunk-level panic attribution,
-// batch delays).
-type Batch struct {
-	Problem
-	batches atomic.Int64
-}
-
-// NewBatch wraps p with batch-level injections.
-func NewBatch(p moea.Problem, opts Options) *Batch {
-	return &Batch{Problem: Problem{Problem: p, opts: opts}}
-}
-
-// Batches returns the number of EvaluateBatch chunks seen so far.
-func (b *Batch) Batches() int64 { return b.batches.Load() }
-
-// EvaluateBatch counts the chunk, fires any due batch injection, then
-// evaluates the chunk genome by genome (through the per-evaluation
-// injections).
-func (b *Batch) EvaluateBatch(gs []moea.Genome, outs [][]float64) {
-	k := b.batches.Add(1)
-	if b.opts.PanicAtBatch > 0 && k == b.opts.PanicAtBatch {
-		panic(fmt.Sprintf("chaos: injected panic at batch %d", k))
-	}
-	if b.opts.DelayBatch > 0 && k == b.opts.DelayBatch {
-		time.Sleep(b.opts.delay())
-	}
-	for i := range gs {
-		b.Evaluate(gs[i], outs[i])
-	}
 }
 
 // CancelAtGeneration returns a context plus an OnProgress callback

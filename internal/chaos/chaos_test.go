@@ -72,8 +72,9 @@ func checkNoGoroutineLeak(t *testing.T, base int) {
 
 // TestChaosGracefulPanic injects a panic into a single evaluation and
 // checks the isolation contract: the run returns a structured
-// *moea.PanicError (with the offending genome attached on the serial
-// path), the panic is counted on moea.panics, and no goroutine leaks.
+// *moea.PanicError with the offending genome and its batch index
+// attached, the panic is counted on moea.panics, and no goroutine
+// leaks.
 func TestChaosGracefulPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		base := runtime.NumGoroutine()
@@ -95,29 +96,14 @@ func TestChaosGracefulPanic(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Errorf("workers=%d: panic error carries no stack", workers)
 		}
-		if workers == 1 {
-			if pe.Index < 0 || pe.Genome == nil {
-				t.Errorf("workers=%d: serial panic lacks genome evidence (index %d, genome %v)", workers, pe.Index, pe.Genome)
-			}
+		if pe.Index < 0 || pe.Genome == nil {
+			t.Errorf("workers=%d: panic lacks genome evidence (index %d, genome %v)", workers, pe.Index, pe.Genome)
 		}
 		if got := tel.Snapshot().Counters["moea.panics"]; got != 1 {
 			t.Errorf("workers=%d: moea.panics = %d, want 1", workers, got)
 		}
 		checkNoGoroutineLeak(t, base)
 	}
-}
-
-// TestChaosGracefulBatchPanic injects the panic into the batch entry
-// point instead, where only chunk-level attribution is possible.
-func TestChaosGracefulBatchPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
-	prob := NewBatch(newTestProblem(3, 40), Options{PanicAtBatch: 5})
-	_, err := moea.SPEA2(prob, params(9, 4))
-	var pe *moea.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("batch panic surfaced as %v, want *moea.PanicError", err)
-	}
-	checkNoGoroutineLeak(t, base)
 }
 
 // TestChaosGracefulCancel cancels at a generation boundary and checks
@@ -218,16 +204,16 @@ func TestChaosGracefulCancelIslands(t *testing.T) {
 	}
 }
 
-// TestChaosDelayInvariance injects batch and evaluation delays and
-// checks that timing perturbation cannot change the result — the
-// determinism guarantee extends to slow, jittery evaluation.
+// TestChaosDelayInvariance injects an evaluation delay and checks that
+// timing perturbation cannot change the result — the determinism
+// guarantee extends to slow, jittery evaluation.
 func TestChaosDelayInvariance(t *testing.T) {
 	ref, err := moea.SPEA2(newTestProblem(3, 40), params(9, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	delayed, err := moea.SPEA2(
-		NewBatch(newTestProblem(3, 40), Options{DelayBatch: 3, DelayEval: 77, Delay: 2 * time.Millisecond}),
+		New(newTestProblem(3, 40), Options{DelayEval: 77, Delay: 2 * time.Millisecond}),
 		params(9, 4))
 	if err != nil {
 		t.Fatal(err)

@@ -377,19 +377,6 @@ func (p *Problem) Evaluate(g moea.Genome, out []float64) {
 	p.store(&acc, out)
 }
 
-// EvaluateBatch is the moea.BatchProblem entry point: it evaluates a
-// slice of genomes with one dispatch. Safe for concurrent calls on
-// disjoint batches — evaluation only reads the problem.
-func (p *Problem) EvaluateBatch(gs []moea.Genome, outs [][]float64) {
-	for i := range gs {
-		p.Evaluate(gs[i], outs[i])
-	}
-}
-
-// CanDelta reports that incremental evaluation is worthwhile: every
-// objective is linear, so its rows are exact flip deltas.
-func (p *Problem) CanDelta() bool { return true }
-
 // EvaluateDelta computes the child's objective vector from its base's
 // by walking only the bits where the two genomes differ. Forced bits
 // are masked out of the difference first — with critMask OR'd into
@@ -516,8 +503,8 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	analysis.Publish(tel)
 
 	// The problem goes to the optimizer undecorated so the executor sees
-	// its BatchProblem fast path; evaluation accounting moved into the
-	// executor, which feeds the same "moea.evaluations" counter.
+	// its DeltaProblem path; evaluation accounting lives in the
+	// executor, which feeds the "moea.evaluations" counter.
 	problem, err := NewProblemWithObjectives(analysis, opt.ForceCritical, opt.Objectives)
 	if err != nil {
 		return fail(nil, err)

@@ -225,8 +225,7 @@ func referenceValue(t *testing.T, a *faults.Analysis, counts map[rsn.NodeID]int6
 // paper example and three random networks, for every objective subset
 // with and without ForceCritical, each slot of Evaluate must equal an
 // independent reference (referenceValue) on random genomes of every
-// density plus the empty and full genomes, and EvaluateBatch must match
-// Evaluate.
+// density plus the empty and full genomes.
 func TestProblemEvaluateMatchesAnalysis(t *testing.T) {
 	nets := []*rsn.Network{fixture.PaperExample()}
 	for _, seed := range []int64{99, 101, 103} {
@@ -267,11 +266,6 @@ func TestProblemEvaluateMatchesAnalysis(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				outs := make([][]float64, len(gs))
-				for j := range outs {
-					outs[j] = make([]float64, len(objs))
-				}
-				p.EvaluateBatch(gs, outs)
 				got := make([]float64, len(objs))
 				for j, g := range gs {
 					p.Evaluate(g, got)
@@ -279,10 +273,6 @@ func TestProblemEvaluateMatchesAnalysis(t *testing.T) {
 						if want := referenceValue(t, a, counts, name, masks[j]); got[k] != want {
 							t.Fatalf("net %d force=%v objs=%v genome %d: %s = %v, reference %v",
 								ni, force, objs, j, name, got[k], want)
-						}
-						if outs[j][k] != got[k] {
-							t.Fatalf("net %d force=%v objs=%v genome %d: EvaluateBatch %s = %v, Evaluate %v",
-								ni, force, objs, j, name, outs[j][k], got[k])
 						}
 					}
 				}

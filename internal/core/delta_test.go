@@ -10,6 +10,9 @@ import (
 	"rsnrobust/internal/rsn"
 )
 
+// The problem offers the executor its incremental path.
+var _ moea.DeltaProblem = (*Problem)(nil)
+
 // randomGenome fills a genome with n random bits.
 func randomGenome(rng *rand.Rand, n int) moea.Genome {
 	g := moea.NewGenome(n)
@@ -50,9 +53,6 @@ func TestDeltaOracleProviders(t *testing.T) {
 				p, err := NewProblemWithObjectives(a, force, objs)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if !p.CanDelta() {
-					t.Fatalf("%s force=%v objs=%v: CanDelta() = false for all-linear set", netName, force, objs)
 				}
 				n := p.NumBits()
 				m := p.NumObjectives()

@@ -54,7 +54,8 @@ type Checkpoint struct {
 	Evaluations           int
 	DeltaEvals, FullEvals int
 	// Islands is the island count of an island-model run (zero for a
-	// classic single-population checkpoint). An island checkpoint
+	// single population's checkpoint: a one-island run writes its
+	// island's own record). An island checkpoint
 	// carries the whole lockstep state in IslandCkpts — one nested
 	// single-population checkpoint per island, in ring order — and its
 	// own Pop/Archive are empty: the top level records only the
@@ -317,26 +318,37 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// validateResume checks that a checkpoint belongs to the run described
-// by the engine's parameters.
-func (e *engine) validateResume(algo string, cp *Checkpoint) error {
+// validateResume checks that a checkpoint belongs to the run par
+// describes on a problem of nbits bits and m objectives: the same
+// island count, algorithm, seed, genome size, population and objective
+// count, and a generation inside the budget. An island run's checkpoint
+// must carry one record per island (each island's engine validates its
+// own); a single population's record — Islands 0 — must carry its
+// population.
+func validateResume(algo string, cp *Checkpoint, par *Params, nbits, m int) error {
+	islands := par.Islands
+	if islands == 1 {
+		islands = 0
+	}
 	switch {
-	case cp.Islands > 0:
-		return fmt.Errorf("%w: island checkpoint (%d islands) cannot resume a single-population run", ErrCheckpointMismatch, cp.Islands)
+	case cp.Islands != islands:
+		return fmt.Errorf("%w: checkpoint has %d islands, run has %d (0: a single population)", ErrCheckpointMismatch, cp.Islands, islands)
+	case len(cp.IslandCkpts) != cp.Islands:
+		return fmt.Errorf("%w: island checkpoint carries %d of %d island states", ErrCheckpointMismatch, len(cp.IslandCkpts), cp.Islands)
 	case cp.Algorithm != algo:
 		return fmt.Errorf("%w: checkpoint is a %s run, resuming %s", ErrCheckpointMismatch, cp.Algorithm, algo)
-	case cp.Seed != e.par.Seed:
-		return fmt.Errorf("%w: checkpoint seed %d, run seed %d", ErrCheckpointMismatch, cp.Seed, e.par.Seed)
-	case cp.NumBits != e.nbits:
-		return fmt.Errorf("%w: checkpoint genome is %d bits, problem has %d", ErrCheckpointMismatch, cp.NumBits, e.nbits)
-	case cp.Population != e.par.Population:
-		return fmt.Errorf("%w: checkpoint population %d, run population %d", ErrCheckpointMismatch, cp.Population, e.par.Population)
-	case cp.Generation >= e.par.Generations:
-		return fmt.Errorf("%w: checkpoint generation %d is beyond the %d-generation budget", ErrCheckpointMismatch, cp.Generation, e.par.Generations)
-	case len(cp.Pop) == 0:
+	case cp.Seed != par.Seed:
+		return fmt.Errorf("%w: checkpoint seed %d, run seed %d", ErrCheckpointMismatch, cp.Seed, par.Seed)
+	case cp.NumBits != nbits:
+		return fmt.Errorf("%w: checkpoint genome is %d bits, problem has %d", ErrCheckpointMismatch, cp.NumBits, nbits)
+	case cp.Population != par.Population:
+		return fmt.Errorf("%w: checkpoint population %d, run population %d", ErrCheckpointMismatch, cp.Population, par.Population)
+	case cp.Generation >= par.Generations:
+		return fmt.Errorf("%w: checkpoint generation %d is beyond the %d-generation budget", ErrCheckpointMismatch, cp.Generation, par.Generations)
+	case islands == 0 && len(cp.Pop) == 0:
 		return fmt.Errorf("%w: checkpoint has no population", ErrCheckpointMismatch)
-	case cp.headerObjectives() != e.m:
-		return fmt.Errorf("%w: checkpoint has %d objectives, problem has %d", ErrCheckpointMismatch, cp.headerObjectives(), e.m)
+	case cp.headerObjectives() != m:
+		return fmt.Errorf("%w: checkpoint has %d objectives, problem has %d", ErrCheckpointMismatch, cp.headerObjectives(), m)
 	}
 	return nil
 }

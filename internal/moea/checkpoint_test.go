@@ -94,6 +94,41 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesPinned pins the bytes a run writes, which the fleet
+// relays between processes: the encoded checkpoint of a seeded knapsack
+// run at generation 6, for both algorithms, as a single population
+// (Islands 0 and 1 alike) and as 3 islands, must hash to the pinned
+// FNV-1a digests.
+func TestCheckpointBytesPinned(t *testing.T) {
+	want := map[string]uint64{
+		"spea2/1": 0x329851becd13b62c,
+		"spea2/3": 0x829342c30250ffcc,
+		"nsga2/1": 0x46138417605ae4d8,
+		"nsga2/3": 0x93531cea495523c2,
+	}
+	prob := newKnapsack(7, 48)
+	for _, algo := range []string{"spea2", "nsga2"} {
+		for _, islands := range []int{0, 1, 3} {
+			par := ckptParams(11, 1)
+			par.Islands = islands
+			par.MigrationEvery = 4
+			par.CheckpointEvery = 6
+			var got uint64
+			par.CheckpointFn = func(c *Checkpoint) error {
+				if c.Generation == 6 {
+					got = fnv1a(EncodeCheckpoint(c))
+				}
+				return nil
+			}
+			runAlgo(t, algo, prob, par)
+			key := fmt.Sprintf("%s/%d", algo, max(islands, 1))
+			if got != want[key] {
+				t.Errorf("%s islands=%d: checkpoint digest %#016x, want %#016x", algo, islands, got, want[key])
+			}
+		}
+	}
+}
+
 // TestResumeEquivalenceAcrossWorkers checkpoints a parallel run and
 // resumes it serially: the interruption boundary must not leak the
 // worker count into the trajectory.
@@ -196,14 +231,13 @@ func TestCheckpointEmptyPopObjectives(t *testing.T) {
 		t.Errorf("empty-pop checkpoint decoded NumObjectives = %d, want 3", got.NumObjectives)
 	}
 	// Resume validation reads the header count: a 3-objective
-	// checkpoint must not validate against a 2-objective engine.
-	e := &engine{par: &Params{Seed: 5, Population: 4, Generations: 9}, nbits: 12, m: 2}
+	// checkpoint must not validate against a 2-objective problem.
+	par := &Params{Seed: 5, Population: 4, Generations: 9}
 	got.Pop = []CheckpointIndividual{{Genome: Genome{1}, Obj: []float64{1, 2, 3}}}
-	if err := e.validateResume("spea2", got); !errors.Is(err, ErrCheckpointMismatch) {
+	if err := validateResume("spea2", got, par, 12, 2); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("3-objective checkpoint against 2-objective engine: err = %v, want ErrCheckpointMismatch", err)
 	}
-	e.m = 3
-	if err := e.validateResume("spea2", got); err != nil {
+	if err := validateResume("spea2", got, par, 12, 3); err != nil {
 		t.Errorf("3-objective checkpoint against 3-objective engine: unexpected err %v", err)
 	}
 }

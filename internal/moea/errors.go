@@ -36,11 +36,10 @@ type PanicError struct {
 	// Label is the RunSet job label, when applicable.
 	Label string
 	// Index is the batch index of the offending genome or the submission
-	// index of the offending job; -1 when the unit is not attributable
-	// (for example a BatchProblem call covering a whole chunk).
+	// index of the offending job.
 	Index int
-	// Genome is a private copy of the offending genome, when the panic
-	// is attributable to a single evaluation.
+	// Genome is a private copy of the offending genome (executor panics
+	// only).
 	Genome Genome
 	// Value is the recovered panic value.
 	Value any
@@ -51,12 +50,8 @@ type PanicError struct {
 // Error renders the root-cause evidence on one line; the stack is
 // available separately for logs.
 func (e *PanicError) Error() string {
-	switch {
-	case e.Op == "job" && e.Label != "":
+	if e.Op == "job" && e.Label != "" {
 		return fmt.Sprintf("moea: panic in job %q (#%d): %v", e.Label, e.Index, e.Value)
-	case e.Index >= 0:
-		return fmt.Sprintf("moea: panic in %s (batch index %d): %v", e.Op, e.Index, e.Value)
-	default:
-		return fmt.Sprintf("moea: panic in %s: %v", e.Op, e.Value)
 	}
+	return fmt.Sprintf("moea: panic in %s (batch index %d): %v", e.Op, e.Index, e.Value)
 }

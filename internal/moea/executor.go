@@ -31,15 +31,9 @@ const minParallelChunk = 16
 type Executor struct {
 	ctx     context.Context // nil = never cancelled
 	p       Problem
-	bp      BatchProblem // non-nil when p implements the batch fast path
 	dp      DeltaProblem // non-nil when p offers delta evaluation
 	m       int
 	workers int
-
-	// Reused per-batch scratch: the flattened genome/objective views
-	// handed to BatchProblem.
-	gsBuf   []Genome
-	outsBuf [][]float64
 
 	evals     *telemetry.Counter   // moea.evaluations
 	deltas    *telemetry.Counter   // moea.delta.evaluations
@@ -68,10 +62,7 @@ func NewExecutor(ctx context.Context, p Problem, workers int, tel *telemetry.Col
 		batchSize: tel.Gauge("moea.executor.batch_size"),
 		util:      tel.Histogram("moea.executor.utilization_pct"),
 	}
-	e.bp, _ = p.(BatchProblem)
-	if dp, ok := p.(DeltaProblem); ok && dp.CanDelta() {
-		e.dp = dp
-	}
+	e.dp, _ = p.(DeltaProblem)
 	tel.Gauge("moea.executor.workers").Set(float64(workers))
 	return e
 }
@@ -120,19 +111,6 @@ func (e *Executor) Evaluate(batch []Individual, bases []EvalBase) (evaluated, de
 // always drains before returning.
 func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (evaluated, delta int, err error) {
 	n := len(batch)
-	if cap(e.gsBuf) < n {
-		e.gsBuf = make([]Genome, n)
-		e.outsBuf = make([][]float64, n)
-	}
-	gs, outs := e.gsBuf[:n], e.outsBuf[:n]
-	for i := range batch {
-		gs[i] = batch[i].G
-		outs[i] = batch[i].Obj
-	}
-	defer func() {
-		clear(gs)
-		clear(outs)
-	}()
 	baseSlice := func(lo, hi int) []EvalBase {
 		if bases == nil {
 			return nil
@@ -140,7 +118,7 @@ func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (evaluated,
 		return bases[lo:hi]
 	}
 	if e.workers == 1 || n < 2*minParallelChunk {
-		d, perr := e.evaluateRange(gs, outs, baseSlice(0, n), 0)
+		d, perr := e.evaluateRange(batch, baseSlice(0, n), 0)
 		if perr != nil {
 			return 0, 0, perr
 		}
@@ -170,7 +148,7 @@ func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (evaluated,
 				return
 			}
 			t0 := time.Now()
-			dcount[w], errs[w] = e.evaluateRange(gs[lo:hi], outs[lo:hi], baseSlice(lo, hi), lo)
+			dcount[w], errs[w] = e.evaluateRange(batch[lo:hi], baseSlice(lo, hi), lo)
 			busy[w] = time.Since(t0)
 		}(w, lo, hi)
 	}
@@ -205,57 +183,43 @@ func (e *Executor) evaluateAll(batch []Individual, bases []EvalBase) (evaluated,
 }
 
 // evaluateRange evaluates one contiguous sub-batch on the calling
-// goroutine, preferring the problem's batch entry point. A panic inside
-// an evaluation is recovered into a *PanicError carrying the offending
-// genome (per-genome path) or the chunk (batch path) as root-cause
-// evidence.
-func (e *Executor) evaluateRange(gs []Genome, outs [][]float64, bases []EvalBase, base int) (delta int, err error) {
-	cur := -1
+// goroutine: incrementally from the individual's base when the problem
+// offers delta evaluation and a base exists, fully otherwise (a
+// declined delta falls back to a full evaluation too). The delta/full
+// decision is a pure function of the genomes, so the split is identical
+// at every worker count. A panic inside an evaluation is recovered into
+// a *PanicError carrying the offending genome and its batch index as
+// root-cause evidence.
+func (e *Executor) evaluateRange(batch []Individual, bases []EvalBase, base int) (delta int, err error) {
+	cur := 0
 	defer func() {
 		if r := recover(); r != nil {
 			e.panics.Inc()
-			pe := &PanicError{Op: "evaluate", Index: -1, Value: r, Stack: debug.Stack()}
-			if cur >= 0 && cur < len(gs) {
-				pe.Index = base + cur
-				pe.Genome = gs[cur].Clone()
-			}
-			err = pe
+			err = &PanicError{Op: "evaluate", Index: base + cur, Genome: batch[cur].G.Clone(), Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if e.dp != nil && bases != nil {
-		// Delta path: try each item against its recorded base; a nil base
-		// or a declined delta falls back to a full evaluation. The
-		// delta/full decision is a pure function of the genomes, so the
-		// split is identical at every worker count.
-		for i := range gs {
-			cur = i
-			if b := bases[i]; b.G != nil && e.dp.EvaluateDelta(gs[i], b.G, b.Obj, outs[i]) {
-				delta++
-			} else {
-				e.p.Evaluate(gs[i], outs[i])
-			}
-		}
-		return delta, nil
-	}
-	if e.bp != nil {
-		e.bp.EvaluateBatch(gs, outs)
-		return 0, nil
-	}
-	for i := range gs {
+	for i := range batch {
 		cur = i
-		e.p.Evaluate(gs[i], outs[i])
+		g, out := batch[i].G, batch[i].Obj
+		if e.dp != nil && bases != nil && bases[i].G != nil && e.dp.EvaluateDelta(g, bases[i].G, bases[i].Obj, out) {
+			delta++
+		} else {
+			e.p.Evaluate(g, out)
+		}
 	}
-	return 0, nil
+	return delta, nil
 }
 
 // parallelFor runs f over contiguous chunks of [0, n) on up to workers
-// goroutines and waits for all of them. f must only write state owned by
-// its own index range; chunk boundaries depend solely on n and workers,
-// and per-index results are independent, so any workers value produces
-// identical state. Small ranges and workers=1 run inline.
-func parallelFor(n, workers int, f func(lo, hi int)) {
+// goroutines and waits for all of them, handing each call its chunk
+// index w (0 <= w < max(workers, 1)) with the range. f must only write
+// state owned by its own index range or chunk; chunk boundaries depend
+// solely on n and workers, and per-index results are independent, so
+// any workers value produces identical state. Small ranges and
+// workers=1 run inline as chunk 0.
+func parallelFor(n, workers int, f func(w, lo, hi int)) {
 	if workers <= 1 || n < 2*minParallelChunk {
-		f(0, n)
+		f(0, 0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
@@ -263,16 +227,13 @@ func parallelFor(n, workers int, f func(lo, hi int)) {
 		chunk = minParallelChunk
 	}
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+			f(w, lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 }

@@ -11,22 +11,6 @@ import (
 	"rsnrobust/internal/telemetry"
 )
 
-// batchKnapsack wraps knapsackProblem with a BatchProblem fast path and
-// counts how the executor reaches it.
-type batchKnapsack struct {
-	*knapsackProblem
-	batchCalls  atomic.Int64
-	batchedEval atomic.Int64
-}
-
-func (p *batchKnapsack) EvaluateBatch(gs []Genome, outs [][]float64) {
-	p.batchCalls.Add(1)
-	p.batchedEval.Add(int64(len(gs)))
-	for i := range gs {
-		p.Evaluate(gs[i], outs[i])
-	}
-}
-
 func frontsEqual(a, b []Individual) bool {
 	if len(a) != len(b) {
 		return false
@@ -40,36 +24,29 @@ func frontsEqual(a, b []Individual) bool {
 }
 
 // TestWorkerInvariance is the determinism contract of the executor: the
-// same seed must produce an identical run at every worker count, with or
-// without the batch fast path.
+// same seed must produce an identical run at every worker count.
 func TestWorkerInvariance(t *testing.T) {
-	plain := newKnapsack(31, 80)
-	batch := &batchKnapsack{knapsackProblem: plain}
+	p := newKnapsack(31, 80)
 	base := Params{Population: 40, Generations: 30, PCrossover: 0.95, PMutateBit: 0.01, Seed: 3}
 	for name, algo := range map[string]func(Problem, Params) (*Result, error){"spea2": SPEA2, "nsga2": NSGA2} {
-		ref, err := algo(plain, base)
+		ref, err := algo(p, base)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, workers := range []int{1, 2, 4, 7} {
-			for pname, prob := range map[string]Problem{"plain": plain, "batch": batch} {
-				par := base
-				par.Workers = workers
-				res, err := algo(prob, par)
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", name, pname, workers, err)
-				}
-				if !frontsEqual(ref.Front, res.Front) {
-					t.Errorf("%s/%s workers=%d: front differs from serial reference", name, pname, workers)
-				}
-				if res.Evaluations != ref.Evaluations {
-					t.Errorf("%s/%s workers=%d: evaluations = %d, want %d", name, pname, workers, res.Evaluations, ref.Evaluations)
-				}
+			par := base
+			par.Workers = workers
+			res, err := algo(p, par)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !frontsEqual(ref.Front, res.Front) {
+				t.Errorf("%s workers=%d: front differs from serial reference", name, workers)
+			}
+			if res.Evaluations != ref.Evaluations {
+				t.Errorf("%s workers=%d: evaluations = %d, want %d", name, workers, res.Evaluations, ref.Evaluations)
 			}
 		}
-	}
-	if batch.batchCalls.Load() == 0 {
-		t.Error("executor never used the BatchProblem fast path")
 	}
 }
 
@@ -252,12 +229,15 @@ func referenceFitness(union []Individual) {
 }
 
 // TestParallelFor checks chunking covers [0,n) exactly once for a range
-// of shapes.
+// of shapes, and that each chunk gets its own index below the worker
+// count (the index selects per-chunk scratch).
 func TestParallelFor(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 31, 32, 100, 1000} {
 		for _, workers := range []int{1, 2, 4, 13} {
 			hits := make([]atomic.Int32, n)
-			parallelFor(n, workers, func(lo, hi int) {
+			chunks := make([]atomic.Int32, workers)
+			parallelFor(n, workers, func(w, lo, hi int) {
+				chunks[w].Add(1)
 				for i := lo; i < hi; i++ {
 					hits[i].Add(1)
 				}
@@ -265,6 +245,11 @@ func TestParallelFor(t *testing.T) {
 			for i := range hits {
 				if hits[i].Load() != 1 {
 					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, hits[i].Load())
+				}
+			}
+			for w := range chunks {
+				if c := chunks[w].Load(); c > 1 {
+					t.Fatalf("n=%d workers=%d: chunk index %d handed out %d times", n, workers, w, c)
 				}
 			}
 		}

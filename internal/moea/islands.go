@@ -8,27 +8,31 @@ import (
 	"sync"
 )
 
-// This file is the island-model driver: K seeded sub-populations (the
-// configured Population split across them) evolving in generation
-// lockstep, exchanging their best individuals along a ring every
-// MigrationEvery generations, with the final front the merged
-// nondominated set. Each island is a complete single-population run —
-// its own engine, RNG stream, executor and buffer arena — so islands
-// can run their phases on concurrent goroutines without sharing state,
-// and the whole run is a pure function of (Seed, Islands): island k is
-// seeded with islandSeed(Seed, k), the lockstep schedule and the
-// migration decisions depend only on island state (never on timing or
-// the RNG), and fronts merge in ring order.
-// Bit-identical output at any worker count follows from the same
-// property of the per-island runs.
+// This file is the generation loop of both algorithms: K seeded
+// sub-populations (the configured Population split across them)
+// evolving in generation lockstep, exchanging their best individuals
+// along a ring every MigrationEvery generations, with the final front
+// the merged nondominated set. A single population is a one-island run:
+// island 0 keeps the run seed and the whole population, and one island
+// runs its phases inline and never migrates. Each island is a complete
+// single-population run — its own engine, RNG stream, executor and
+// buffer arena — so islands can run their phases on concurrent
+// goroutines without sharing state, and the whole run is a pure
+// function of (Seed, Islands): island k is seeded with
+// islandSeed(Seed, k), the lockstep schedule and the migration
+// decisions depend only on island state (never on timing or the RNG),
+// and fronts merge in ring order. Bit-identical output at any worker
+// count follows from the same property of the per-island runs.
 
-// islandRun is the per-algorithm stepper the driver interleaves with
-// migration: selection (which counts the generation), breeding (which
-// recycles the previous union, so it must run after migration has
-// decided which members stay referenced), the current best set, and the
-// migration hooks — the selection pool migration reads and writes, and
-// the algorithm's fitness order over it.
+// islandRun is the per-algorithm stepper the generation loop
+// interleaves with migration: initialization (or resume), selection
+// (which counts the generation), breeding (which recycles the previous
+// union, so it must run after migration has decided which members stay
+// referenced), the current best set, and the migration hooks — the
+// selection pool migration reads and writes, and the algorithm's
+// fitness order over it.
 type islandRun interface {
+	start() error
 	selectPhase(gen int) error
 	breedPhase() error
 	current() []Individual
@@ -39,7 +43,7 @@ type islandRun interface {
 }
 
 // islandSeed derives island k's RNG seed. Island 0 keeps the run seed
-// (a 1-island run degenerates to the classic run); the others get
+// (a 1-island run is the single-population run); the others get
 // splitmix64-scrambled offsets, decorrelated even for adjacent seeds.
 func islandSeed(seed int64, k int) int64 {
 	if k == 0 {
@@ -64,120 +68,91 @@ func popShare(total, k, i int) int {
 	return share
 }
 
-// runIslands executes the island model for the given algorithm. Called
-// by SPEA2/NSGA2 when Params.Islands > 1.
-func runIslands(algo string, p Problem, par Params) (*Result, error) {
+// evolve runs the given algorithm on max(Params.Islands, 1) islands.
+// Cancellation (Params.Context) is observed at the loop top and at
+// evaluation-chunk boundaries; an interrupted run returns a valid
+// partial Result with Interrupted set, never an error.
+func evolve(algo string, p Problem, par Params) (*Result, error) {
 	if err := par.normalize(); err != nil {
 		return nil, err
 	}
-	K := par.Islands
+	K := max(par.Islands, 1)
 	gen0 := 0
-	var resumes []*Checkpoint
 	if cp := par.Resume; cp != nil {
-		if err := validateIslandResume(algo, cp, &par, p); err != nil {
-			return nil, err
+		// A single island resumes from the record itself, which its
+		// engine validates.
+		if K > 1 {
+			if err := validateResume(algo, cp, &par, p.NumBits(), p.NumObjectives()); err != nil {
+				return nil, err
+			}
 		}
-		resumes = cp.IslandCkpts
 		gen0 = cp.Generation
 	}
 	workers := par.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The islands run concurrently, so each gets its share of the pool;
-	// the ceiling keeps every island at one worker minimum.
-	perIsland := (workers + K - 1) / K
-
-	engines := make([]*engine, K)
-	for k := 0; k < K; k++ {
+	runs := make([]islandRun, K)
+	for k := range runs {
 		kp := par
-		kp.Population = popShare(par.Population, K, k)
-		kp.Archive = popShare(par.Archive, K, k)
-		if kp.Archive < 1 {
-			kp.Archive = 1
+		// The islands run concurrently, so each gets its share of the
+		// pool; the ceiling keeps every island at one worker minimum.
+		kp.Workers = (workers + K - 1) / K
+		if K > 1 {
+			kp.Islands = 1
+			kp.Population = popShare(par.Population, K, k)
+			kp.Archive = max(popShare(par.Archive, K, k), 1)
+			kp.Seed = islandSeed(par.Seed, k)
+			kp.Resume = nil
+			if cp := par.Resume; cp != nil {
+				kp.Resume = cp.IslandCkpts[k]
+			}
 		}
-		kp.Seed = islandSeed(par.Seed, k)
-		kp.Workers = perIsland
-		kp.Islands = 1
-		kp.Resume = nil
-		if resumes != nil {
-			kp.Resume = resumes[k]
-		}
-		// The driver owns the cross-island protocol; islands are silent.
-		kp.OnProgress = nil
-		kp.CheckpointEvery = 0
-		kp.CheckpointFn = nil
 		e, err := newEngine(p, &kp)
 		if err != nil {
 			return nil, err
 		}
-		engines[k] = e
-	}
-
-	// Initialize (or resume) every island concurrently — the initial
-	// population evaluation is the expensive part.
-	runs := make([]islandRun, K)
-	gen0s := make([]int, K)
-	initErrs := make([]error, K)
-	var wg sync.WaitGroup
-	for k := 0; k < K; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			if algo == "nsga2" {
-				r, g0, err := newNSGA2Run(engines[k])
-				runs[k], gen0s[k], initErrs[k] = r, g0, err
-			} else {
-				r, g0, err := newSPEA2Run(engines[k])
-				runs[k], gen0s[k], initErrs[k] = r, g0, err
-			}
-		}(k)
-	}
-	wg.Wait()
-
-	finish := func(interrupted bool) *Result {
-		res := &Result{Interrupted: interrupted}
-		var all []Individual
-		for k, r := range runs {
-			e := engines[k]
-			res.Evaluations += e.res.Evaluations
-			res.DeltaEvals += e.res.DeltaEvals
-			res.FullEvals += e.res.FullEvals
-			if e.res.Generations > res.Generations {
-				res.Generations = e.res.Generations
-			}
-			all = append(all, r.current()...)
+		if algo == "nsga2" {
+			runs[k] = &nsga2Run{e: e}
+		} else {
+			runs[k] = &spea2Run{e: e}
 		}
-		res.Front = ParetoFilter(all)
-		return res
 	}
 
-	if err := foldPhaseErrors(initErrs); err != nil {
+	// Initialize (or resume) every island, concurrently when there are
+	// several: the initial population evaluation is the expensive part.
+	if err := phaseAll(runs, phaseInit, gen0); err != nil {
 		if errors.Is(err, ErrInterrupted) {
-			return finish(true), nil
+			return result(runs, true), nil
 		}
 		return nil, err
 	}
-	gen0 = gen0s[0] // lockstep: every island resumed at the same generation
 
-	writeCkpt := func(gen int) error {
-		ics := make([]*Checkpoint, K)
-		cp := &Checkpoint{
-			Algorithm:     algo,
-			Seed:          par.Seed,
-			NumBits:       p.NumBits(),
-			Population:    par.Population,
-			NumObjectives: p.NumObjectives(),
-			Generation:    gen,
-			Islands:       K,
-			IslandCkpts:   ics,
-		}
-		for k, r := range runs {
-			ic := r.snapshot(gen)
-			ics[k] = ic
-			cp.Evaluations += ic.Evaluations
-			cp.DeltaEvals += ic.DeltaEvals
-			cp.FullEvals += ic.FullEvals
+	// checkpoint hands the state at the top of generation gen to
+	// CheckpointFn: a single island's own record, or the island records
+	// under a header with the aggregate accounting.
+	checkpoint := func(gen int) error {
+		var cp *Checkpoint
+		if K == 1 {
+			cp = runs[0].snapshot(gen)
+		} else {
+			cp = &Checkpoint{
+				Algorithm:     algo,
+				Seed:          par.Seed,
+				NumBits:       p.NumBits(),
+				Population:    par.Population,
+				NumObjectives: p.NumObjectives(),
+				Generation:    gen,
+				Islands:       K,
+				IslandCkpts:   make([]*Checkpoint, K),
+			}
+			for k, r := range runs {
+				ic := r.snapshot(gen)
+				cp.IslandCkpts[k] = ic
+				cp.Evaluations += ic.Evaluations
+				cp.DeltaEvals += ic.DeltaEvals
+				cp.FullEvals += ic.FullEvals
+			}
 		}
 		if err := par.CheckpointFn(cp); err != nil {
 			return fmt.Errorf("moea: checkpoint at generation %d: %w", gen, err)
@@ -186,38 +161,44 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 	}
 
 	view := &frontView{runs: runs}
-	stop := func() bool { return par.Context != nil && par.Context.Err() != nil }
 	interrupted := false
 	for gen := gen0; gen < par.Generations; gen++ {
-		if stop() {
+		if par.Context != nil && par.Context.Err() != nil {
+			// The loop top is a consistent boundary — checkpoint it, so
+			// SIGINT loses no completed generation.
 			interrupted = true
 			if par.CheckpointFn != nil {
-				if cerr := writeCkpt(gen); cerr != nil {
-					return nil, cerr
+				if err := checkpoint(gen); err != nil {
+					return nil, err
 				}
 			}
 			break
 		}
+		// The generation the run (re)started at is never checkpointed:
+		// its state is exactly what initialization or resume produced.
 		if par.CheckpointFn != nil && par.CheckpointEvery > 0 &&
 			gen != gen0 && gen%par.CheckpointEvery == 0 {
-			if cerr := writeCkpt(gen); cerr != nil {
-				return nil, cerr
+			if err := checkpoint(gen); err != nil {
+				return nil, err
 			}
 		}
-		if err := phaseAll(runs, func(r islandRun) error { return r.selectPhase(gen) }); err != nil {
+		if err := phaseAll(runs, phaseSelect, gen); err != nil {
 			if errors.Is(err, ErrInterrupted) {
 				interrupted = true
 				break
 			}
 			return nil, err
 		}
-		if !islandHooks(gen, &par, view, engines) || gen == par.Generations-1 {
+		if (par.OnProgress != nil && !view.report(par.OnProgress, gen)) || gen == par.Generations-1 {
 			break
 		}
-		if gen > 0 && gen%par.MigrationEvery == 0 {
+		if K > 1 && gen > 0 && gen%par.MigrationEvery == 0 {
 			migrate(runs, par.MigrationCount)
 		}
-		if err := phaseAll(runs, islandRun.breedPhase); err != nil {
+		if err := phaseAll(runs, phaseBreed, gen); err != nil {
+			// Mid-batch cancellation: the half-evaluated offspring are
+			// discarded; the sets of the last completed selection are
+			// the partial result.
 			if errors.Is(err, ErrInterrupted) {
 				interrupted = true
 				break
@@ -225,27 +206,71 @@ func runIslands(algo string, p Problem, par Params) (*Result, error) {
 			return nil, err
 		}
 	}
-	return finish(interrupted), nil
+	return result(runs, interrupted), nil
 }
 
-// phaseAll runs one lockstep phase on every island concurrently and
-// folds the per-island errors: a panic is the root cause to surface; an
-// interruption only says the run is winding down.
-func phaseAll(runs []islandRun, f func(islandRun) error) error {
+// result assembles a run's Result: the islands' summed accounting, the
+// generations completed, and the front of their current sets merged in
+// ring order.
+func result(runs []islandRun, interrupted bool) *Result {
+	res := &Result{Interrupted: interrupted}
+	all := runs[0].current()
+	if len(runs) > 1 {
+		all = nil
+		for _, r := range runs {
+			all = append(all, r.current()...)
+		}
+	}
+	for _, r := range runs {
+		e := r.eng()
+		res.Evaluations += e.res.Evaluations
+		res.DeltaEvals += e.res.DeltaEvals
+		res.FullEvals += e.res.FullEvals
+		res.Generations = max(res.Generations, e.res.Generations)
+	}
+	res.Front = ParetoFilter(all)
+	return res
+}
+
+// phase names one lockstep step of the islands.
+type phase uint8
+
+const (
+	phaseInit phase = iota
+	phaseSelect
+	phaseBreed
+)
+
+// step runs phase ph of generation gen on one island.
+func step(r islandRun, ph phase, gen int) error {
+	switch ph {
+	case phaseInit:
+		return r.start()
+	case phaseSelect:
+		return r.selectPhase(gen)
+	default:
+		return r.breedPhase()
+	}
+}
+
+// phaseAll runs one lockstep phase on every island — a single island
+// inline, several on concurrent goroutines — and folds the per-island
+// errors: a panic is the root cause to surface; an interruption only
+// says the run is winding down.
+func phaseAll(runs []islandRun, ph phase, gen int) error {
+	if len(runs) == 1 {
+		return step(runs[0], ph, gen)
+	}
 	errs := make([]error, len(runs))
 	var wg sync.WaitGroup
 	for k := range runs {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			errs[k] = f(runs[k])
+			errs[k] = step(runs[k], ph, gen)
 		}(k)
 	}
 	wg.Wait()
-	return foldPhaseErrors(errs)
-}
-
-func foldPhaseErrors(errs []error) error {
 	var interrupted error
 	for _, err := range errs {
 		if err == nil {
@@ -257,20 +282,6 @@ func foldPhaseErrors(errs []error) error {
 		interrupted = err
 	}
 	return interrupted
-}
-
-// islandHooks fires the user callback with the summed per-island
-// progress counters, exactly once per lockstep generation; view merges
-// the islands' fronts only if the callback reads Progress.Front.
-func islandHooks(gen int, par *Params, view *frontView, engines []*engine) bool {
-	if par.OnProgress == nil {
-		return true
-	}
-	p := Progress{Gen: gen}
-	for _, e := range engines {
-		p.Evaluations += e.res.Evaluations
-	}
-	return view.report(par.OnProgress, p, nil)
 }
 
 // migrate performs one ring migration k → (k+1) mod K: each island's
@@ -350,29 +361,4 @@ func rankOrder(r islandRun) []int {
 		return ia - ib
 	})
 	return idx
-}
-
-// validateIslandResume checks that a checkpoint belongs to the island
-// run described by the parameters. The per-island sub-checkpoints are
-// validated by the island engines they resume.
-func validateIslandResume(algo string, cp *Checkpoint, par *Params, p Problem) error {
-	switch {
-	case cp.Islands == 0:
-		return fmt.Errorf("%w: single-population checkpoint cannot resume an island run", ErrCheckpointMismatch)
-	case cp.Islands != par.Islands:
-		return fmt.Errorf("%w: checkpoint has %d islands, run has %d", ErrCheckpointMismatch, cp.Islands, par.Islands)
-	case len(cp.IslandCkpts) != cp.Islands:
-		return fmt.Errorf("%w: island checkpoint carries %d of %d island states", ErrCheckpointMismatch, len(cp.IslandCkpts), cp.Islands)
-	case cp.Algorithm != algo:
-		return fmt.Errorf("%w: checkpoint is a %s run, resuming %s", ErrCheckpointMismatch, cp.Algorithm, algo)
-	case cp.Seed != par.Seed:
-		return fmt.Errorf("%w: checkpoint seed %d, run seed %d", ErrCheckpointMismatch, cp.Seed, par.Seed)
-	case cp.NumBits != p.NumBits():
-		return fmt.Errorf("%w: checkpoint genome is %d bits, problem has %d", ErrCheckpointMismatch, cp.NumBits, p.NumBits())
-	case cp.Population != par.Population:
-		return fmt.Errorf("%w: checkpoint population %d, run population %d", ErrCheckpointMismatch, cp.Population, par.Population)
-	case cp.Generation >= par.Generations:
-		return fmt.Errorf("%w: checkpoint generation %d is beyond the %d-generation budget", ErrCheckpointMismatch, cp.Generation, par.Generations)
-	}
-	return nil
 }

@@ -19,8 +19,6 @@ type deltaKnapsack struct {
 	declined   atomic.Int64
 }
 
-func (p *deltaKnapsack) CanDelta() bool { return true }
-
 func (p *deltaKnapsack) EvaluateDelta(g, base Genome, baseObj, out []float64) bool {
 	n := 0
 	for w := range g {

@@ -492,13 +492,12 @@ func TestDefaults(t *testing.T) {
 // buffers. The steady-state rate is measured as the slope between a
 // short and a long run of the same configuration, which cancels the
 // one-time warm-up allocations. The runtime adds a few allocations at
-// random — goroutines for the island phases, and SPEA-2's pooled
-// density heaps, which a collection empties, each processor pools
-// apart and the race detector's sync.Pool drops at random — so the
-// test runs on one processor with the collector off (it allocates
-// about 20 MB), and each run counts the least of three repeats.
-// A progress hook that never reads Progress.Front must cost nothing per
-// generation, in single-population and island runs alike.
+// random — goroutines for the phases of a multi-island run (a single
+// island runs its phases inline) — so the test runs on one processor
+// with the collector off (it allocates about 20 MB), and each run
+// counts the least of three repeats. A progress hook that never reads
+// Progress.Front must cost nothing per generation, in single-population
+// and island runs alike.
 func TestGenerationAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -541,14 +540,8 @@ func TestGenerationAllocs(t *testing.T) {
 				t.Errorf("%s: %.1f allocs per generation in steady state, want <= 16", name, plain)
 			}
 			// A hook that reads nothing must not make the engine filter
-			// (or, for islands, merge) the population. Under the race
-			// detector SPEA-2's pooled allocations still vary by a few
-			// tenths per generation, so the bound widens there to one,
-			// which still catches the filter's two.
-			tol := 0.1
-			if raceDetector {
-				tol = 1
-			}
+			// (or, for islands, merge) the population.
+			const tol = 0.1
 			hooked := perGen(silent)
 			if hooked > plain+tol {
 				t.Errorf("%s islands=%d: %.1f allocs per generation with a hook that never reads the front, want <= %.1f + %.1f",

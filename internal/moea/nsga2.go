@@ -1,7 +1,6 @@
 package moea
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,56 +11,17 @@ import (
 // optimizer cited by the paper. Selection uses fast nondominated sorting
 // and crowding distance; variation uses the same one-point crossover and
 // per-bit mutation operators as SPEA2. Initialization, batched
-// evaluation, buffer recycling and the OnProgress protocol come from
-// the shared engine runtime.
-func NSGA2(p Problem, par Params) (*Result, error) {
-	if par.Islands > 1 {
-		return runIslands("nsga2", p, par)
-	}
-	e, err := newEngine(p, &par)
-	if err != nil {
-		return nil, err
-	}
-	r, gen0, err := newNSGA2Run(e)
-	if err != nil {
-		if errors.Is(err, ErrInterrupted) {
-			e.res.Interrupted = true
-			return e.finish(r.pop), nil
-		}
-		return nil, err
-	}
-	for gen := gen0; gen < par.Generations; gen++ {
-		if e.stopRequested() {
-			e.res.Interrupted = true
-			if cerr := e.checkpointNow("nsga2", gen, r.pop, nil); cerr != nil {
-				return nil, cerr
-			}
-			break
-		}
-		if cerr := e.checkpointIfDue("nsga2", gen, gen0, r.pop, nil); cerr != nil {
-			return nil, cerr
-		}
-		if err := r.selectPhase(gen); err != nil {
-			if errors.Is(err, ErrInterrupted) {
-				e.res.Interrupted = true
-				break
-			}
-			return nil, err
-		}
-		if !e.hooks(gen, r.pop) || gen == par.Generations-1 {
-			break
-		}
-		r.breedPhase()
-	}
-	return e.finish(r.pop), nil
-}
+// evaluation and buffer recycling come from the shared engine runtime,
+// the generation loop from evolve.
+func NSGA2(p Problem, par Params) (*Result, error) { return evolve("nsga2", p, par) }
 
-// nsga2Run is NSGA-II decomposed into the two phases the island driver
-// interleaves with migration. NSGA-II breeds at the top of a generation
-// (from the ranked population of the previous one), so its selection
-// phase covers breeding, the nondominated sort and the crowded
-// truncation; the breed phase is only the buffer recycle that must wait
-// until migration has decided which union members stay referenced.
+// nsga2Run is NSGA-II decomposed into the two phases the generation
+// loop interleaves with migration. NSGA-II breeds at the top of a
+// generation (from the ranked population of the previous one), so its
+// selection phase covers breeding, the nondominated sort and the
+// crowded truncation; the breed phase is only the buffer recycle that
+// must wait until migration has decided which union members stay
+// referenced.
 type nsga2Run struct {
 	e   *engine
 	pop []Individual
@@ -71,18 +31,16 @@ type nsga2Run struct {
 	lastUnion []Individual
 }
 
-// newNSGA2Run initializes or resumes a run, returning the generation to
-// re-enter the loop at.
-func newNSGA2Run(e *engine) (*nsga2Run, int, error) {
-	pop, _, gen0, err := e.start("nsga2")
-	r := &nsga2Run{e: e, pop: pop}
-	if err != nil {
-		return r, gen0, err
-	}
-	if e.par.Resume == nil {
+// start initializes or resumes the run; a fresh population is ranked
+// for the first tournament.
+func (r *nsga2Run) start() error {
+	e := r.e
+	pop, _, err := e.start("nsga2")
+	r.pop = pop
+	if err == nil && e.par.Resume == nil {
 		rankAndCrowd(pop, e.m, &e.nsga)
 	}
-	return r, gen0, nil
+	return err
 }
 
 // selectPhase breeds and evaluates the offspring of generation gen,
@@ -138,8 +96,8 @@ func (r *nsga2Run) breedPhase() error {
 // current is the set to extract a front from.
 func (r *nsga2Run) current() []Individual { return r.pop }
 
-// Island-driver hooks: NSGA-II migrates through the population, ordered
-// by the crowded comparison (rank, then crowding distance).
+// Migration hooks: NSGA-II migrates through the population, ordered by
+// the crowded comparison (rank, then crowding distance).
 func (r *nsga2Run) eng() *engine                 { return r.e }
 func (r *nsga2Run) pool() []Individual           { return r.pop }
 func (r *nsga2Run) better(a, b *Individual) bool { return crowdedLess(a, b) }

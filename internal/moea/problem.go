@@ -18,24 +18,12 @@ type Problem interface {
 	Evaluate(g Genome, out []float64)
 }
 
-// BatchProblem is an optional fast path: a Problem that evaluates many
-// genomes in one call. The executor prefers it when present, passing
-// each worker a contiguous sub-batch. outs[i] (len NumObjectives) is the
-// output slot of gs[i]; implementations must fill every slot, must not
-// retain the slices, and must be safe for concurrent calls on disjoint
-// batches. EvaluateBatch(gs, outs) must write exactly the values that
-// per-genome Evaluate calls would.
-type BatchProblem interface {
-	Problem
-	EvaluateBatch(gs []Genome, outs [][]float64)
-}
-
 // DeltaProblem is an optional incremental fast path: a Problem that can
 // derive a child's objectives from an already-evaluated base genome and
 // the bit difference between the two, instead of re-scanning the whole
 // genome. The engine offers every offspring's breeding parent as the
-// base; the executor uses the path only when CanDelta reports it is
-// available for this problem instance.
+// base; individuals without one (the initial population) are evaluated
+// fully.
 //
 // EvaluateDelta must either write into out exactly the values Evaluate
 // would produce for g (bit-for-bit — incremental arithmetic may not
@@ -47,7 +35,6 @@ type BatchProblem interface {
 // concurrent calls and must not retain any of the slices.
 type DeltaProblem interface {
 	Problem
-	CanDelta() bool
 	EvaluateDelta(g, base Genome, baseObj, out []float64) bool
 }
 
@@ -136,7 +123,8 @@ type Params struct {
 	// individuals along a ring every MigrationEvery generations, and the
 	// final front is the merged nondominated set. The run is a pure
 	// function of (Seed, Islands): bit-identical at any worker count.
-	// 0 and 1 select the classic single-population run.
+	// 0 and 1 both run a single population: one island, which never
+	// migrates.
 	Islands int
 	// MigrationEvery is the island-model migration interval in
 	// generations (default 10). Migration happens after the selection of
@@ -207,8 +195,8 @@ func (p Progress) Front() []Individual {
 		return nil
 	}
 	if !v.read {
-		pop := v.pop
-		if v.runs != nil {
+		pop := v.runs[0].current()
+		if len(v.runs) > 1 {
 			v.merged = v.merged[:0]
 			for _, r := range v.runs {
 				v.merged = append(v.merged, r.current()...)
@@ -220,26 +208,29 @@ func (p Progress) Front() []Individual {
 	return v.front
 }
 
-// frontView is the engine-owned state behind Progress.Front: the live
-// population of the generation being reported — or, for an island run,
-// the islands whose current sets merge into a buffer reused across
-// generations — and, once read, its front.
+// frontView is the run-owned state behind Progress.Front: the islands
+// whose current sets make up the population — a single island's read
+// directly, several merged into a buffer reused across generations —
+// and, once read, its front.
 type frontView struct {
-	pop    []Individual
 	runs   []islandRun
 	merged []Individual
 	front  []Individual
 	read   bool
 }
 
-// report hands p to hook with the view open over pop, and closes it
-// when the hook returns, so that a Progress kept past its callback
-// reads a nil front.
-func (v *frontView) report(hook func(Progress) bool, p Progress, pop []Individual) bool {
-	v.pop, v.front, v.read = pop, nil, false
-	p.view = v
+// report hands hook the progress of generation gen — the islands'
+// summed evaluation count — with the view open, and closes it when the
+// hook returns, so that a Progress kept past its callback reads a nil
+// front.
+func (v *frontView) report(hook func(Progress) bool, gen int) bool {
+	p := Progress{Gen: gen, view: v}
+	for _, r := range v.runs {
+		p.Evaluations += r.eng().res.Evaluations
+	}
+	v.front, v.read = nil, false
 	cont := hook(p)
-	v.pop, v.front, v.read = nil, nil, true
+	v.front, v.read = nil, true
 	return cont
 }
 

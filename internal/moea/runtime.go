@@ -1,17 +1,13 @@
 package moea
 
-import (
-	"context"
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
-// engine is the shared optimizer runtime: the plumbing that was
-// historically duplicated between SPEA2 and NSGA2 — parameter
+// engine is the runtime of one island (one population): parameter
 // normalization, the seeded RNG, diversified population initialization,
-// batched objective evaluation with exact accounting, offspring
-// breeding, and the OnProgress stop protocol. The algorithm files
-// reduce to fitness assignment plus selection on top of it.
+// batched objective evaluation with exact accounting, and offspring
+// breeding. The algorithm files reduce to fitness assignment plus
+// selection on top of it, and the generation loop (evolve) steps the
+// engines of all islands.
 //
 // Evaluation goes through the Executor at a whole-population batch
 // boundary: genomes are bred first (consuming the RNG in exactly the
@@ -29,8 +25,7 @@ import (
 type engine struct {
 	prob  Problem
 	par   *Params
-	ctx   context.Context // nil = never cancelled
-	src   *countedSource  // seeded source with a checkpointable position
+	src   *countedSource // seeded source with a checkpointable position
 	rng   *rand.Rand
 	exec  *Executor
 	res   *Result
@@ -45,7 +40,6 @@ type engine struct {
 	bases      []EvalBase // per-offspring evaluation bases, parallel to dst
 	sel        selScratch
 	nsga       nsgaScratch
-	view       frontView // behind the OnProgress Progress.Front
 }
 
 // grow returns buf resized to n, reallocating only when the capacity is
@@ -67,7 +61,6 @@ func newEngine(p Problem, par *Params) (*engine, error) {
 	return &engine{
 		prob:  p,
 		par:   par,
-		ctx:   par.Context,
 		src:   src,
 		rng:   rand.New(src),
 		exec:  NewExecutor(par.Context, p, par.Workers, par.Telemetry),
@@ -92,64 +85,28 @@ func (e *engine) evaluate(pop []Individual, bases []EvalBase) error {
 	return err
 }
 
-// stopRequested reports whether the run's context has been cancelled.
-func (e *engine) stopRequested() bool {
-	return e.ctx != nil && e.ctx.Err() != nil
-}
-
 // start initializes a fresh run or restores a checkpointed one,
-// returning the population, the archive (nil unless resumed from a
-// SPEA-2 checkpoint) and the generation index to re-enter the loop at.
-func (e *engine) start(algo string) (pop, archive []Individual, gen0 int, err error) {
+// returning the population and the archive (nil unless resumed from a
+// SPEA-2 checkpoint).
+func (e *engine) start(algo string) (pop, archive []Individual, err error) {
 	if cp := e.par.Resume; cp != nil {
-		if err := e.validateResume(algo, cp); err != nil {
-			return nil, nil, 0, err
+		if err := validateResume(algo, cp, e.par, e.nbits, e.m); err != nil {
+			return nil, nil, err
 		}
 		e.res.Evaluations = cp.Evaluations
 		e.res.DeltaEvals = cp.DeltaEvals
 		e.res.FullEvals = cp.FullEvals
 		e.res.Generations = cp.Generation
 		e.src.skip(cp.RNGDraws)
-		return restoreIndividuals(cp.Pop, e.m), restoreIndividuals(cp.Archive, e.m), cp.Generation, nil
+		return restoreIndividuals(cp.Pop, e.m), restoreIndividuals(cp.Archive, e.m), nil
 	}
 	pop, err = e.initialPopulation()
-	return pop, nil, 0, err
-}
-
-// checkpointIfDue writes a periodic checkpoint when the loop top at gen
-// falls on the configured interval. The generation the run (re)started
-// at is skipped — its state is exactly what initialization or resume
-// just produced.
-func (e *engine) checkpointIfDue(algo string, gen, gen0 int, pop, archive []Individual) error {
-	if e.par.CheckpointFn == nil || e.par.CheckpointEvery <= 0 {
-		return nil
-	}
-	if gen == gen0 || gen%e.par.CheckpointEvery != 0 {
-		return nil
-	}
-	return e.writeCheckpoint(algo, gen, pop, archive)
-}
-
-// checkpointNow writes an out-of-schedule checkpoint (the cancellation
-// path) when checkpointing is configured at all.
-func (e *engine) checkpointNow(algo string, gen int, pop, archive []Individual) error {
-	if e.par.CheckpointFn == nil {
-		return nil
-	}
-	return e.writeCheckpoint(algo, gen, pop, archive)
-}
-
-func (e *engine) writeCheckpoint(algo string, gen int, pop, archive []Individual) error {
-	if err := e.par.CheckpointFn(e.snapshot(algo, gen, pop, archive)); err != nil {
-		return fmt.Errorf("moea: checkpoint at generation %d: %w", gen, err)
-	}
-	return nil
+	return pop, nil, err
 }
 
 // snapshot views the engine's current state as a checkpoint record. The
 // record aliases live buffers — valid only until the engine resumes
-// evolving. The island driver uses it directly to collect per-island
-// sub-checkpoints.
+// evolving.
 func (e *engine) snapshot(algo string, gen int, pop, archive []Individual) *Checkpoint {
 	return &Checkpoint{
 		Algorithm:     algo,
@@ -370,23 +327,4 @@ func (e *engine) vary(dst []Individual, pa, pb *Individual) []Individual {
 		e.genomePool = append(e.genomePool, c2)
 	}
 	return dst
-}
-
-// hooks invokes the user callback (if any) with the generation's
-// progress, its front drawn from current on demand; it reports whether
-// the run should continue. The generation counter itself is advanced
-// by the algorithms' selection phase so that island runs (which
-// suppress per-island hooks) still count generations.
-func (e *engine) hooks(gen int, current []Individual) bool {
-	if e.par.OnProgress == nil {
-		return true
-	}
-	return e.view.report(e.par.OnProgress, Progress{Gen: gen, Evaluations: e.res.Evaluations}, current)
-}
-
-// finish extracts the final nondominated front and returns the
-// accumulated result.
-func (e *engine) finish(final []Individual) *Result {
-	e.res.Front = ParetoFilter(final)
-	return e.res
 }

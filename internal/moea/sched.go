@@ -69,11 +69,6 @@ type RunOptions struct {
 	// that long after the job starts and the job is expected to drain
 	// gracefully (return a partial result or its context error).
 	JobDeadline time.Duration
-	// SlowAfter, if positive, arms a watchdog per job: a job still
-	// running after this long increments runset.slow_jobs (while it is
-	// still running, so a hung run is visible in a live snapshot) and
-	// its span is marked "slow".
-	SlowAfter time.Duration
 }
 
 // jobOutcome is one finished job, tagged with its submission index.
@@ -116,7 +111,6 @@ func (rs *RunSet[T]) Run(ctx context.Context, opts RunOptions, emit func(idx int
 	tel.Gauge("runset.jobs").Set(float64(n))
 	tel.Gauge("runset.workers").Set(float64(workers))
 	jobMS := tel.Histogram("runset.job_ms")
-	slowJobs := tel.Counter("runset.slow_jobs")
 	panics := tel.Counter("moea.panics")
 
 	runOne := func(i int) (v T, err error) {
@@ -128,29 +122,19 @@ func (rs *RunSet[T]) Run(ctx context.Context, opts RunOptions, emit func(idx int
 			jctx, cancel = context.WithTimeout(ctx, opts.JobDeadline)
 			defer cancel()
 		}
-		var slow *time.Timer
-		if opts.SlowAfter > 0 {
-			slow = time.AfterFunc(opts.SlowAfter, func() { slowJobs.Inc() })
-		}
 		t0 := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
 				panics.Inc()
 				err = &PanicError{Op: "job", Label: j.label, Index: i, Value: r, Stack: debug.Stack()}
 			}
-			el := time.Since(t0)
-			if slow != nil {
-				slow.Stop()
-			}
-			jobMS.Observe(float64(el) / float64(time.Millisecond))
+			jobMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 			var pe *PanicError
 			switch {
 			case errors.As(err, &pe):
 				sp.SetStatus("panic")
 			case err != nil:
 				sp.SetStatus("error")
-			case opts.SlowAfter > 0 && el >= opts.SlowAfter:
-				sp.SetStatus("slow")
 			}
 			sp.End()
 		}()

@@ -296,32 +296,3 @@ func TestRunSetJobDeadline(t *testing.T) {
 		t.Errorf("Run error = %v, want context.DeadlineExceeded", err)
 	}
 }
-
-// TestRunSetSlowWatchdog checks that a job outliving SlowAfter is
-// counted on runset.slow_jobs while it runs and its span marked "slow".
-func TestRunSetSlowWatchdog(t *testing.T) {
-	tel := telemetry.New()
-	rs := NewRunSet[int]()
-	rs.Add("slowpoke", func(context.Context, *telemetry.Span) (int, error) {
-		time.Sleep(30 * time.Millisecond)
-		return 1, nil
-	})
-	rs.Add("quick", func(context.Context, *telemetry.Span) (int, error) { return 2, nil })
-	err := rs.Run(nil, RunOptions{Workers: 1, Telemetry: tel, SlowAfter: 5 * time.Millisecond},
-		func(int, string, int, error) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := tel.Snapshot()
-	if got := snap.Counters["runset.slow_jobs"]; got != 1 {
-		t.Errorf("runset.slow_jobs = %d, want 1", got)
-	}
-	for _, sp := range snap.Spans {
-		if sp.Name == "job:slowpoke" && sp.Status != "slow" {
-			t.Errorf("job:slowpoke span status = %q, want slow", sp.Status)
-		}
-		if sp.Name == "job:quick" && sp.Status != "" {
-			t.Errorf("job:quick span status = %q, want empty", sp.Status)
-		}
-	}
-}

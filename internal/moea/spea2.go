@@ -2,11 +2,9 @@ package moea
 
 import (
 	"cmp"
-	"errors"
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 )
 
 // SPEA2 runs the Strength Pareto Evolutionary Algorithm 2 of Zitzler,
@@ -27,65 +25,16 @@ import (
 //     crossover and per-bit mutation produce the next population.
 //
 // Population initialization, batched (optionally parallel and
-// incremental) objective evaluation, evaluation accounting, buffer recycling,
-// checkpointing, cancellation and the OnProgress protocol live in the
-// shared engine runtime. Cancellation (Params.Context) is observed at
-// the loop top and at evaluation-chunk boundaries; an interrupted run
-// returns a valid partial Result with Interrupted set, never an error.
-func SPEA2(p Problem, par Params) (*Result, error) {
-	if par.Islands > 1 {
-		return runIslands("spea2", p, par)
-	}
-	e, err := newEngine(p, &par)
-	if err != nil {
-		return nil, err
-	}
-	r, gen0, err := newSPEA2Run(e)
-	if err != nil {
-		if errors.Is(err, ErrInterrupted) {
-			e.res.Interrupted = true
-			return e.finish(r.pop), nil
-		}
-		return nil, err
-	}
-	for gen := gen0; gen < par.Generations; gen++ {
-		if e.stopRequested() {
-			// The loop top is a consistent boundary — checkpoint it, so
-			// SIGINT loses no completed generation.
-			e.res.Interrupted = true
-			if cerr := e.checkpointNow("spea2", gen, r.pop, r.archive); cerr != nil {
-				return nil, cerr
-			}
-			break
-		}
-		if cerr := e.checkpointIfDue("spea2", gen, gen0, r.pop, r.archive); cerr != nil {
-			return nil, cerr
-		}
-		if err := r.selectPhase(gen); err != nil {
-			return nil, err
-		}
-		if !e.hooks(gen, r.archive) || gen == par.Generations-1 {
-			break
-		}
-		if err := r.breedPhase(); err != nil {
-			if errors.Is(err, ErrInterrupted) {
-				// Mid-batch cancellation: the half-evaluated offspring are
-				// discarded; the archive from the last completed selection
-				// is the partial result.
-				e.res.Interrupted = true
-				break
-			}
-			return nil, err
-		}
-	}
-	return e.finish(r.current()), nil
-}
+// incremental) objective evaluation, evaluation accounting and buffer
+// recycling live in the shared engine runtime; the generation loop —
+// checkpointing, cancellation, the OnProgress protocol and islands — is
+// evolve's.
+func SPEA2(p Problem, par Params) (*Result, error) { return evolve("spea2", p, par) }
 
-// spea2Run is SPEA-2 decomposed into the two phases the island driver
+// spea2Run is SPEA-2 decomposed into the two phases the generation loop
 // interleaves with migration: selection (fitness over the union,
 // environmental selection into the archive) and breeding (recycle the
-// dead, tournament-select and vary the next population). The classic
-// single-population loop above is exactly selectPhase ∘ breedPhase.
+// dead, tournament-select and vary the next population).
 type spea2Run struct {
 	e       *engine
 	pop     []Individual
@@ -95,18 +44,16 @@ type spea2Run struct {
 	lastUnion []Individual
 }
 
-// newSPEA2Run initializes or resumes a run, returning the generation to
-// re-enter the loop at.
-func newSPEA2Run(e *engine) (*spea2Run, int, error) {
-	pop, archive, gen0, err := e.start("spea2")
-	return &spea2Run{e: e, pop: pop, archive: archive}, gen0, err
+// start initializes or resumes the run.
+func (r *spea2Run) start() (err error) {
+	r.pop, r.archive, err = r.e.start("spea2")
+	return err
 }
 
 // selectPhase runs fitness assignment and environmental selection for
 // generation gen, leaving the new archive in place and counting the
 // generation as completed. The error is always nil (SPEA-2 evaluates
-// during breeding, not selection); the signature matches nsga2Run for
-// the island driver.
+// during breeding, not selection); the signature matches nsga2Run.
 func (r *spea2Run) selectPhase(gen int) error {
 	e := r.e
 	union := e.unionInto(r.pop, r.archive)
@@ -135,8 +82,8 @@ func (r *spea2Run) current() []Individual {
 	return r.archive
 }
 
-// Island-driver hooks: SPEA-2 migrates through the archive, ordered by
-// its fitness F (lower is better).
+// Migration hooks: SPEA-2 migrates through the archive, ordered by its
+// fitness F (lower is better).
 func (r *spea2Run) eng() *engine                 { return r.e }
 func (r *spea2Run) pool() []Individual           { return r.archive }
 func (r *spea2Run) better(a, b *Individual) bool { return a.fitness < b.fitness }
@@ -197,6 +144,27 @@ type fitScratch struct {
 	// instead of three indexed loads through the group arrays.
 	cellD0, cellD1 []float64
 	cellC          []int32
+	// knn holds the k-NN heap buffer of each parallelFor chunk of the
+	// density queries.
+	knn [][]kEntry
+}
+
+// knnBufs returns one k-NN heap buffer, with room for k+1 entries, for
+// each chunk parallelFor can split a workers-wide loop into (at most
+// workers). The buffers persist across generations, each an allocation
+// of its own. A chunk keeps the heap header (kSelect) on its own stack:
+// the headers of concurrent chunks, written on every accepted offer,
+// would share a cache line if they sat side by side in memory.
+func (s *fitScratch) knnBufs(workers, k int) [][]kEntry {
+	for len(s.knn) < max(workers, 1) {
+		s.knn = append(s.knn, nil)
+	}
+	for i := range s.knn {
+		if cap(s.knn[i]) < k+1 {
+			s.knn[i] = make([]kEntry, 0, k+1)
+		}
+	}
+	return s.knn
 }
 
 // domByFor returns the dominator-list array resized to n with every
@@ -294,9 +262,9 @@ func (s *fitScratch) density(union []Individual, want []int32, m, workers int) {
 	dens := s.dens
 	_, invRange := normalizeRanges(union, m)
 	k := kNearest(n)
-	parallelFor(len(want), workers, func(lo, hi int) {
-		sel := getKSelect(k)
-		defer putKSelect(sel)
+	bufs := s.knnBufs(workers, k)
+	parallelFor(len(want), workers, func(w, lo, hi int) {
+		sel := kSelect{k: k, buf: bufs[w]}
 		for _, i := range want[lo:hi] {
 			sel.reset()
 			for j := range union {
@@ -423,9 +391,9 @@ func (s *fitScratch) density2(union []Individual, want []int32, workers int) {
 	cellStart[0] = 0
 
 	invG2 := 1 / float64(G*G)
-	parallelFor(len(q), workers, func(lo, hi int) {
-		sel := getKSelect(k)
-		defer putKSelect(sel)
+	bufs := s.knnBufs(workers, k)
+	parallelFor(len(q), workers, func(w, lo, hi int) {
+		sel := kSelect{k: k, buf: bufs[w]}
 		scan := func(t int, a0, a1 float64, c int) {
 			for p := cellStart[c]; p < cellStart[c+1]; p++ {
 				if int(cellPts[p]) == t {
@@ -704,24 +672,6 @@ type kSelect struct {
 func newKSelect(k int) *kSelect {
 	return &kSelect{k: k, buf: make([]kEntry, 0, k+1)}
 }
-
-// kSelectPool recycles the heaps across generations and workers: every
-// parallel fitness chunk draws one instead of allocating.
-var kSelectPool = sync.Pool{New: func() any { return &kSelect{} }}
-
-func getKSelect(k int) *kSelect {
-	s := kSelectPool.Get().(*kSelect)
-	s.k = k
-	if cap(s.buf) < k+1 {
-		s.buf = make([]kEntry, 0, k+1)
-	} else {
-		s.buf = s.buf[:0]
-	}
-	s.total = 0
-	return s
-}
-
-func putKSelect(s *kSelect) { kSelectPool.Put(s) }
 
 func (s *kSelect) reset() { s.buf = s.buf[:0]; s.total = 0 }
 

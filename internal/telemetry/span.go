@@ -15,7 +15,7 @@ type SpanRecord struct {
 	StartMS  float64 `json:"start_ms"`
 	DurMS    float64 `json:"dur_ms"`
 	// Status is empty for a span that ended normally; otherwise a short
-	// outcome marker ("error", "panic", "slow", "interrupted").
+	// outcome marker ("error", "panic", "interrupted").
 	Status string `json:"status,omitempty"`
 	// TraceID, when set, is the W3C trace the span belongs to: children
 	// inherit it, so a whole request's span tree shares one trace ID
@@ -72,7 +72,7 @@ func (s *Span) Name() string {
 	return s.name
 }
 
-// SetStatus marks the span's outcome ("error", "panic", "slow", ...);
+// SetStatus marks the span's outcome ("error", "panic", ...);
 // the value lands in the record at End. Safe on a nil span. Must be
 // called from the goroutine that owns the span (like End).
 func (s *Span) SetStatus(status string) {
