@@ -85,10 +85,12 @@ chaos-fleet:
 # Fleet cache gate: the result-cache drills under the race detector —
 # L1 repeats (plain, streamed, and after a SIGKILL-forced migration),
 # least-loaded routing and the registry clamp/health regressions,
-# Retry-After parsing, and the worker-side cache-key/disabled-cache
-# semantics, including one key for every spelling of a request.
+# Retry-After parsing, the unit tests of the one result cache type
+# both layers run on (LRU eviction, one "cached" flip per hit, hits
+# owned by the caller, disabled semantics), and the cache key, with
+# one key for every spelling of a request.
 chaos-cache:
-	$(GO) test -race -run 'FleetCache|RegistryPick|RegistryMark|RetryAfter|ResultCacheDisabled|CacheKey' ./internal/fleet ./internal/serve
+	$(GO) test -race -run 'FleetCache|RegistryPick|RegistryMark|RetryAfter|ResultCache|CacheKey' ./internal/fleet ./internal/serve
 
 # Benchmark gate: perfbench is a module of its own, so ./... above never
 # compiles it, yet it calls icl, benchnets, rsn, spec, serve and core

@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"rsnrobust/internal/core"
+	"rsnrobust/internal/faults"
 )
 
 // runConfig collects the flag values whose combinations need
@@ -21,6 +24,7 @@ type runConfig struct {
 	checkpointEvery int
 	resume          string
 	deadline        time.Duration
+	algo, universe  string
 }
 
 // validateFlags rejects flag combinations that would fail late or
@@ -28,40 +32,49 @@ type runConfig struct {
 // sweep from a single-run checkpoint, checkpointing into a directory
 // we cannot write, and resume combined with early stopping (the
 // stagnation window restarts empty, so the resumed trajectory would
-// diverge from the uninterrupted run).
-func validateFlags(c runConfig) error {
+// diverge from the uninterrupted run), and names -algo or -universe do
+// not define. It returns the optimizer and fault universe they name.
+func validateFlags(c runConfig) (core.Algorithm, faults.Scope, error) {
+	algo, err := core.ParseAlgorithm(c.algo)
+	if err != nil {
+		return 0, 0, fmt.Errorf("-algo: %w", err)
+	}
+	scope, err := faults.ParseScope(c.universe)
+	if err != nil {
+		return 0, 0, fmt.Errorf("-universe: %w", err)
+	}
 	if c.jobs < 0 {
-		return fmt.Errorf("-jobs must be >= 0, got %d", c.jobs)
+		return 0, 0, fmt.Errorf("-jobs must be >= 0, got %d", c.jobs)
 	}
 	if c.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", c.workers)
+		return 0, 0, fmt.Errorf("-workers must be >= 0, got %d", c.workers)
 	}
 	if c.seeds < 1 {
-		return fmt.Errorf("-seeds must be >= 1, got %d", c.seeds)
+		return 0, 0, fmt.Errorf("-seeds must be >= 1, got %d", c.seeds)
 	}
 	if c.checkpointEvery < 1 {
-		return fmt.Errorf("-checkpoint-every must be >= 1, got %d", c.checkpointEvery)
+		return 0, 0, fmt.Errorf("-checkpoint-every must be >= 1, got %d", c.checkpointEvery)
 	}
 	if c.deadline < 0 {
-		return fmt.Errorf("-deadline must be >= 0, got %v", c.deadline)
+		return 0, 0, fmt.Errorf("-deadline must be >= 0, got %v", c.deadline)
 	}
 	if c.resume != "" {
 		if c.seeds > 1 {
-			return errors.New("-resume holds the state of one run and cannot be combined with -seeds > 1")
+			return 0, 0, errors.New("-resume holds the state of one run and cannot be combined with -seeds > 1")
 		}
 		if c.stagnation > 0 {
-			return errors.New("-resume cannot be combined with -stagnation: the stagnation window does not survive a checkpoint, so the resumed run would diverge")
+			return 0, 0, errors.New("-resume cannot be combined with -stagnation: the stagnation window does not survive a checkpoint, so the resumed run would diverge")
 		}
 	}
 	if c.checkpoint != "" {
 		if c.seeds > 1 {
-			return errors.New("-checkpoint is single-run only: a multi-seed sweep would overwrite the same file")
+			return 0, 0, errors.New("-checkpoint is single-run only: a multi-seed sweep would overwrite the same file")
 		}
 		if err := writableDir(filepath.Dir(c.checkpoint)); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
+			return 0, 0, fmt.Errorf("-checkpoint: %w", err)
 		}
 	}
-	return nil
+	return algo, scope, nil
 }
 
 // writableDir probes the directory with a temp file: the only reliable

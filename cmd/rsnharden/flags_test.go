@@ -4,13 +4,16 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"rsnrobust/internal/core"
+	"rsnrobust/internal/faults"
 )
 
 // TestValidateFlags pins the up-front rejection of flag combinations
 // that would otherwise fail late or silently diverge.
 func TestValidateFlags(t *testing.T) {
 	dir := t.TempDir()
-	ok := runConfig{seeds: 1, checkpointEvery: 10}
+	ok := runConfig{seeds: 1, checkpointEvery: 10, algo: "spea2", universe: "all"}
 	cases := []struct {
 		name    string
 		mut     func(runConfig) runConfig
@@ -47,13 +50,21 @@ func TestValidateFlags(t *testing.T) {
 			c.checkpoint = filepath.Join(dir, "no-such-subdir", "run.ckpt")
 			return c
 		}, true},
+		{"nsga2-control", func(c runConfig) runConfig { c.algo, c.universe = "nsga2", "control"; return c }, false},
+		{"unknown-algo", func(c runConfig) runConfig { c.algo = "nsga3"; return c }, true},
+		{"unknown-universe", func(c runConfig) runConfig { c.universe = "bogus"; return c }, true},
+		{"uppercase-universe", func(c runConfig) runConfig { c.universe = "ALL"; return c }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.mut(ok))
+			_, _, err := validateFlags(tc.mut(ok))
 			if (err != nil) != tc.wantErr {
 				t.Errorf("validateFlags: err = %v, wantErr %v", err, tc.wantErr)
 			}
 		})
+	}
+	algo, scope, err := validateFlags(runConfig{seeds: 1, checkpointEvery: 10, algo: "nsga2", universe: "control"})
+	if err != nil || algo != core.AlgoNSGA2 || scope != faults.ScopeControl {
+		t.Errorf("validateFlags(nsga2, control) = %v, %v, %v", algo, scope, err)
 	}
 }

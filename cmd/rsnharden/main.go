@@ -48,7 +48,7 @@ func main() {
 		name    = flag.String("name", "", "Table I benchmark name instead of -in")
 		gens    = flag.Int("generations", 0, "evolutionary generations (default: Table I column 6, else 500)")
 		seed    = flag.Int64("seed", 42, "random seed")
-		algo    = flag.String("algo", "spea2", "optimizer: spea2 or nsga2")
+		algoN   = flag.String("algo", "spea2", "optimizer: spea2 or nsga2")
 		genspec = flag.Bool("genspec", false, "generate the paper's randomized specification")
 		front   = flag.Bool("front", false, "print the full Pareto front")
 		pick    = flag.String("pick", "", "apply a constrained pick to the output: damage10 or cost10")
@@ -61,7 +61,7 @@ func main() {
 		islands = flag.Int("islands", 0, "island-model sub-populations with ring migration (0/1 = single population); results depend only on seed and island count")
 		seeds   = flag.Int("seeds", 1, "run this many consecutive seeds (seed .. seed+N-1) and report per-seed plus aggregate results")
 		jobs    = flag.Int("jobs", 0, "concurrent synthesis jobs in multi-seed mode (0 = GOMAXPROCS, 1 = serial); results are identical at any count")
-		scope   = flag.String("universe", "all", "fault universe: all or control")
+		univ    = flag.String("universe", "all", "fault universe: all or control")
 		objs    = flag.String("objectives", "", "comma-separated objectives to optimize (registered: damage, cost, test_time, yield_loss; empty = damage,cost)")
 		telOut  = flag.String("telemetry", "", "write telemetry events (JSONL) to this file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -82,10 +82,12 @@ func main() {
 		logger = telemetry.NewLogger(os.Stderr, telemetry.ParseLogLevel(*logLvl), "json")
 	}
 
-	if err := validateFlags(runConfig{
+	algo, scope, err := validateFlags(runConfig{
 		seeds: *seeds, jobs: *jobs, workers: *workers, stagnation: *stag,
 		checkpoint: *ckpt, checkpointEvery: *ckptN, resume: *resume, deadline: *ddl,
-	}); err != nil {
+		algo: *algoN, universe: *univ,
+	})
+	if err != nil {
 		fail(err)
 	}
 
@@ -123,7 +125,7 @@ func main() {
 	netStats := net.Stats()
 	logger.Info("run start", "tool", "rsnharden", "network", net.Name,
 		"segments", netStats.Segments, "muxes", netStats.Muxes,
-		"algo", *algo, "seed", *seed, "seeds", *seeds, "generations", generations)
+		"algo", *algoN, "seed", *seed, "seeds", *seeds, "generations", generations)
 
 	var sp *spec.Spec
 	if *genspec || *name != "" {
@@ -150,7 +152,7 @@ func main() {
 		tel.Meta(map[string]any{
 			"tool": "rsnharden", "network": net.Name,
 			"segments": st.Segments, "muxes": st.Muxes,
-			"algo": *algo, "seed": *seed, "generations": generations,
+			"algo": *algoN, "seed": *seed, "generations": generations,
 		})
 	}
 
@@ -158,7 +160,7 @@ func main() {
 		err := runSeedSweep(ctx, sweepConfig{
 			in: *in, name: *name, genspec: *genspec,
 			generations: generations, seed: *seed, seeds: *seeds, jobs: *jobs,
-			algo: *algo, scope: *scope, force: *force, stag: *stag, workers: *workers,
+			algo: algo, scope: scope, force: *force, stag: *stag, workers: *workers,
 			islands: *islands, deadline: *ddl, objectives: objNames,
 		}, tel, logger)
 		if err != nil {
@@ -211,14 +213,8 @@ func main() {
 			return true
 		}
 	}
-	if *scope == "control" {
-		opt.Analysis.Scope = faults.ScopeControl
-	}
-	if *algo == "nsga2" {
-		opt.Algorithm = core.AlgoNSGA2
-	} else if *algo != "spea2" {
-		fail(fmt.Errorf("unknown algorithm %q", *algo))
-	}
+	opt.Analysis.Scope = scope
+	opt.Algorithm = algo
 
 	s, err := core.Synthesize(net, sp, opt)
 	if err != nil {
@@ -437,8 +433,8 @@ type sweepConfig struct {
 	seed        int64
 	seeds       int
 	jobs        int
-	algo        string
-	scope       string
+	algo        core.Algorithm
+	scope       faults.Scope
 	force       bool
 	stag        int
 	workers     int
@@ -566,14 +562,8 @@ func runOneSeed(ctx context.Context, cfg sweepConfig, seed int64, tel *telemetry
 	opt.Telemetry = tel
 	opt.ParentSpan = span
 	opt.Context = ctx
-	if cfg.scope == "control" {
-		opt.Analysis.Scope = faults.ScopeControl
-	}
-	if cfg.algo == "nsga2" {
-		opt.Algorithm = core.AlgoNSGA2
-	} else if cfg.algo != "spea2" {
-		return res, fmt.Errorf("unknown algorithm %q", cfg.algo)
-	}
+	opt.Analysis.Scope = cfg.scope
+	opt.Algorithm = cfg.algo
 	s, err := core.Synthesize(net, sp, opt)
 	if err != nil {
 		return res, err

@@ -21,7 +21,10 @@
 // least-loaded healthy worker, retries transient failures with
 // jittered backoff, and — because it asks workers to stream
 // checkpoints — migrates a dead worker's job to another worker from
-// its last checkpoint, bit-identically. See internal/fleet.
+// its last checkpoint, bit-identically. Repeats of completed jobs are
+// answered from the coordinator's L1 result cache, which -cache sizes
+// as it sizes a worker's cache. Both modes serve through the same loop
+// and drain on the same signals. See internal/fleet.
 //
 // Logs are structured (JSONL on stderr by default), every line
 // correlated by the request's trace and request IDs.
@@ -49,6 +52,7 @@ import (
 	"syscall"
 	"time"
 
+	"rsnrobust/internal/fleet"
 	"rsnrobust/internal/serve"
 	"rsnrobust/internal/telemetry"
 )
@@ -59,7 +63,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "concurrent synthesis jobs (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 16, "admitted-but-waiting jobs beyond the running ones; beyond that requests get 429 (negative = no waiting room)")
 		evalW     = flag.Int("eval-workers", 1, "objective-evaluation workers per job")
-		cacheN    = flag.Int("cache", 256, "harden result cache entries (negative disables)")
+		cacheN    = flag.Int("cache", 256, "harden result cache entries: the worker's cache, or the coordinator's L1 (negative disables)")
 		maxDdl    = flag.Duration("max-deadline", 5*time.Minute, "cap on per-request deadlines")
 		maxGens   = flag.Int("max-generations", 100_000, "cap on requested generations")
 		maxPop    = flag.Int("max-population", 5_000, "cap on requested population size")
@@ -74,64 +78,101 @@ func main() {
 		probeIvl    = flag.Duration("probe-interval", time.Second, "coordinator: worker health-probe period")
 		retryBudget = flag.Int("retry-budget", 4, "coordinator: dispatch retries per job beyond the first attempt")
 		ckptEvery   = flag.Int("checkpoint-every", 5, "coordinator: checkpoint cadence (generations) injected into dispatched jobs; negative disables migration checkpoints")
-		l1Cache     = flag.Int("l1-cache", 256, "coordinator: completed-result L1 cache entries (negative disables)")
 	)
 	flag.Parse()
 
 	logger := telemetry.NewLogger(os.Stderr, telemetry.ParseLogLevel(*logLevel), *logFormat)
-
-	if *coordinator != "" {
-		if *workerMode {
-			fmt.Fprintln(os.Stderr, "rsnserve: -coordinator and -worker are mutually exclusive")
-			os.Exit(1)
-		}
-		if err := runCoordinator(coordOptions{
-			addr:        *addr,
-			workers:     strings.Split(*coordinator, ","),
-			probeIvl:    *probeIvl,
-			retryBudget: *retryBudget,
-			ckptEvery:   *ckptEvery,
-			l1Cache:     *l1Cache,
-			grace:       *grace,
-			logger:      logger,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "rsnserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	srv := serve.New(serve.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		EvalWorkers:    *evalW,
-		CacheEntries:   *cacheN,
-		MaxDeadline:    *maxDdl,
-		MaxGenerations: *maxGens,
-		MaxPopulation:  *maxPop,
-		Logger:         logger,
-		FlightEntries:  *flight,
-	})
-
-	if *selftest {
-		if err := runSelftest(srv); err != nil {
-			fmt.Fprintf(os.Stderr, "rsnserve: selftest FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runFleetSelftest(); err != nil {
-			fmt.Fprintf(os.Stderr, "rsnserve: selftest FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("rsnserve: selftest PASS")
-		return
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "rsnserve: %v\n", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+
+	var svc service
+	if *coordinator != "" {
+		if *workerMode {
+			fail(fmt.Errorf("-coordinator and -worker are mutually exclusive"))
+		}
+		var urls []string
+		for _, u := range strings.Split(*coordinator, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				urls = append(urls, u)
+			}
+		}
+		coord, err := fleet.New(fleet.Config{
+			Workers:         urls,
+			ProbeInterval:   *probeIvl,
+			RetryBudget:     *retryBudget,
+			CheckpointEvery: *ckptEvery,
+			L1CacheEntries:  *cacheN,
+			Logger:          logger,
+		})
+		if err != nil {
+			fail(err)
+		}
+		coord.Start()
+		defer coord.Close()
+		// In-flight dispatches keep streaming until their workers finish
+		// or the grace period expires, which cuts them off.
+		svc = service{handler: coord.Handler(), attrs: []any{"mode", "coordinator", "workers", urls},
+			abort: func(hs *http.Server) { hs.Close() }}
+	} else {
+		srv := serve.New(serve.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			EvalWorkers:    *evalW,
+			CacheEntries:   *cacheN,
+			MaxDeadline:    *maxDdl,
+			MaxGenerations: *maxGens,
+			MaxPopulation:  *maxPop,
+			Logger:         logger,
+			FlightEntries:  *flight,
+		})
+		if *selftest {
+			if err := runSelftest(srv); err != nil {
+				fail(fmt.Errorf("selftest FAILED: %w", err))
+			}
+			if err := runFleetSelftest(); err != nil {
+				fail(fmt.Errorf("selftest FAILED: %w", err))
+			}
+			fmt.Println("rsnserve: selftest PASS")
+			return
+		}
+		// Drain: stop admitting, let in-flight requests run for the grace
+		// period, then abort the rest cooperatively — each returns its
+		// partial front to its waiting client, so the shutdown's wait
+		// always ends shortly after the timer fires.
+		svc = service{handler: srv.Handler(), attrs: []any{"mode", "worker", "workers", *workers, "queue", *queue},
+			drain: srv.StartDrain,
+			abort: func(*http.Server) { srv.AbortInFlight() },
+			done:  func() { dumpFlight(srv, logger) }}
+	}
+	if err := run(*addr, *grace, logger, svc); err != nil {
+		fail(err)
+	}
+}
+
+// service is what one rsnserve process serves: a worker's serve.Server
+// or a fleet coordinator, with the steps of its drain.
+type service struct {
+	handler http.Handler
+	attrs   []any // logged with the listening address
+	// drain, if set, runs when the drain begins; abort runs if requests
+	// are still in flight when the grace period expires; done, if set,
+	// runs once the last request has finished.
+	drain func()
+	abort func(*http.Server)
+	done  func()
+}
+
+// run serves svc on addr until SIGINT or SIGTERM, then drains it: the
+// listener closes, in-flight requests run on for the grace period, and
+// svc.abort ends whatever is left.
+func run(addr string, grace time.Duration, logger *slog.Logger, svc service) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: svc.handler}
 
 	// Register before announcing the address: a signal sent as soon as
 	// the listening line is read must drain, not kill.
@@ -141,33 +182,32 @@ func main() {
 	// The printed address is the resolved one (":0" picks a port), so
 	// wrappers and tests can parse where to connect.
 	fmt.Printf("rsnserve: listening on %s\n", ln.Addr())
-	logger.Info("listening", "addr", ln.Addr().String(), "workers", *workers, "queue", *queue)
+	logger.Info("listening", append([]any{"addr", ln.Addr().String()}, svc.attrs...)...)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
 	select {
 	case sig := <-sigCh:
-		fmt.Printf("rsnserve: %s, draining (grace %s)\n", sig, *grace)
+		fmt.Printf("rsnserve: %s, draining (grace %s)\n", sig, grace)
 		logger.Info("draining", "signal", sig.String(), "grace", grace.String())
 	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "rsnserve: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
-	// Drain: stop admitting, let in-flight requests run for the grace
-	// period, then abort the rest cooperatively — each returns its
-	// partial front to its waiting client, so Shutdown's wait always
-	// terminates shortly after the timer fires.
-	srv.StartDrain()
-	timer := time.AfterFunc(*grace, srv.AbortInFlight)
+	if svc.drain != nil {
+		svc.drain()
+	}
+	timer := time.AfterFunc(grace, func() { svc.abort(httpSrv) })
 	defer timer.Stop()
 	if err := httpSrv.Shutdown(context.Background()); err != nil {
-		fmt.Fprintf(os.Stderr, "rsnserve: shutdown: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
-	dumpFlight(srv, logger)
+	if svc.done != nil {
+		svc.done()
+	}
 	fmt.Println("rsnserve: drained")
+	return nil
 }
 
 // dumpFlight writes the flight recorder's final snapshot to stderr as

@@ -20,7 +20,7 @@ func TestValidateFlags(t *testing.T) {
 		cfg     runConfig
 		wantErr bool
 	}{
-		{"defaults", runConfig{checkpointEvery: 10}, false},
+		{"defaults", runConfig{checkpointEvery: 10, algo: "spea2", universe: "control"}, false},
 		{"checkpoint-writable", runConfig{checkpointEvery: 10, checkpoint: dir}, false},
 		{"resume-existing-dir", runConfig{checkpointEvery: 10, resume: dir}, false},
 		{"deadline", runConfig{checkpointEvery: 10, deadline: time.Minute}, false},
@@ -31,10 +31,14 @@ func TestValidateFlags(t *testing.T) {
 		{"checkpoint-missing-dir", runConfig{checkpointEvery: 10, checkpoint: filepath.Join(dir, "absent")}, true},
 		{"resume-missing-dir", runConfig{checkpointEvery: 10, resume: filepath.Join(dir, "absent")}, true},
 		{"resume-not-a-dir", runConfig{checkpointEvery: 10, resume: file}, true},
+		{"nsga2-all", runConfig{checkpointEvery: 10, algo: "nsga2", universe: "all"}, false},
+		{"unknown-algo", runConfig{checkpointEvery: 10, algo: "nsga3", universe: "control"}, true},
+		{"uppercase-universe", runConfig{checkpointEvery: 10, algo: "spea2", universe: "ALL"}, true},
+		{"unknown-universe", runConfig{checkpointEvery: 10, algo: "spea2", universe: "bogus"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.cfg)
+			_, _, err := validateFlags(tc.cfg)
 			if (err != nil) != tc.wantErr {
 				t.Errorf("validateFlags(%+v): err = %v, wantErr %v", tc.cfg, err, tc.wantErr)
 			}

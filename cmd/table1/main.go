@@ -45,8 +45,8 @@ func main() {
 		paper   = flag.Bool("paper", false, "append the paper's published values to every row")
 		format  = flag.String("format", "text", "output format: text, markdown or csv")
 		seed    = flag.Int64("seed", 42, "random seed for specification and optimizer")
-		algo    = flag.String("algo", "spea2", "optimizer: spea2 or nsga2")
-		scope   = flag.String("universe", "control", "fault universe: control (paper harness) or all")
+		algoN   = flag.String("algo", "spea2", "optimizer: spea2 or nsga2")
+		univ    = flag.String("universe", "control", "fault universe: control (paper harness) or all")
 		objs    = flag.String("objectives", "", "comma-separated objectives to optimize (registered: damage, cost, test_time, yield_loss; empty = damage,cost)")
 		ablate  = flag.Bool("ablate", false, "run the optimizer ablation instead of Table I")
 		maxP    = flag.Int("maxprims", 0, "skip benchmarks with more primitives (0 = no limit)")
@@ -72,10 +72,12 @@ func main() {
 		logger = telemetry.NewLogger(os.Stderr, telemetry.ParseLogLevel(*logLvl), "json")
 	}
 
-	if err := validateFlags(runConfig{
+	algo, scope, err := validateFlags(runConfig{
 		jobs: *jobs, workers: *workers,
 		checkpoint: *ckpt, checkpointEvery: *ckptN, resume: *resume, deadline: *ddl,
-	}); err != nil {
+		algo: *algoN, universe: *univ,
+	})
+	if err != nil {
 		fail(err)
 	}
 
@@ -151,7 +153,7 @@ func main() {
 	rows := 0
 	grand := time.Now()
 	logger.Info("run start", "tool", "table1", "rows", len(entries),
-		"algo", *algo, "seed", *seed, "quick", *quick, "jobs", *jobs, "workers", *workers)
+		"algo", *algoN, "seed", *seed, "quick", *quick, "jobs", *jobs, "workers", *workers)
 	rs := moea.NewRunSet[rowResult]()
 	telBufs := make([]*bytes.Buffer, len(entries))
 	for i := range entries {
@@ -168,7 +170,7 @@ func main() {
 				w = telBufs[i]
 			}
 			row, err := runRow(jctx, e, rowOpts{
-				seed: *seed, quick: *quick, algo: *algo, scope: *scope,
+				seed: *seed, quick: *quick, algo: algo, scope: scope,
 				refine: *refine, workers: *workers, islands: *islands,
 				ckptDir: *ckpt, resumeDir: *resume, ckptEvery: *ckptN,
 				objectives: objNames,
@@ -238,7 +240,8 @@ func durMS(d time.Duration) float64 {
 type rowOpts struct {
 	seed               int64
 	quick              bool
-	algo, scope        string
+	algo               core.Algorithm
+	scope              faults.Scope
 	refine             bool
 	workers            int
 	islands            int
@@ -318,12 +321,8 @@ func runRow(ctx context.Context, e benchnets.Entry, ro rowOpts, telWriter io.Wri
 			return res, err
 		}
 	}
-	if algo == "nsga2" {
-		opt.Algorithm = core.AlgoNSGA2
-	}
-	if ro.scope != "all" {
-		opt.Analysis.Scope = faults.ScopeControl
-	}
+	opt.Algorithm = algo
+	opt.Analysis.Scope = ro.scope
 	// One collector per row, all streaming into the shared JSONL file;
 	// the leading meta record delimits the rows.
 	var tel *telemetry.Collector
@@ -333,7 +332,7 @@ func runRow(ctx context.Context, e benchnets.Entry, ro rowOpts, telWriter io.Wri
 		tel.Meta(map[string]any{
 			"tool": "table1", "network": e.Name,
 			"segments": e.Segments, "muxes": e.Muxes,
-			"algo": algo, "seed": seed, "generations": budget(e, quick),
+			"algo": algo.String(), "seed": seed, "generations": budget(e, quick),
 		})
 		opt.Telemetry = tel
 	}

@@ -54,6 +54,18 @@ func (a Algorithm) String() string {
 	}
 }
 
+// ParseAlgorithm returns the optimizer String names; the empty name is
+// the zero value, AlgoSPEA2. Any other name is an error.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch name {
+	case "", AlgoSPEA2.String():
+		return AlgoSPEA2, nil
+	case AlgoNSGA2.String():
+		return AlgoNSGA2, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want spea2 or nsga2)", name)
+}
+
 // Options configures Synthesize.
 type Options struct {
 	// Generations is the evolutionary budget (Table I column 6).

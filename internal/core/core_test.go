@@ -611,3 +611,21 @@ func TestOptionsPopulation(t *testing.T) {
 		t.Error("population 1 accepted; want moea validation error")
 	}
 }
+
+// TestParseAlgorithm: every optimizer parses back from its String name,
+// the empty name is the default, and any other spelling is an error.
+func TestParseAlgorithm(t *testing.T) {
+	for _, a := range []Algorithm{AlgoSPEA2, AlgoNSGA2} {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", a.String(), got, err)
+		}
+	}
+	if got, err := ParseAlgorithm(""); err != nil || got != AlgoSPEA2 {
+		t.Errorf(`ParseAlgorithm("") = %v, %v, want spea2`, got, err)
+	}
+	for _, bad := range []string{"nsga3", "SPEA2", " spea2"} {
+		if _, err := ParseAlgorithm(bad); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
+	}
+}

@@ -32,6 +32,18 @@ func (s Scope) String() string {
 	return "all"
 }
 
+// ParseScope returns the fault universe String names; the empty name
+// is the zero value, ScopeAll. Any other name is an error.
+func ParseScope(name string) (Scope, error) {
+	switch name {
+	case "", ScopeAll.String():
+		return ScopeAll, nil
+	case ScopeControl.String():
+		return ScopeControl, nil
+	}
+	return 0, fmt.Errorf("unknown fault universe %q (want all or control)", name)
+}
+
 // Options configures the criticality analysis.
 type Options struct {
 	// Combine folds the per-fault-mode damages of a primitive into d_j.

@@ -157,3 +157,22 @@ func TestAnalyzeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestParseScope: every fault universe parses back from its String
+// name, the empty name is the default, and any other spelling is an
+// error.
+func TestParseScope(t *testing.T) {
+	for _, s := range []Scope{ScopeAll, ScopeControl} {
+		if got, err := ParseScope(s.String()); err != nil || got != s {
+			t.Errorf("ParseScope(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	if got, err := ParseScope(""); err != nil || got != ScopeAll {
+		t.Errorf(`ParseScope("") = %v, %v, want all`, got, err)
+	}
+	for _, bad := range []string{"bogus", "ALL", "Control"} {
+		if _, err := ParseScope(bad); err == nil {
+			t.Errorf("ParseScope(%q) accepted", bad)
+		}
+	}
+}

@@ -9,11 +9,11 @@ import (
 
 // MultiEffect computes the joint accessibility loss under several
 // simultaneous faults: all broken segments are removed together, all
-// stuck and control-coupled dead edges accumulate. The semantics are
-// the multi-fault generalization of Effect; with a single fault the two
-// agree exactly. The paper restricts itself to single faults — this is
-// the extension its conclusion hints at, used by the multi-fault
-// robustness evaluation.
+// stuck and control-coupled dead edges accumulate. It generalizes the
+// single-fault rules Effect documents, and Effect is its one-fault
+// case. The paper restricts itself to single faults — this is the
+// extension its conclusion hints at, used by the multi-fault robustness
+// evaluation.
 func MultiEffect(net *rsn.Network, fs []Fault, opts Options) (obsLost, setLost []bool) {
 	skip := make([]bool, net.NumNodes())
 	dead := map[edgeKey]bool{}
@@ -62,6 +62,8 @@ func MultiEffect(net *rsn.Network, fs []Fault, opts Options) (obsLost, setLost [
 	return obsLost, setLost
 }
 
+// multiForward marks the nodes reachable from scan-in, never entering a
+// skipped node (skip may be nil) and never using dead edges.
 func multiForward(net *rsn.Network, skip []bool, dead map[edgeKey]bool) []bool {
 	seen := make([]bool, net.NumNodes())
 	start := net.ScanIn
@@ -78,6 +80,8 @@ func multiForward(net *rsn.Network, skip []bool, dead map[edgeKey]bool) []bool {
 				continue
 			}
 			if len(dead) > 0 && net.Node(t).Kind == rsn.KindMux {
+				// Parallel edges (several ports fed by the same
+				// predecessor) stay alive as long as any one port does.
 				alive := false
 				for p, u := range net.Pred(t) {
 					if u == v && !dead[edgeKey{from: v, to: t, port: p}] {
@@ -96,6 +100,8 @@ func multiForward(net *rsn.Network, skip []bool, dead map[edgeKey]bool) []bool {
 	return seen
 }
 
+// multiBackward marks the nodes that can reach scan-out, never entering
+// a skipped node (skip may be nil) and never using dead edges.
 func multiBackward(net *rsn.Network, skip []bool, dead map[edgeKey]bool) []bool {
 	seen := make([]bool, net.NumNodes())
 	end := net.ScanOut

@@ -4,38 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
-	"rsnrobust/internal/benchnets"
 	"rsnrobust/internal/fixture"
 	"rsnrobust/internal/rsn"
 	"rsnrobust/internal/spec"
 )
-
-// TestMultiEffectSingleAgreesWithEffect: with one fault, MultiEffect
-// must reproduce Effect exactly.
-func TestMultiEffectSingleAgreesWithEffect(t *testing.T) {
-	check := func(seed int64) bool {
-		net := benchnets.Random(benchnets.RandomOptions{Seed: seed, TargetPrims: 35, SegmentControls: true})
-		opts := Options{Combine: CombineMax, SIBCoupling: true, CtrlCoupling: true}
-		for _, f := range Universe(net) {
-			o1, s1 := Effect(net, f, opts)
-			o2, s2 := MultiEffect(net, []Fault{f}, opts)
-			for i := range o1 {
-				if o1[i] != o2[i] || s1[i] != s2[i] {
-					t.Logf("seed %d fault %s node %d: single (%v,%v) multi (%v,%v)",
-						seed, f.String(net), i, o1[i], s1[i], o2[i], s2[i])
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestMultiEffectMonotone: adding a second fault can only lose more.
 func TestMultiEffectMonotone(t *testing.T) {

@@ -25,40 +25,10 @@ import (
 // The returned slices are indexed by rsn.NodeID and are true only for
 // instrument-hosting segments. This is the O(E)-per-fault reference the
 // tree-based Analysis is validated against, and it agrees bit-for-bit
-// with the access.Simulator under the paper's semantics.
+// with the access.Simulator under the paper's semantics. It is
+// MultiEffect of the one fault: both run the same reachability walks.
 func Effect(net *rsn.Network, f Fault, opts Options) (obsLost, setLost []bool) {
-	skip := rsn.None
-	var dead map[edgeKey]bool
-
-	switch f.Kind {
-	case SegmentBreak:
-		skip = f.Node
-		dead = ctrlDeadEdges(net, f.Node, opts)
-	case MuxStuck:
-		dead = stuckDeadEdges(net, f.Node, f.Port)
-	}
-
-	toSO := backwardReach(net, net.ScanOut, skip, dead)
-	fromSI := forwardReach(net, net.ScanIn, skip, dead)
-	// Settability additionally requires lying on some sensitizable path,
-	// which the broken segment itself does not prevent (shifting still
-	// clocks the chain) but dead mux edges do.
-	toSOPath := toSO
-	if skip != rsn.None {
-		toSOPath = backwardReach(net, net.ScanOut, rsn.None, dead)
-	}
-
-	obsLost = make([]bool, net.NumNodes())
-	setLost = make([]bool, net.NumNodes())
-	for i := 0; i < net.NumNodes(); i++ {
-		nd := net.Node(rsn.NodeID(i))
-		if nd.Kind != rsn.KindSegment || nd.Instr == nil {
-			continue
-		}
-		obsLost[i] = !toSO[i]
-		setLost[i] = !fromSI[i] || !toSOPath[i]
-	}
-	return obsLost, setLost
+	return MultiEffect(net, []Fault{f}, opts)
 }
 
 // ctrlDeadEdges returns the mux input edges that die because their
@@ -104,71 +74,6 @@ func stuckDeadEdges(net *rsn.Network, mux rsn.NodeID, alivePort int) map[edgeKey
 type edgeKey struct {
 	from, to rsn.NodeID
 	port     int
-}
-
-// forwardReach marks the nodes reachable from start, never entering the
-// skip node and never using dead edges.
-func forwardReach(net *rsn.Network, start, skip rsn.NodeID, dead map[edgeKey]bool) []bool {
-	seen := make([]bool, net.NumNodes())
-	if start == skip {
-		return seen
-	}
-	seen[start] = true
-	stack := []rsn.NodeID{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range net.Succ(v) {
-			if t == skip || seen[t] {
-				continue
-			}
-			if dead != nil && net.Node(t).Kind == rsn.KindMux {
-				// Parallel edges (several ports fed by the same
-				// predecessor) stay alive as long as any one port does.
-				alive := false
-				for p, u := range net.Pred(t) {
-					if u == v && !dead[edgeKey{from: v, to: t, port: p}] {
-						alive = true
-						break
-					}
-				}
-				if !alive {
-					continue
-				}
-			}
-			seen[t] = true
-			stack = append(stack, t)
-		}
-	}
-	return seen
-}
-
-// backwardReach marks the nodes that can reach end, never entering the
-// skip node and never using dead edges.
-func backwardReach(net *rsn.Network, end, skip rsn.NodeID, dead map[edgeKey]bool) []bool {
-	seen := make([]bool, net.NumNodes())
-	if end == skip {
-		return seen
-	}
-	seen[end] = true
-	stack := []rsn.NodeID{end}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for p, t := range net.Pred(v) {
-			if t == skip || seen[t] {
-				continue
-			}
-			if dead != nil && net.Node(v).Kind == rsn.KindMux {
-				if dead[edgeKey{from: t, to: v, port: p}] {
-					continue
-				}
-			}
-			seen[t] = true
-			stack = append(stack, t)
-		}
-	}
-	return seen
 }
 
 // ReferenceDamage recomputes every primitive's damage d_j from graph

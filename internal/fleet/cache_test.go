@@ -174,7 +174,7 @@ func TestFleetCacheNoCacheOptOut(t *testing.T) {
 	if v := c.tel.Counter("fleet.cache.hits").Value() + c.tel.Counter("fleet.cache.misses").Value(); v != 0 {
 		t.Errorf("no_cache touched the L1 (%d hits+misses), want 0", v)
 	}
-	if n := c.l1.len(); n != 0 {
+	if n := c.l1.Len(); n != 0 {
 		t.Errorf("no_cache filled the L1 with %d entries", n)
 	}
 }

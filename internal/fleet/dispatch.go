@@ -16,30 +16,6 @@ import (
 	"rsnrobust/internal/telemetry"
 )
 
-// writeJSON renders v like the serve package does (no HTML escaping,
-// trailing newline), so coordinator and worker responses are uniform.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// writeError renders the serve-uniform error body.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// wantStream mirrors the serve package's test: Accept: text/event-stream
-// or ?stream=1 selects the streaming response form.
-func wantStream(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "1" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
-
 // hardenJob is one client harden request as the dispatcher carries it
 // across attempts: the raw request document with its options decoded
 // for patching, plus the freshest checkpoint captured from a worker
@@ -123,97 +99,68 @@ func (j *hardenJob) encode() ([]byte, error) {
 	return json.Marshal(top)
 }
 
-// relay is the client-facing half of a dispatch: it remembers whether
-// the response stream has started and filters relayed events so a
-// migration never re-emits a generation the client already saw.
+// relay is the client-facing half of a dispatch: it opens the client's
+// event stream on the first relayed event and filters relayed events
+// so a migration never re-emits a generation the client already saw.
 type relay struct {
-	w             http.ResponseWriter
-	f             http.Flusher
-	streaming     bool // client asked for SSE
-	started       bool // SSE headers sent
-	relayCkpt     bool
-	lastGen       int
-	lastCkptGen   int
-	wroteTerminal bool
+	w           http.ResponseWriter
+	r           *http.Request
+	sse         *serve.SSEWriter // the client's stream; nil until opened
+	streaming   bool             // client asked for SSE
+	relayCkpt   bool
+	lastGen     int
+	lastCkptGen int
 }
 
-func newRelay(w http.ResponseWriter, streaming, relayCkpt bool) *relay {
-	f, _ := w.(http.Flusher)
-	return &relay{w: w, f: f, streaming: streaming, relayCkpt: relayCkpt, lastGen: -1, lastCkptGen: -1}
+func newRelay(w http.ResponseWriter, r *http.Request, relayCkpt bool) *relay {
+	// A writer that cannot flush gets the plain form, as on a worker.
+	_, canFlush := w.(http.Flusher)
+	return &relay{w: w, r: r, streaming: serve.WantStream(r) && canFlush,
+		relayCkpt: relayCkpt, lastGen: -1, lastCkptGen: -1}
 }
 
-// start sends the SSE preamble once.
-func (rl *relay) start() {
-	if rl.started {
-		return
+// stream returns the client's event stream, opening it on first use.
+func (rl *relay) stream() *serve.SSEWriter {
+	if rl.sse == nil {
+		rl.sse, _ = serve.StartSSE(rl.w)
 	}
-	rl.started = true
-	h := rl.w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	rl.w.WriteHeader(http.StatusOK)
-	if rl.f != nil {
-		rl.f.Flush()
-	}
-}
-
-// event relays one SSE event verbatim.
-func (rl *relay) event(name string, data []byte) {
-	rl.start()
-	var buf bytes.Buffer
-	buf.Grow(len(data) + len(name) + 16)
-	buf.WriteString("event: ")
-	buf.WriteString(name)
-	buf.WriteString("\ndata: ")
-	buf.Write(data)
-	buf.WriteString("\n\n")
-	rl.w.Write(buf.Bytes())
-	if rl.f != nil {
-		rl.f.Flush()
-	}
+	return rl.sse
 }
 
 // result relays the terminal result: the result event for a streaming
 // client, or a plain 200 whose body is byte-identical to what the
 // worker's plain endpoint would have answered.
 func (rl *relay) result(data []byte) {
-	rl.wroteTerminal = true
 	if rl.streaming {
-		rl.event("result", data)
+		rl.stream().Raw("result", data)
 		return
 	}
-	rl.w.Header().Set("Content-Type", "application/json")
-	rl.w.WriteHeader(http.StatusOK)
-	rl.w.Write(append(data, '\n'))
+	serve.WritePayload(rl.w, http.StatusOK, data)
 }
 
 // fail reports a terminal failure: an error event if the stream has
 // started (the status line is long gone), a plain error response
 // otherwise.
 func (rl *relay) fail(status int, msg string) {
-	rl.wroteTerminal = true
-	if rl.streaming && rl.started {
-		data, _ := json.Marshal(map[string]any{"error": msg, "status": status})
-		rl.event("error", data)
+	if rl.sse != nil {
+		rl.sse.ErrorEvent(rl.r, status, msg)
 		return
 	}
-	writeError(rl.w, status, msg)
+	serve.WriteError(rl.w, rl.r, status, msg)
 }
 
 // plain relays a worker's non-streamed response (a validation 4xx,
 // typically) verbatim — or as an error event when the client stream has
 // already started.
 func (rl *relay) plain(status int, contentType string, body []byte) {
-	rl.wroteTerminal = true
-	if rl.streaming && rl.started {
+	if rl.sse != nil {
 		var m map[string]any
 		if json.Unmarshal(body, &m) != nil {
 			m = map[string]any{"error": strings.TrimSpace(string(body))}
 		}
 		m["status"] = status
 		data, _ := json.Marshal(m)
-		rl.event("error", data)
+		rl.sse.Raw("error", data)
 		return
 	}
 	if contentType != "" {
@@ -357,7 +304,7 @@ func (c *Coordinator) dispatch(ctx context.Context, rl *relay, try func(wk *work
 	status := http.StatusBadGateway
 	if lastRetryAfter > 0 {
 		status = http.StatusTooManyRequests
-		if !rl.started {
+		if rl.sse == nil {
 			sec := int((min(lastRetryAfter, c.cfg.RetryAfterMax) + time.Second - 1) / time.Second)
 			rl.w.Header().Set("Retry-After", strconv.Itoa(max(sec, 1)))
 		}
@@ -375,15 +322,15 @@ func (c *Coordinator) dispatch(ctx context.Context, rl *relay, try func(wk *work
 func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 	body, status, err := serve.ReadBody(w, r, c.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, status, err.Error())
+		serve.WriteError(w, r, status, err.Error())
 		return
 	}
 	job, err := newHardenJob(body, c.cfg.CheckpointEvery)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		serve.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	rl := newRelay(w, wantStream(r), job.clientCkpt)
+	rl := newRelay(w, r, job.clientCkpt)
 	ctx := r.Context()
 
 	// The fleet-wide cache identity: derived from the client body with
@@ -397,14 +344,11 @@ func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(serve.CacheKeyHeader, k)
 		}
 	}
-	useL1 := key != "" && c.l1.enabled()
-	if useL1 {
-		if data, ok := c.l1.get(key); ok {
-			c.cacheHitsC.Inc()
+	if key != "" {
+		if data, ok := c.l1.Get(key); ok {
 			rl.result(data)
 			return
 		}
-		c.cacheMissesC.Inc()
 	}
 
 	c.dispatch(ctx, rl, func(wk *worker, attempt int) outcome {
@@ -415,7 +359,7 @@ func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 			c.log.InfoContext(ctx, "migrating job", "to", wk.url, "from_gen", job.resumeGen)
 		}
 		out := c.tryHarden(ctx, wk, job, rl)
-		if useL1 && len(out.result) > 0 {
+		if key != "" && len(out.result) > 0 {
 			var meta struct {
 				Interrupted bool `json:"interrupted"`
 			}
@@ -423,7 +367,7 @@ func (c *Coordinator) handleHarden(w http.ResponseWriter, r *http.Request) {
 			// cacheable. This is the only cache that holds a migrated
 			// job's result — workers never store resumed runs.
 			if json.Unmarshal(out.result, &meta) == nil && !meta.Interrupted {
-				c.l1.put(key, out.result)
+				c.l1.Put(key, out.result)
 			}
 		}
 		return out
@@ -476,7 +420,7 @@ func (c *Coordinator) tryHarden(ctx context.Context, wk *worker, job *hardenJob,
 			if g.Gen > rl.lastGen {
 				rl.lastGen = g.Gen
 				if rl.streaming {
-					rl.event("generation", ev.data)
+					rl.stream().Raw("generation", ev.data)
 				}
 			}
 		case "checkpoint":
@@ -491,7 +435,7 @@ func (c *Coordinator) tryHarden(ctx context.Context, wk *worker, job *hardenJob,
 			if rl.relayCkpt && cp.Gen > rl.lastCkptGen {
 				rl.lastCkptGen = cp.Gen
 				if rl.streaming {
-					rl.event("checkpoint", ev.data)
+					rl.stream().Raw("checkpoint", ev.data)
 				}
 			}
 		case "result":
@@ -518,16 +462,12 @@ func (c *Coordinator) tryHarden(ctx context.Context, wk *worker, job *hardenJob,
 			return outcome{err: fmt.Errorf("worker %s: job error status %d", wk.url, jobErrStatus)}
 		}
 		if rl.streaming {
-			rl.wroteTerminal = true
-			rl.event("error", jobErr)
+			rl.stream().Raw("error", jobErr)
 		} else {
 			if jobErrStatus == 0 {
 				jobErrStatus = http.StatusInternalServerError
 			}
-			rl.wroteTerminal = true
-			rl.w.Header().Set("Content-Type", "application/json")
-			rl.w.WriteHeader(jobErrStatus)
-			rl.w.Write(append(jobErr, '\n'))
+			serve.WritePayload(rl.w, jobErrStatus, jobErr)
 		}
 		return outcome{terminal: true, success: true}
 	}
@@ -545,10 +485,10 @@ func (c *Coordinator) tryHarden(ctx context.Context, wk *worker, job *hardenJob,
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	body, status, err := serve.ReadBody(w, r, c.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, status, err.Error())
+		serve.WriteError(w, r, status, err.Error())
 		return
 	}
-	rl := newRelay(w, false, false)
+	rl := newRelay(w, r, false)
 	c.dispatch(r.Context(), rl, func(wk *worker, _ int) outcome {
 		resp, err := c.send(r.Context(), wk, "/v1/analyze", body, false)
 		if err != nil {

@@ -32,6 +32,12 @@
 // result byte-identical to an uninterrupted run. The L1 is the fleet's
 // one result cache: routing ignores the cache key, because the L1
 // answers every repeat it holds before any worker is picked.
+//
+// The coordinator owns no HTTP edge of its own: it serves through a
+// serve.Edge (middleware, /healthz, /metrics) under the fleet.http
+// metric prefix, answers through serve's JSON, error and SSE writers,
+// and its L1 is a serve.ResultCache, so coordinator and worker
+// responses are uniform by construction.
 package fleet
 
 import (
@@ -42,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"rsnrobust/internal/serve"
 	"rsnrobust/internal/telemetry"
 )
 
@@ -78,11 +85,12 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// MaxBodyBytes bounds an accepted request body (default 8 MiB).
 	MaxBodyBytes int64
-	// L1CacheEntries sizes the coordinator's own LRU of completed harden
-	// responses, keyed by the fleet-wide content address: a hit answers
-	// a repeat request with zero dispatches. 0 = default 256, negative
-	// disables the L1 (repeats then reach a worker-local cache only if
-	// routing happens to pick the worker that computed them).
+	// L1CacheEntries sizes the coordinator's L1, a serve.ResultCache of
+	// completed harden results keyed by the fleet-wide content address:
+	// a hit answers a repeat request with zero dispatches. 0 = default
+	// 256, negative disables the L1 (repeats then reach a worker-local
+	// cache only if routing happens to pick the worker that computed
+	// them).
 	L1CacheEntries int
 	// Seed makes the backoff jitter deterministic (default 1) — chaos
 	// drills replay identically.
@@ -150,11 +158,11 @@ func (cfg Config) Defaults() Config {
 // Coordinator fronts the worker fleet. Create one with New, call
 // Start to begin health probing, mount Handler, and Close on shutdown.
 type Coordinator struct {
-	cfg Config
-	tel *telemetry.Collector
-	log *slog.Logger
-	reg *registry
-	mux *http.ServeMux
+	cfg  Config
+	tel  *telemetry.Collector
+	log  *slog.Logger
+	reg  *registry
+	edge *serve.Edge
 
 	// client carries dispatch traffic. No overall timeout: harden jobs
 	// stream for as long as they run.
@@ -163,17 +171,16 @@ type Coordinator struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// l1 is the coordinator's layer of the fleet-wide result cache.
-	l1 *l1Cache
+	// l1 is the coordinator's layer of the fleet-wide result cache; it
+	// accounts lookups for cacheable requests as fleet.cache.{hits,misses}.
+	l1 *serve.ResultCache
 
-	healthyG     *telemetry.Gauge
-	openG        *telemetry.Gauge
-	dispatchesC  *telemetry.Counter
-	retriesC     *telemetry.Counter
-	migrationsC  *telemetry.Counter
-	probeFailC   *telemetry.Counter
-	cacheHitsC   *telemetry.Counter
-	cacheMissesC *telemetry.Counter
+	healthyG    *telemetry.Gauge
+	openG       *telemetry.Gauge
+	dispatchesC *telemetry.Counter
+	retriesC    *telemetry.Counter
+	migrationsC *telemetry.Counter
+	probeFailC  *telemetry.Counter
 }
 
 // New builds a Coordinator from the configuration.
@@ -194,21 +201,15 @@ func New(cfg Config) (*Coordinator, error) {
 		retriesC:    cfg.Telemetry.Counter("fleet.retries"),
 		migrationsC: cfg.Telemetry.Counter("fleet.migrations"),
 		probeFailC:  cfg.Telemetry.Counter("fleet.probe.failures"),
-		// fleet.cache.{hits,misses} account L1 lookups for cacheable
-		// requests.
-		cacheHitsC:   cfg.Telemetry.Counter("fleet.cache.hits"),
-		cacheMissesC: cfg.Telemetry.Counter("fleet.cache.misses"),
+		l1:          serve.NewResultCache(cfg.L1CacheEntries, cfg.Telemetry, "fleet.cache"),
 	}
-	c.l1 = newL1Cache(cfg.L1CacheEntries, cfg.Telemetry)
 	c.reg = newRegistry(cfg.Workers, cfg.BreakerThreshold, cfg.BreakerCooldown,
 		cfg.ProbeTimeout, cfg.ProbeInterval, cfg.now, (*coordSink)(c))
-	c.mux = http.NewServeMux()
-	c.mux.Handle("POST /v1/harden", c.instrument("harden", c.handleHarden))
-	c.mux.Handle("POST /v1/analyze", c.instrument("analyze", c.handleAnalyze))
-	c.mux.Handle("GET /v1/fleet", c.instrument("fleet", c.handleFleet))
-	c.mux.Handle("GET /healthz", c.instrument("healthz", c.handleHealthz))
-	c.mux.Handle("GET /readyz", c.instrument("readyz", c.handleReadyz))
-	c.mux.Handle("GET /metrics", c.instrument("metrics", c.handleMetrics))
+	c.edge = serve.NewEdge(cfg.Telemetry, cfg.Logger, "fleet.http")
+	c.edge.Handle("POST /v1/harden", "harden", c.handleHarden)
+	c.edge.Handle("POST /v1/analyze", "analyze", c.handleAnalyze)
+	c.edge.Handle("GET /v1/fleet", "fleet", c.handleFleet)
+	c.edge.Handle("GET /readyz", "readyz", c.handleReadyz)
 	return c, nil
 }
 
@@ -232,7 +233,7 @@ func (c *Coordinator) Close() { c.reg.close() }
 func (c *Coordinator) ProbeNow() { c.reg.sweep() }
 
 // Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
+func (c *Coordinator) Handler() http.Handler { return c.edge }
 
 // Telemetry returns the collector the coordinator reports into.
 func (c *Coordinator) Telemetry() *telemetry.Collector { return c.tel }
@@ -251,46 +252,6 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	return d/2 + jit
 }
 
-// instrument is the coordinator's request middleware: trace adoption or
-// minting, X-Request-Id echo, request counters, access log, and a panic
-// backstop — the same observability contract the workers honor, so one
-// trace follows a job through both hops.
-func (c *Coordinator) instrument(route string, h http.HandlerFunc) http.Handler {
-	requests := c.tel.Counter("fleet.http.requests")
-	panics := c.tel.Counter("fleet.http.panics")
-	latency := c.tel.Histogram("fleet.http.latency_ms." + route)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Inc()
-		t0 := time.Now()
-		tc, err := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
-		if err != nil {
-			tc = telemetry.NewTraceContext()
-		} else {
-			tc.SpanID = telemetry.NewSpanID()
-		}
-		reqID := r.Header.Get("X-Request-Id")
-		if reqID == "" {
-			reqID = telemetry.NewRequestID()
-		}
-		ctx := telemetry.WithRequestID(telemetry.WithTrace(r.Context(), tc), reqID)
-		r = r.WithContext(ctx)
-		w.Header().Set("X-Request-Id", reqID)
-		w.Header().Set("traceparent", tc.Traceparent())
-		defer func() {
-			if v := recover(); v != nil {
-				panics.Inc()
-				c.log.ErrorContext(ctx, "handler panic", "route", route, "panic", fmt.Sprint(v))
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
-			}
-			durMS := float64(time.Since(t0)) / float64(time.Millisecond)
-			latency.Observe(durMS)
-			c.log.InfoContext(ctx, "request", "route", route, "method", r.Method,
-				"path", r.URL.Path, "dur_ms", durMS, "remote", r.RemoteAddr)
-		}()
-		h(w, r)
-	})
-}
-
 // handleFleet serves the registry snapshot.
 func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	workers := c.reg.snapshot()
@@ -300,21 +261,16 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers": workers,
 		"healthy": healthy,
 		"cache": map[string]any{
-			"l1_entries":  c.l1.len(),
-			"l1_capacity": c.l1.cap,
-			"hits":        c.cacheHitsC.Value(),
-			"misses":      c.cacheMissesC.Value(),
+			"l1_entries":  c.l1.Len(),
+			"l1_capacity": c.cfg.L1CacheEntries,
+			"hits":        c.tel.Counter("fleet.cache.hits").Value(),
+			"misses":      c.tel.Counter("fleet.cache.misses").Value(),
 		},
 	})
-}
-
-// handleHealthz reports coordinator liveness.
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is ready while at least one worker is healthy — a
@@ -322,25 +278,9 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	for _, wk := range c.reg.snapshot() {
 		if wk.Healthy {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+			serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy workers"})
-}
-
-// handleMetrics exposes the coordinator's collector, text by default,
-// the full JSON snapshot with ?format=json — the same contract as the
-// workers' endpoint.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	telemetry.SampleProcessMetrics(c.tel)
-	snap := c.tel.Snapshot()
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := telemetry.WriteMetricsText(w, snap); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-	}
+	serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy workers"})
 }

@@ -470,6 +470,13 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := NSGA2(p, Params{Population: 10, Generations: 0}); err == nil {
 		t.Error("accepted zero generations")
 	}
+	// A negative archive used to pass and shrink a single-population
+	// SPEA-2 front to one point (an island run clamped its share to 1).
+	for _, islands := range []int{0, 3} {
+		if _, err := SPEA2(p, Params{Population: 20, Archive: -3, Generations: 5, Islands: islands}); err == nil {
+			t.Errorf("accepted archive -3 at %d islands", islands)
+		}
+	}
 }
 
 func TestDefaults(t *testing.T) {

@@ -256,6 +256,9 @@ func (p *Params) normalize() error {
 	if p.Population < 2 {
 		return fmt.Errorf("moea: population must be at least 2, got %d", p.Population)
 	}
+	if p.Archive < 0 {
+		return fmt.Errorf("moea: archive must be non-negative, got %d", p.Archive)
+	}
 	if p.Archive == 0 {
 		p.Archive = p.Population
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/binary"
 	"encoding/json"
@@ -12,16 +13,21 @@ import (
 	"rsnrobust/internal/telemetry"
 )
 
-// resultCache is the content-addressed harden result cache: a
-// fixed-capacity LRU keyed by FNV-1a over the canonical request bytes
-// (network source, spec selector, evolutionary options, seed): it
-// dedups whole runs across requests. Only completed (uninterrupted)
-// results are stored, so a deadline-truncated front can never shadow
-// the real one; the deadline itself is deliberately not part of the
-// key, because it bounds effort rather than defining the result.
-type resultCache struct {
+// ResultCache is the content-addressed LRU of completed harden
+// results, the one type behind both layers of the fleet-wide cache: a
+// worker's (serve.cache.*) and the coordinator's L1 (fleet.cache.*).
+// It is keyed by the content address in wire form (CacheKey,
+// HardenBodyCacheKey), so it dedups whole runs across requests. An
+// entry is the encoded result payload exactly as it first went out, so
+// a hit is answered without re-encoding and stays byte-identical to
+// the fresh response but for the "cached" flag. Only completed
+// (uninterrupted) results are stored — the callers check — so a
+// deadline-truncated front can never shadow the real one; the deadline
+// itself is deliberately not part of the key, because it bounds effort
+// rather than defining the result.
+type ResultCache struct {
 	mu      sync.Mutex
-	entries map[uint64]*list.Element
+	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 	cap     int
 
@@ -31,32 +37,41 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key uint64
-	val *HardenResponse
+	key  string
+	data []byte
 }
 
-// newResultCache builds a cache of the given capacity; capacity ≤ 0
-// disables caching entirely — lookups return false and stores are
-// dropped without taking the lock or touching the hit/miss counters,
-// so a disabled cache is free and invisible in /metrics.
-func newResultCache(capacity int, tel *telemetry.Collector) *resultCache {
-	return &resultCache{
-		entries: make(map[uint64]*list.Element),
+// NewResultCache builds a cache of the given capacity that reports as
+// <prefix>.hits, .misses and .size. Capacity ≤ 0 disables caching
+// entirely: lookups fail and stores are dropped without taking the
+// lock or touching the hit/miss counters, so a disabled cache is free
+// and invisible in /metrics.
+func NewResultCache(capacity int, tel *telemetry.Collector, prefix string) *ResultCache {
+	return &ResultCache{
+		entries: make(map[string]*list.Element),
 		order:   list.New(),
 		cap:     capacity,
-		hits:    tel.Counter("serve.cache.hits"),
-		misses:  tel.Counter("serve.cache.misses"),
-		size:    tel.Gauge("serve.cache.size"),
+		hits:    tel.Counter(prefix + ".hits"),
+		misses:  tel.Counter(prefix + ".misses"),
+		size:    tel.Gauge(prefix + ".size"),
 	}
 }
 
-// get returns a copy of the cached response for key, with Cached set.
-func (c *resultCache) get(key uint64) (*HardenResponse, bool) {
+var (
+	cachedFalse = []byte(`"cached":false`)
+	cachedTrue  = []byte(`"cached":true`)
+)
+
+// Get returns a copy of the payload stored under key with its "cached"
+// flag set; the caller owns it and cannot corrupt the entry. The flip
+// is a byte substitution rather than a re-encode: decoding and
+// re-marshalling would cost a full encode and could reorder keys.
+// HardenResponse always carries exactly one "cached" field and no
+// response string can contain the quoted pattern, so replacing the
+// first match is exact. The copy keeps one spare byte of capacity, so
+// WritePayload appends its newline without copying the payload again.
+func (c *ResultCache) Get(key string) ([]byte, bool) {
 	if c.cap <= 0 {
-		// Disabled caches mirror put: no lock, no map probe, no miss
-		// accounting. (The read path used to check cap < 0, so capacity
-		// 0 — disabled for writes — still burned a lock and counted a
-		// miss per request.)
 		return nil, false
 	}
 	c.mu.Lock()
@@ -68,24 +83,26 @@ func (c *resultCache) get(key uint64) (*HardenResponse, bool) {
 	}
 	c.hits.Inc()
 	c.order.MoveToFront(el)
-	// Shallow-copy the response so the caller's Cached flag (and any
-	// later mutation) cannot leak into the shared cached value; the
-	// slices inside are treated as immutable by contract.
-	cp := *el.Value.(*cacheEntry).val
-	cp.Cached = true
-	return &cp, true
+	data := el.Value.(*cacheEntry).data
+	hit := make([]byte, 0, len(data)+1)
+	if i := bytes.Index(data, cachedFalse); i >= 0 {
+		hit = append(append(hit, data[:i]...), cachedTrue...)
+		data = data[i+len(cachedFalse):]
+	}
+	return append(hit, data...), true
 }
 
-// put stores a completed response under key, evicting the least
-// recently used entry when full.
-func (c *resultCache) put(key uint64, val *HardenResponse) {
+// Put stores a completed result payload under key, evicting the least
+// recently used entry when full. The cache keeps data itself: the
+// caller must not modify it afterwards.
+func (c *ResultCache) Put(key string, data []byte) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry).data = data
 		c.order.MoveToFront(el)
 		return
 	}
@@ -94,8 +111,15 @@ func (c *resultCache) put(key uint64, val *HardenResponse) {
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, data: data})
 	c.size.Set(float64(len(c.entries)))
+}
+
+// Len reports the number of entries.
+func (c *ResultCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // cacheKey hashes the canonical request content with FNV-1a/64. Every
@@ -175,17 +199,14 @@ func hardenCacheKey(req *HardenRequest) uint64 {
 // predict whether a repeat will hit.
 const CacheKeyHeader = "X-RSN-Cache-Key"
 
-// formatCacheKey renders a key in its canonical wire form: 16 lowercase
-// hex digits, zero-padded.
-func formatCacheKey(key uint64) string { return fmt.Sprintf("%016x", key) }
-
-// CacheKey returns the request's content address in wire form. The
+// CacheKey returns the request's content address in wire form, 16
+// lowercase hex digits, zero-padded: the key of both cache layers. The
 // request must already be canonical — validate (server side) or
 // canonicalizeKeyFields (HardenBodyCacheKey) has run — otherwise the
 // two spellings of a default (generations 0 vs 500, islands 1 vs 0,
 // algorithm "spea2" vs omitted, permuted objectives) would hash apart.
 func (req *HardenRequest) CacheKey() string {
-	return formatCacheKey(hardenCacheKey(req))
+	return fmt.Sprintf("%016x", hardenCacheKey(req))
 }
 
 // HardenBodyCacheKey derives the cache key straight from a raw

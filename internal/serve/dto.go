@@ -244,26 +244,20 @@ func (sr SpecRef) buildSpec(net *rsn.Network, named bool) (*spec.Spec, error) {
 
 // parseScope maps the wire scope to the analysis option.
 func parseScope(s string) (faults.Scope, error) {
-	switch s {
-	case "", "all":
-		return faults.ScopeAll, nil
-	case "control":
-		return faults.ScopeControl, nil
-	default:
+	scope, err := faults.ParseScope(s)
+	if err != nil {
 		return 0, invalidf("scope: unknown %q (want all or control)", s)
 	}
+	return scope, nil
 }
 
 // parseAlgorithm maps the wire algorithm to the optimizer.
 func parseAlgorithm(s string) (core.Algorithm, error) {
-	switch s {
-	case "", "spea2":
-		return core.AlgoSPEA2, nil
-	case "nsga2":
-		return core.AlgoNSGA2, nil
-	default:
+	algo, err := core.ParseAlgorithm(s)
+	if err != nil {
 		return 0, invalidf("algorithm: unknown %q (want spea2 or nsga2)", s)
 	}
+	return algo, nil
 }
 
 // validate checks the harden request against the server's caps and

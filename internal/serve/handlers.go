@@ -18,28 +18,6 @@ import (
 	"rsnrobust/internal/telemetry"
 )
 
-// writeJSON renders v with the proper content type.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(encodeJSONBody(v))
-}
-
-// writeError renders the uniform error body. The request ID rides along
-// in the body (the X-Request-Id header is set by the middleware), so an
-// error a client logs is joinable with the server's own records even
-// when only the body survives. r may be nil when no request context is
-// available.
-func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	body := errorResponse{Error: msg}
-	if r != nil {
-		if id, ok := telemetry.RequestIDFrom(r.Context()); ok {
-			body.RequestID = id
-		}
-	}
-	writeJSON(w, status, body)
-}
-
 // decodeBody reads the request body once under the configured size cap
 // and decodes it into v, whose network reference is net. On failure it
 // writes the error response (413 over the cap, 400 otherwise) and
@@ -47,11 +25,11 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) 
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, net *NetworkRef) bool {
 	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, r, status, err.Error())
+		WriteError(w, r, status, err.Error())
 		return false
 	}
 	if err := decodeRequest(body, v, net); err != nil {
-		writeError(w, r, http.StatusBadRequest, "body: "+err.Error())
+		WriteError(w, r, http.StatusBadRequest, "body: "+err.Error())
 		return false
 	}
 	return true
@@ -64,20 +42,20 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, net *
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	if s.Draining() {
 		w.Header().Set("Connection", "close")
-		writeError(w, r, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, r, http.StatusServiceUnavailable, "server is draining")
 		return nil, false
 	}
 	if !s.queue.enter() {
 		sec := s.queue.retryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		writeError(w, r, http.StatusTooManyRequests,
+		WriteError(w, r, http.StatusTooManyRequests,
 			fmt.Sprintf("queue full (%d running + %d waiting); retry after ~%ds",
 				s.cfg.Workers, s.cfg.QueueDepth, sec))
 		return nil, false
 	}
 	if err := s.queue.acquire(r.Context()); err != nil {
 		s.queue.leave()
-		writeError(w, r, http.StatusServiceUnavailable, "cancelled while queued: "+err.Error())
+		WriteError(w, r, http.StatusServiceUnavailable, "cancelled while queued: "+err.Error())
 		return nil, false
 	}
 	return func() {
@@ -106,7 +84,7 @@ func jobErrorStatus(err error) (int, string) {
 // finishJobError maps a failed job to an HTTP response.
 func finishJobError(w http.ResponseWriter, r *http.Request, err error) {
 	status, msg := jobErrorStatus(err)
-	writeError(w, r, status, msg)
+	WriteError(w, r, status, msg)
 }
 
 // jobStatus classifies a finished job for the registry and the flight
@@ -167,7 +145,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.validate(s.cfg); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	release, ok := s.admit(w, r)
@@ -191,7 +169,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(t0)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // jobInfo seeds a registry entry with the request's correlation IDs.
@@ -307,29 +285,27 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.validate(s.cfg); err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	stream := wantStream(r)
-	key := hardenCacheKey(&req)
+	stream := WantStream(r)
+	key := req.CacheKey()
 	// Stamp the content address on every harden response — cached or
 	// fresh, plain or streamed, even a later 4xx/5xx — so callers (and
 	// the fleet coordinator in particular) can correlate responses with
 	// cache entries without recomputing the hash.
-	w.Header().Set(CacheKeyHeader, formatCacheKey(key))
+	w.Header().Set(CacheKeyHeader, key)
 	// A resumed request bypasses the cache in both directions: it exists
 	// to continue a specific interrupted run, and a cached terminal
 	// answer would skip the continuation the caller is orchestrating.
 	useCache := !req.Options.NoCache && req.Options.Resume == ""
 	if useCache {
-		if resp, ok := s.cache.get(key); ok {
+		if data, ok := s.cache.Get(key); ok {
+			var sse *SSEWriter
 			if stream {
-				if sse, ok := startSSE(w); ok {
-					sse.event("result", resp)
-					return
-				}
+				sse, _ = StartSSE(w)
 			}
-			writeJSON(w, http.StatusOK, resp)
+			writeResult(w, sse, data)
 			return
 		}
 	}
@@ -345,16 +321,14 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	deadline := clampDeadline(req.Options.DeadlineMS, s.cfg.MaxDeadline)
 
-	var sse *sseWriter
+	var sse *SSEWriter
 	if stream {
-		if sse, ok = startSSE(w); !ok {
-			sse = nil // writer cannot flush; fall back to the plain form
-		}
+		sse, _ = StartSSE(w) // nil when the writer cannot flush: answer plain
 	}
 
 	t0 := time.Now()
 	info := s.jobInfo(r, "harden", req.Network)
-	info.CacheKey = formatCacheKey(key)
+	info.CacheKey = key
 	jobID := s.jobs.begin(info)
 	throttle := newStreamThrottle(req.Options.StreamEvery)
 	// The job runs on this goroutine (the queue degrades its single-job
@@ -366,7 +340,7 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 		s.jobs.progress(jobID, p.Gen)
 		if sse != nil && sse.Err() == nil && throttle.admit(p.Gen, time.Now()) {
 			g := p.Record()
-			sse.event("generation", generationEvent{
+			sse.Event("generation", generationEvent{
 				Gen:         g.Gen,
 				Front:       g.Front,
 				Hypervolume: g.Hypervolume,
@@ -389,7 +363,7 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 		ckpts := s.tel.Counter("serve.checkpoints.streamed")
 		onCheckpoint = func(cp *moea.Checkpoint) error {
 			blob := moea.EncodeCheckpoint(cp)
-			sse.event("checkpoint", checkpointEvent{
+			sse.Event("checkpoint", checkpointEvent{
 				Gen:  cp.Generation,
 				Blob: base64.StdEncoding.EncodeToString(blob),
 			})
@@ -412,26 +386,29 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if sse != nil {
 			status, msg := jobErrorStatus(err)
-			ev := errorEvent{errorResponse: errorResponse{Error: msg}, Status: status}
-			if id, ok := telemetry.RequestIDFrom(r.Context()); ok {
-				ev.RequestID = id
-			}
-			sse.event("error", ev)
+			sse.ErrorEvent(r, status, msg)
 			return
 		}
 		finishJobError(w, r, err)
 		return
 	}
+	payload := encodePayload(resp)
 	if resp.Interrupted {
 		s.tel.Counter("serve.jobs.interrupted").Inc()
 	} else if useCache {
-		s.cache.put(key, resp)
+		s.cache.Put(key, payload)
 	}
+	writeResult(w, sse, payload)
+}
+
+// writeResult answers with an encoded harden result: the terminal
+// "result" event when sse is non-nil, a plain 200 otherwise.
+func writeResult(w http.ResponseWriter, sse *SSEWriter, payload []byte) {
 	if sse != nil {
-		sse.event("result", resp)
+		sse.Raw("result", payload)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WritePayload(w, http.StatusOK, payload)
 }
 
 // harden is the body of one harden job: a full, self-contained
@@ -539,36 +516,14 @@ func frontPoint(sol core.Solution, names []string) FrontPoint {
 	return fp
 }
 
-// handleHealthz reports liveness.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 // handleReadyz reports readiness: 503 once draining so load balancers
 // rotate this instance out while in-flight work completes.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// handleMetrics exposes the collector: the text exposition format by
-// default, the full JSON snapshot (spans, generations included) with
-// ?format=json. Each scrape also samples the Go runtime's own health
-// (heap, goroutines, GC pauses, scheduler latency) into proc.* gauges.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	telemetry.SampleProcessMetrics(s.tel)
-	snap := s.tel.Snapshot()
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := telemetry.WriteMetricsText(w, snap); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
-	}
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // handleFlight serves GET /debug/flight: the flight recorder's ring of
@@ -577,17 +532,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the answer to one job.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if s.flight == nil {
-		writeError(w, r, http.StatusNotFound, "flight recorder disabled")
+		WriteError(w, r, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
 	if id := r.URL.Query().Get("trace_id"); id != "" {
 		job, ok := s.flight.Find(id)
 		if !ok {
-			writeError(w, r, http.StatusNotFound, fmt.Sprintf("no recorded job with trace_id %q", id))
+			WriteError(w, r, http.StatusNotFound, fmt.Sprintf("no recorded job with trace_id %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, job)
+		WriteJSON(w, http.StatusOK, job)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.flight.Snapshot())
+	WriteJSON(w, http.StatusOK, s.flight.Snapshot())
 }

@@ -128,5 +128,5 @@ func (j *jobRegistry) snapshot() jobsSnapshot {
 // handleJobs serves GET /v1/jobs: the running jobs with their live
 // generation progress, and the recent finished ones.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.snapshot())
+	WriteJSON(w, http.StatusOK, s.jobs.snapshot())
 }

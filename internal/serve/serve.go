@@ -140,14 +140,13 @@ type Server struct {
 	cfg    Config
 	tel    *telemetry.Collector
 	log    *slog.Logger
-	cache  *resultCache
+	cache  *ResultCache
 	queue  *jobQueue
 	flight *telemetry.FlightRecorder
 	jobs   *jobRegistry
-	mux    *http.ServeMux
+	edge   *Edge
 
 	draining atomic.Bool
-	inFlight atomic.Int64
 	// hardCtx is cancelled by AbortInFlight: every job context derives
 	// from it, so cancellation reaches running syntheses cooperatively.
 	hardCtx  context.Context
@@ -161,7 +160,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		tel:   cfg.Telemetry,
 		log:   cfg.Logger,
-		cache: newResultCache(cfg.CacheEntries, cfg.Telemetry),
+		cache: NewResultCache(cfg.CacheEntries, cfg.Telemetry, "serve.cache"),
 		queue: newJobQueue(cfg.Workers, cfg.QueueDepth, cfg.Telemetry),
 		jobs:  newJobRegistry(cfg.JobHistory),
 	}
@@ -173,19 +172,17 @@ func New(cfg Config) *Server {
 		s.tel.OnSpanEnd(s.flight.ObserveSpan)
 	}
 	s.hardCtx, s.hardStop = context.WithCancel(context.Background())
-	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/analyze", s.instrument("analyze", s.handleAnalyze))
-	s.mux.Handle("POST /v1/harden", s.instrument("harden", s.handleHarden))
-	s.mux.Handle("GET /v1/jobs", s.instrument("jobs", s.handleJobs))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /readyz", s.instrument("readyz", s.handleReadyz))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.Handle("GET /debug/flight", s.instrument("flight", s.handleFlight))
+	s.edge = NewEdge(cfg.Telemetry, cfg.Logger, "serve.http")
+	s.edge.Handle("POST /v1/analyze", "analyze", s.handleAnalyze)
+	s.edge.Handle("POST /v1/harden", "harden", s.handleHarden)
+	s.edge.Handle("GET /v1/jobs", "jobs", s.handleJobs)
+	s.edge.Handle("GET /readyz", "readyz", s.handleReadyz)
+	s.edge.Handle("GET /debug/flight", "flight", s.handleFlight)
 	return s
 }
 
 // Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.edge }
 
 // Telemetry returns the collector the service reports into.
 func (s *Server) Telemetry() *telemetry.Collector { return s.tel }

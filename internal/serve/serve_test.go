@@ -225,10 +225,7 @@ func TestHardenDeadlineReturnsPartialFront(t *testing.T) {
 		t.Errorf("generations = %d, expected early stop", resp.Generations)
 	}
 	// Interrupted results must never be cached.
-	s.cache.mu.Lock()
-	n := len(s.cache.entries)
-	s.cache.mu.Unlock()
-	if n != 0 {
+	if n := s.cache.Len(); n != 0 {
 		t.Errorf("cache holds %d entries after an interrupted-only run, want 0", n)
 	}
 }
@@ -456,9 +453,9 @@ func TestMetricsJSONSnapshot(t *testing.T) {
 
 func TestInstrumentPanicBackstop(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.mux.Handle("GET /boom", s.instrument("boom", func(http.ResponseWriter, *http.Request) {
+	s.edge.Handle("GET /boom", "boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
-	}))
+	})
 	status, b := get(t, ts, "/boom")
 	if status != http.StatusInternalServerError {
 		t.Errorf("panicking handler status = %d, want 500; body %s", status, b)

@@ -4,43 +4,36 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"time"
 )
 
-// wantStream reports whether the client asked for the streaming form of
-// the endpoint: either `Accept: text/event-stream` or `?stream=1`.
-func wantStream(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "1" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
-
-// encodeJSONBody renders v exactly like writeJSON does — same encoder
-// settings, same trailing newline — so a streamed terminal event and a
-// plain JSON response of the same value are byte-identical payloads.
-func encodeJSONBody(v any) []byte {
+// encodePayload renders v as one line of JSON with no HTML escaping
+// and no trailing newline: the form a plain response body, an SSE data
+// line and a cache entry share. The newline the encoder wrote stays in
+// the capacity, so WritePayload appends it back without copying.
+func encodePayload(v any) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-	return buf.Bytes()
+	b := buf.Bytes()
+	return b[:len(b)-1]
 }
 
-// sseWriter emits server-sent events. Writes happen on the handler
-// goroutine only (the serve queue runs its single job on the calling
-// goroutine), so no locking is needed.
-type sseWriter struct {
+// SSEWriter emits server-sent events on one response. Writes happen on
+// the handler goroutine only (the serve queue runs its single job on
+// the calling goroutine; the coordinator relays from its dispatch
+// loop), so no locking is needed.
+type SSEWriter struct {
 	w   http.ResponseWriter
 	f   http.Flusher
 	err error
 }
 
-// startSSE upgrades the response to an event stream. ok=false means the
+// StartSSE upgrades the response to an event stream. ok=false means the
 // underlying writer cannot flush incrementally and the caller must fall
 // back to the plain response.
-func startSSE(w http.ResponseWriter) (*sseWriter, bool) {
+func StartSSE(w http.ResponseWriter) (*SSEWriter, bool) {
 	f, ok := w.(http.Flusher)
 	if !ok {
 		return nil, false
@@ -51,33 +44,43 @@ func startSSE(w http.ResponseWriter) (*sseWriter, bool) {
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	f.Flush()
-	return &sseWriter{w: w, f: f}, true
+	return &SSEWriter{w: w, f: f}, true
 }
 
-// event writes one named event whose data line is the JSON encoding of
-// v. The first write error latches: further events are dropped and Err
-// reports the failure (a disconnected client, typically).
-func (s *sseWriter) event(name string, v any) {
+// Event writes one named event whose data line is the JSON encoding of
+// v.
+func (s *SSEWriter) Event(name string, v any) { s.Raw(name, encodePayload(v)) }
+
+// Raw writes one named event whose data line is payload, an encoded
+// JSON value with no newline: a cached result, or a frame relayed
+// verbatim. The first write error latches: further events are dropped
+// and Err reports the failure (a disconnected client, typically).
+func (s *SSEWriter) Raw(name string, payload []byte) {
 	if s.err != nil {
 		return
 	}
-	body := encodeJSONBody(v) // ends with exactly one \n
-	var buf bytes.Buffer
-	buf.Grow(len(body) + len(name) + 16)
-	buf.WriteString("event: ")
-	buf.WriteString(name)
-	buf.WriteString("\ndata: ")
-	buf.Write(body) // the trailing \n ends the data line
-	buf.WriteString("\n")
-	if _, err := s.w.Write(buf.Bytes()); err != nil {
+	buf := make([]byte, 0, len(payload)+len(name)+16)
+	buf = append(buf, "event: "...)
+	buf = append(buf, name...)
+	buf = append(buf, "\ndata: "...)
+	buf = append(buf, payload...)
+	buf = append(buf, "\n\n"...)
+	if _, err := s.w.Write(buf); err != nil {
 		s.err = err
 		return
 	}
 	s.f.Flush()
 }
 
+// ErrorEvent writes the terminal "error" event of a failed stream: the
+// uniform error body plus the status the plain response would have
+// carried.
+func (s *SSEWriter) ErrorEvent(r *http.Request, status int, msg string) {
+	s.Event("error", errorEvent{errorResponse: errorBody(r, msg), Status: status})
+}
+
 // Err returns the first write error, if any.
-func (s *sseWriter) Err() error { return s.err }
+func (s *SSEWriter) Err() error { return s.err }
 
 // generationEvent is the payload of one per-generation SSE event of a
 // streamed harden: convergence quality plus the run's exact effort
