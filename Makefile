@@ -58,9 +58,14 @@ race:
 # generation records to the every-generation reader's and the
 # stagnation stops to their pinned generations; CheckpointBytesPinned
 # pins the encoded checkpoint of single-population and island runs by
-# hash.
+# hash; SolutionFromMatchesMasks holds every field of front extraction
+# from set bits to its mask-based reference; GapSamplerMatchesLog holds
+# the table-driven geometric sampler to int(math.Log(u)/logq) at random
+# u and around every integer step, and SamplerDrawsUnchanged holds
+# mutation and initialization to the math.Log loops, RNG position
+# included.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis|ProgressMeasuresOnlyWhenRead|CheckpointBytesPinned' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis|ProgressMeasuresOnlyWhenRead|CheckpointBytesPinned|SolutionFromMatchesMasks|GapSamplerMatchesLog|SamplerDrawsUnchanged' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,
@@ -101,21 +106,26 @@ perfbench:
 
 # Short fuzz pass over the hostile-input decoders — the ICL parser, the
 # checkpoint codec and the one-pass request-body decoder against
-# encoding/json — and over the 2-D front sweep against the pairwise
-# filter.
+# encoding/json — over the 2-D front sweep against the pairwise filter,
+# and over the geometric gap sampler against int(math.Log(u)/logq).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseICL -fuzztime=30s ./internal/icl
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/moea
 	$(GO) test -run=NONE -fuzz=FuzzParetoFilter -fuzztime=30s ./internal/moea
+	$(GO) test -run=NONE -fuzz=FuzzGeometricGap -fuzztime=30s ./internal/moea
 
 # The root package's benchmarks, then, on one CPU, the by-name
 # MBIST_5_100_20 analyze job body (load, validate, spec, SP tree,
-# criticality) and a served 150-generation TreeFlat_Ex harden miss,
-# plain and streamed.
+# criticality), a served 150-generation TreeFlat_Ex harden miss, plain
+# and streamed, paper-rate mutation and density-0.25 initialization of a
+# 30,537-bit genome, and the extraction of a 300-point MBIST_5_20_20
+# front.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 	$(GO) test -bench='AnalyzeNamed|HardenServed' -benchmem -cpu 1 -run=^$$ ./internal/serve
+	$(GO) test -bench='MutateBits|Randomize' -benchmem -cpu 1 -run=^$$ ./internal/moea
+	$(GO) test -bench=ExtractFront -benchmem -cpu 1 -run=^$$ ./internal/core
 
 # One-command perf smoke: every Table I row once at the reduced bench
 # budget, to spot regressions before committing.

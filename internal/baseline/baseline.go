@@ -25,17 +25,17 @@ import (
 )
 
 // GreedyFront hardens primitives in decreasing damage-per-cost order and
-// returns the n+1 prefix solutions (from nothing hardened to everything
-// hardened). The result is sorted by increasing cost and is mutually
-// nondominated.
+// returns the nondominated ones among the n+1 prefix solutions (from
+// nothing hardened to everything hardened). The result is sorted by
+// increasing cost.
 func GreedyFront(a *faults.Analysis) []core.Solution {
 	type item struct {
-		id   rsn.NodeID
+		i    int // index into a.Prims
 		d, c int64
 	}
 	items := make([]item, 0, len(a.Prims))
-	for _, id := range a.Prims {
-		items = append(items, item{id: id, d: a.Damage[id], c: a.Spec.Cost[id]})
+	for i, id := range a.Prims {
+		items = append(items, item{i: i, d: a.Damage[id], c: a.Spec.Cost[id]})
 	}
 	// Decreasing d/c; free items (c == 0) first, zero-damage items last.
 	sort.SliceStable(items, func(i, j int) bool {
@@ -54,62 +54,65 @@ func GreedyFront(a *faults.Analysis) []core.Solution {
 		return items[i].d > items[j].d
 	})
 
-	front := make([]core.Solution, 0, len(items)+1)
-	mask := make([]bool, a.Net.NumNodes())
-	var cost int64
-	damage := a.TotalDamage
-	appendSol := func() {
-		cp := make([]bool, len(mask))
-		copy(cp, mask)
-		var hardened []rsn.NodeID
-		for _, id := range a.Prims {
-			if cp[id] {
+	// The staircase first, as (prefix length, cost, damage, critical
+	// count) steps; only the surviving prefixes get a Hardened list.
+	steps := make([]greedyStep, 0, len(items)+1)
+	st := greedyStep{damage: a.TotalDamage}
+	steps = append(steps, st)
+	rank := make([]int, len(a.Prims)) // 1 + position in the greedy order
+	for k, it := range items {
+		rank[it.i] = k + 1
+		st.k++
+		st.cost += it.c
+		st.damage -= it.d
+		if a.CritHit[a.Prims[it.i]] {
+			st.crit++
+		}
+		steps = append(steps, st)
+	}
+	must := a.MustHardenCount()
+	steps = dedupe(steps)
+	front := make([]core.Solution, len(steps))
+	for f, st := range steps {
+		hardened := make([]rsn.NodeID, 0, st.k)
+		for i, id := range a.Prims {
+			if rank[i] <= st.k {
 				hardened = append(hardened, id)
 			}
 		}
-		front = append(front, core.Solution{
+		front[f] = core.Solution{
 			Hardened:        hardened,
-			Mask:            cp,
-			Cost:            cost,
-			Damage:          damage,
-			CriticalCovered: criticalCovered(a, cp),
-		})
+			Cost:            st.cost,
+			Damage:          st.damage,
+			CriticalCovered: st.crit == must,
+		}
 	}
-	appendSol()
-	for _, it := range items {
-		mask[it.id] = true
-		cost += it.c
-		damage -= it.d
-		appendSol()
-	}
-	return dedupe(front)
+	return front
+}
+
+// greedyStep is one greedy prefix: the first k items hardened, at the
+// given cost and residual damage, crit of them critical-hit primitives.
+type greedyStep struct {
+	k, crit      int
+	cost, damage int64
 }
 
 // dedupe removes dominated prefixes from the greedy staircase. The
 // input has non-decreasing cost and non-increasing damage, so a prefix
 // is dominated iff a later one has the same cost (strictly less damage)
 // or it fails to reduce damage over its predecessor.
-func dedupe(front []core.Solution) []core.Solution {
-	out := front[:0]
-	for _, s := range front {
-		for len(out) > 0 && out[len(out)-1].Cost == s.Cost {
+func dedupe(steps []greedyStep) []greedyStep {
+	out := steps[:0]
+	for _, s := range steps {
+		for len(out) > 0 && out[len(out)-1].cost == s.cost {
 			out = out[:len(out)-1]
 		}
-		if len(out) > 0 && out[len(out)-1].Damage <= s.Damage {
+		if len(out) > 0 && out[len(out)-1].damage <= s.damage {
 			continue
 		}
 		out = append(out, s)
 	}
 	return out
-}
-
-func criticalCovered(a *faults.Analysis, mask []bool) bool {
-	for _, id := range a.Prims {
-		if a.CritHit[id] && !mask[id] {
-			return false
-		}
-	}
-	return true
 }
 
 // RandomFront samples random hardening masks at mixed densities and
@@ -126,20 +129,16 @@ func RandomFront(a *faults.Analysis, seed int64, samples int) []core.Solution {
 	}
 	var sols []core.Solution
 	for _, g := range pop {
-		mask := make([]bool, a.Net.NumNodes())
-		var hardened []rsn.NodeID
-		for i, id := range a.Prims {
-			if g.Get(i) {
-				mask[id] = true
-				hardened = append(hardened, id)
+		sol := core.Solution{Hardened: make([]rsn.NodeID, 0, g.Count()), Damage: a.TotalDamage}
+		for w, x := range g {
+			for ; x != 0; x &= x - 1 {
+				id := a.Prims[w<<6+bits.TrailingZeros64(x)]
+				sol.Hardened = append(sol.Hardened, id)
+				sol.Cost += a.Spec.Cost[id]
+				sol.Damage -= a.Damage[id]
 			}
 		}
-		sols = append(sols, core.Solution{
-			Hardened: hardened,
-			Mask:     mask,
-			Cost:     a.HardeningCost(mask),
-			Damage:   a.ResidualDamage(mask),
-		})
+		sols = append(sols, sol)
 	}
 	return paretoSolutions(sols)
 }

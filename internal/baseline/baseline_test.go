@@ -55,11 +55,41 @@ func TestGreedyFrontShape(t *testing.T) {
 			t.Errorf("damage not strictly decreasing at %d", i)
 		}
 	}
-	// Objectives must recompute from the masks.
+	// Objectives must recompute from the Hardened lists.
 	for _, s := range front {
-		if a.ResidualDamage(s.Mask) != s.Damage || a.HardeningCost(s.Mask) != s.Cost {
-			t.Errorf("solution bookkeeping inconsistent: %+v", s)
+		checkBookkeeping(t, a, s, true)
+	}
+}
+
+// checkBookkeeping holds a solution's fields to mask-based references
+// rebuilt from its Hardened list, which must hold universe primitives
+// in strictly increasing ID order: the residual damage, the cost and,
+// if crit, the critical coverage.
+func checkBookkeeping(t testing.TB, a *faults.Analysis, s core.Solution, crit bool) {
+	t.Helper()
+	mask := make([]bool, a.Net.NumNodes())
+	for i, id := range s.Hardened {
+		if i > 0 && id <= s.Hardened[i-1] {
+			t.Fatalf("Hardened not in increasing ID order: %v", s.Hardened)
 		}
+		mask[id] = true
+	}
+	inUniverse, covered := 0, true
+	for _, id := range a.Prims {
+		if mask[id] {
+			inUniverse++
+		} else if a.CritHit[id] {
+			covered = false
+		}
+	}
+	switch {
+	case inUniverse != len(s.Hardened):
+		t.Errorf("Hardened holds %d non-universe nodes: %v", len(s.Hardened)-inUniverse, s.Hardened)
+	case a.ResidualDamage(mask) != s.Damage || a.HardeningCost(mask) != s.Cost:
+		t.Errorf("solution (%d,%d) recomputes to (%d,%d) from its Hardened list",
+			s.Cost, s.Damage, a.HardeningCost(mask), a.ResidualDamage(mask))
+	case crit && covered != s.CriticalCovered:
+		t.Errorf("CriticalCovered = %v, Hardened list covers = %v", s.CriticalCovered, covered)
 	}
 }
 
@@ -169,6 +199,7 @@ func TestRandomFrontNondominated(t *testing.T) {
 				t.Fatalf("random front member %d dominated by %d", i, j)
 			}
 		}
+		checkBookkeeping(t, a, front[i], false)
 	}
 }
 
@@ -221,8 +252,6 @@ func TestTMROverheadExceedsSelective(t *testing.T) {
 	}
 }
 
-var _ = core.Solution{} // keep the core dependency explicit
-
 // TestGreedyFrontRatioOverflow is the regression test for the int64
 // overflow in the greedy ratio sort: damage × cost products at the
 // 1e9 × 1e9.5 scale exceed 2^63 and used to wrap, flipping the order.
@@ -256,7 +285,7 @@ func TestGreedyFrontRatioOverflow(t *testing.T) {
 		t.Fatalf("front has %d solutions, want 3", len(front))
 	}
 	// The better-ratio item A must be hardened first.
-	if !front[1].Mask[idA] || front[1].Mask[idB] {
+	if h := front[1].Hardened; len(h) != 1 || h[0] != idA {
 		t.Errorf("first greedy pick hardened B (ratio %.3f) before A (ratio %.3f)",
 			float64(dB)/float64(cB), float64(dA)/float64(cA))
 	}
@@ -268,7 +297,8 @@ func TestGreedyFrontRatioOverflow(t *testing.T) {
 // TestGreedyFrontInvariants checks the greedy staircase on random
 // networks: strictly increasing cost, strictly decreasing damage (so
 // the output is mutually nondominated), endpoints at (0, TotalDamage)
-// and (≤MaxCost, 0), and objectives that recompute from the masks.
+// and (≤MaxCost, 0), and objectives that recompute from the Hardened
+// lists.
 func TestGreedyFrontInvariants(t *testing.T) {
 	check := func(seed int64) bool {
 		net := benchnets.Random(benchnets.RandomOptions{Seed: seed, TargetPrims: 40, SegmentControls: true})
@@ -305,12 +335,9 @@ func TestGreedyFrontInvariants(t *testing.T) {
 			return false
 		}
 		for _, s := range front {
-			if a.ResidualDamage(s.Mask) != s.Damage || a.HardeningCost(s.Mask) != s.Cost {
-				t.Logf("seed %d: bookkeeping inconsistent: %+v", seed, s)
-				return false
-			}
+			checkBookkeeping(t, a, s, true)
 		}
-		return true
+		return !t.Failed()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -321,8 +348,8 @@ func TestGreedyFrontInvariants(t *testing.T) {
 // prefixes keep only the last (least damage), prefixes that fail to
 // reduce damage are dropped.
 func TestDedupe(t *testing.T) {
-	mk := func(cost, damage int64) core.Solution { return core.Solution{Cost: cost, Damage: damage} }
-	in := []core.Solution{
+	mk := func(cost, damage int64) greedyStep { return greedyStep{cost: cost, damage: damage} }
+	in := []greedyStep{
 		mk(0, 100),
 		mk(0, 90), // same cost, less damage: replaces the previous
 		mk(5, 90), // more cost, same damage: dominated, dropped
@@ -332,14 +359,14 @@ func TestDedupe(t *testing.T) {
 		mk(9, 10), // exact duplicate: dropped
 		mk(12, 0),
 	}
-	want := []core.Solution{mk(0, 90), mk(5, 80), mk(9, 10), mk(12, 0)}
+	want := []greedyStep{mk(0, 90), mk(5, 80), mk(9, 10), mk(12, 0)}
 	got := dedupe(in)
 	if len(got) != len(want) {
 		t.Fatalf("dedupe returned %d solutions, want %d: %+v", len(got), len(want), got)
 	}
 	for i := range want {
-		if got[i].Cost != want[i].Cost || got[i].Damage != want[i].Damage {
-			t.Errorf("dedupe[%d] = (%d,%d), want (%d,%d)", i, got[i].Cost, got[i].Damage, want[i].Cost, want[i].Damage)
+		if got[i] != want[i] {
+			t.Errorf("dedupe[%d] = (%d,%d), want (%d,%d)", i, got[i].cost, got[i].damage, want[i].cost, want[i].damage)
 		}
 	}
 }

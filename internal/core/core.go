@@ -200,10 +200,9 @@ func (p Progress) Record() telemetry.Generation { return p.rec.record() }
 
 // Solution is one hardening decision with its evaluated objectives.
 type Solution struct {
-	// Hardened lists the hardened primitives in ID order.
+	// Hardened lists the hardened primitives in ID order; it is the
+	// whole hardening decision.
 	Hardened []rsn.NodeID
-	// Mask is the hardening decision indexed by rsn.NodeID.
-	Mask []bool
 	// Cost is the hardening cost Σ c_j x_j.
 	Cost int64
 	// Damage is the residual damage Σ_{j unhardened} d_j.
@@ -620,8 +619,9 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 		Interrupted: res.Interrupted,
 	}
 	sx := root.Child("extract")
+	must := analysis.MustHardenCount()
 	for i := range res.Front {
-		s.Front = append(s.Front, solutionFrom(problem, analysis, res.Front[i].G))
+		s.Front = append(s.Front, solutionFrom(problem, analysis, must, res.Front[i].G))
 	}
 	sx.End()
 	if s.Interrupted {
@@ -717,40 +717,47 @@ func frontStats(front []moea.Individual, ref []float64) telemetry.Generation {
 	return g
 }
 
-// solutionFrom materializes a genome into a Solution.
-func solutionFrom(p *Problem, a *faults.Analysis, g moea.Genome) Solution {
-	mask := make([]bool, a.Net.NumNodes())
-	non := 0
-	for i := range p.prims {
-		if g.Get(i) || (p.critMask != nil && p.critMask.Get(i)) {
-			non++
+// solutionFrom materializes a genome into a Solution from the set bits
+// of g | critMask alone: they give Hardened in ID order, the hardening
+// cost, the residual damage (the total less the hardened damages) and
+// the count of hardened critical-hit primitives, which covers them all
+// when it reaches must, the analysis' MustHardenCount. Values come from
+// the evaluation kernel.
+func solutionFrom(p *Problem, a *faults.Analysis, must int, g moea.Genome) Solution {
+	word := func(w int) uint64 {
+		if p.critMask != nil {
+			return g[w] | p.critMask[w]
+		}
+		return g[w]
+	}
+	n := 0
+	for w := range g {
+		n += bits.OnesCount64(word(w))
+	}
+	hardened := make([]rsn.NodeID, n)
+	costs, damages, critHit := a.Spec.Cost, a.Damage, a.CritHit
+	var cost, damage int64
+	j, crit := 0, 0
+	for w := range g {
+		prims := p.prims[w<<6:]
+		for x := word(w); x != 0; x &= x - 1 {
+			id := prims[bits.TrailingZeros64(x)]
+			hardened[j] = id
+			j++
+			cost += costs[id]
+			damage += damages[id]
+			if critHit[id] {
+				crit++
+			}
 		}
 	}
-	hardened := make([]rsn.NodeID, 0, non)
-	for i, id := range p.prims {
-		if g.Get(i) || (p.critMask != nil && p.critMask.Get(i)) {
-			mask[id] = true
-			hardened = append(hardened, id)
-		}
+	return Solution{
+		Hardened:        hardened,
+		Cost:            cost,
+		Damage:          a.TotalDamage - damage,
+		CriticalCovered: crit == must,
+		Values:          p.ObjectiveValues(g),
 	}
-	sol := Solution{
-		Hardened: hardened,
-		Mask:     mask,
-		Cost:     a.HardeningCost(mask),
-		Damage:   a.ResidualDamage(mask),
-		Values:   p.ObjectiveValues(g),
-	}
-	sol.CriticalCovered = criticalCovered(a, mask)
-	return sol
-}
-
-func criticalCovered(a *faults.Analysis, mask []bool) bool {
-	for _, id := range a.Prims {
-		if a.CritHit[id] && !mask[id] {
-			return false
-		}
-	}
-	return true
 }
 
 // MinCostWithDamageAtMost returns the cheapest front solution whose
@@ -781,10 +788,12 @@ func (s *Synthesis) MinDamageWithCostAtMost(frac float64) (best Solution, ok boo
 	return best, ok
 }
 
-// Apply marks the solution's primitives as hardened on the network. The
-// topology is untouched, so all existing access patterns remain valid.
+// Apply marks exactly the solution's primitives as hardened on the
+// network, clearing any earlier marks. The topology is untouched, so all
+// existing access patterns remain valid.
 func Apply(net *rsn.Network, sol Solution) {
-	net.Nodes(func(nd *rsn.Node) {
-		nd.Hardened = sol.Mask[nd.ID]
-	})
+	net.Nodes(func(nd *rsn.Node) { nd.Hardened = false })
+	for _, id := range sol.Hardened {
+		net.Node(id).Hardened = true
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rsnrobust/internal/benchnets"
@@ -92,19 +93,29 @@ func TestConstrainedPicks(t *testing.T) {
 
 func TestSolutionObjectivesConsistent(t *testing.T) {
 	// Property: for every front solution, Damage and Cost recompute from
-	// the mask via the analysis.
+	// the Hardened list via the analysis.
 	s := synthesizeExample(t, DefaultOptions(40, 5))
 	for _, sol := range s.Front {
-		if got := s.Analysis.ResidualDamage(sol.Mask); got != sol.Damage {
+		mask := hardenedMask(s.Analysis, sol.Hardened)
+		if got := s.Analysis.ResidualDamage(mask); got != sol.Damage {
 			t.Errorf("solution damage %d, recomputed %d", sol.Damage, got)
 		}
-		if got := s.Analysis.HardeningCost(sol.Mask); got != sol.Cost {
+		if got := s.Analysis.HardeningCost(mask); got != sol.Cost {
 			t.Errorf("solution cost %d, recomputed %d", sol.Cost, got)
 		}
-		if got := len(sol.Hardened); got != countMask(sol.Mask) {
-			t.Errorf("Hardened list length %d, mask count %d", got, countMask(sol.Mask))
+		if got := countMask(mask); got != len(sol.Hardened) {
+			t.Errorf("Hardened list length %d, %d distinct nodes", len(sol.Hardened), got)
 		}
 	}
+}
+
+// hardenedMask is a Hardened list as a mask indexed by rsn.NodeID.
+func hardenedMask(a *faults.Analysis, hardened []rsn.NodeID) []bool {
+	mask := make([]bool, a.Net.NumNodes())
+	for _, id := range hardened {
+		mask[id] = true
+	}
+	return mask
 }
 
 func countMask(m []bool) int {
@@ -115,6 +126,98 @@ func countMask(m []bool) int {
 		}
 	}
 	return n
+}
+
+// criticalCoveredRef is the mask-based critical coverage: every
+// critical-hit primitive of the universe is hardened.
+func criticalCoveredRef(a *faults.Analysis, mask []bool) bool {
+	for _, id := range a.Prims {
+		if a.CritHit[id] && !mask[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSolutionFromMatchesMasks is the extraction oracle: on the paper
+// example and two random networks, with and without ForceCritical, for
+// the default pair, a three-objective set and a set with neither damage
+// nor cost, every field solutionFrom derives from the set bits must
+// equal its mask-based reference on random genomes of every density
+// plus the empty and full genomes: Hardened the mask's primitives in ID
+// order, Cost and Damage the analysis' HardeningCost and
+// ResidualDamage, CriticalCovered the mask's coverage, and Values the
+// row-free referenceValue in reported units.
+func TestSolutionFromMatchesMasks(t *testing.T) {
+	nets := []*rsn.Network{fixture.PaperExample()}
+	for _, seed := range []int64{5, 77} {
+		nets = append(nets, benchnets.Random(benchnets.RandomOptions{Seed: seed, TargetPrims: 150, SegmentControls: seed == 77}))
+	}
+	sets := [][]string{nil, {ObjDamage, ObjCost, ObjTestTime}, {ObjTestTime, ObjYieldLoss}}
+	covered := 0
+	for ni, net := range nets {
+		a := analyzeNet(t, net)
+		counts := accessPathCounts(a)
+		must := a.MustHardenCount()
+		n := len(a.Prims)
+		rng := rand.New(rand.NewSource(int64(ni)))
+		gs := []moea.Genome{moea.NewGenome(n), moea.NewGenome(n)}
+		for i := 0; i < n; i++ {
+			gs[1].Set(i, true)
+		}
+		for trial := 0; trial < 40; trial++ {
+			g := moea.NewGenome(n)
+			g.Randomize(rng, rng.Float64(), n)
+			gs = append(gs, g)
+		}
+		for _, force := range []bool{false, true} {
+			for _, objs := range sets {
+				p, err := NewProblemWithObjectives(a, force, objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names := p.ObjectiveNames()
+				for j, g := range gs {
+					mask := make([]bool, net.NumNodes())
+					var want []rsn.NodeID
+					for i, id := range a.Prims {
+						if g.Get(i) || (force && a.CritHit[id]) {
+							mask[id] = true
+							want = append(want, id)
+						}
+					}
+					sol := solutionFrom(p, a, must, g)
+					where := fmt.Sprintf("net %d force=%v objs=%v genome %d", ni, force, names, j)
+					if !slices.Equal(sol.Hardened, want) {
+						t.Fatalf("%s: Hardened %v, want %v", where, sol.Hardened, want)
+					}
+					if got, ref := sol.Cost, a.HardeningCost(mask); got != ref {
+						t.Fatalf("%s: Cost %d, HardeningCost %d", where, got, ref)
+					}
+					if got, ref := sol.Damage, a.ResidualDamage(mask); got != ref {
+						t.Fatalf("%s: Damage %d, ResidualDamage %d", where, got, ref)
+					}
+					if got, ref := sol.CriticalCovered, criticalCoveredRef(a, mask); got != ref {
+						t.Fatalf("%s: CriticalCovered %v, reference %v", where, got, ref)
+					}
+					if sol.CriticalCovered {
+						covered++
+					}
+					if len(sol.Values) != len(names) {
+						t.Fatalf("%s: %d values for %d objectives", where, len(sol.Values), len(names))
+					}
+					for k, name := range names {
+						if ref := referenceValue(t, a, counts, name, mask) / p.scales[k]; sol.Values[k] != ref {
+							t.Fatalf("%s: %s = %v, reference %v", where, name, sol.Values[k], ref)
+						}
+					}
+				}
+			}
+		}
+	}
+	if covered == 0 {
+		t.Fatal("no solution covers its critical primitives; the CriticalCovered check compares only false")
+	}
 }
 
 func TestForceCritical(t *testing.T) {
@@ -291,19 +394,23 @@ func TestApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := s.Front[len(s.Front)-1]
-	Apply(net, sol)
-	count := 0
-	net.Nodes(func(nd *rsn.Node) {
-		if nd.Hardened {
-			count++
-			if !sol.Mask[nd.ID] {
-				t.Errorf("node %q hardened but not in mask", nd.Name)
+	// Apply the full-hardening end of the front, then a sparser
+	// solution: the second call must also clear the first one's marks.
+	for _, sol := range []Solution{s.Front[len(s.Front)-1], s.Front[len(s.Front)/2]} {
+		Apply(net, sol)
+		mask := hardenedMask(s.Analysis, sol.Hardened)
+		count := 0
+		net.Nodes(func(nd *rsn.Node) {
+			if nd.Hardened {
+				count++
+				if !mask[nd.ID] {
+					t.Errorf("node %q hardened but not in Hardened", nd.Name)
+				}
 			}
+		})
+		if count != len(sol.Hardened) {
+			t.Errorf("applied %d hardened nodes, want %d", count, len(sol.Hardened))
 		}
-	})
-	if count != len(sol.Hardened) {
-		t.Errorf("applied %d hardened nodes, want %d", count, len(sol.Hardened))
 	}
 }
 
@@ -626,6 +733,46 @@ func TestParseAlgorithm(t *testing.T) {
 	for _, bad := range []string{"nsga3", "SPEA2", " spea2"} {
 		if _, err := ParseAlgorithm(bad); err == nil {
 			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
+	}
+}
+
+// BenchmarkExtractFront times the extraction of a 300-point front, the
+// paper's population size, on MBIST_5_20_20 (30,537 primitives): the
+// genomes' densities spread evenly over [0, 1], as a front spans
+// nothing to everything hardened.
+func BenchmarkExtractFront(b *testing.B) {
+	net, err := benchnets.Generate("MBIST_5_20_20")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := spec.Generate(net, spec.PaperGenOptions(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := sptree.Build(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewProblemWithObjectives(a, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	front := make([]moea.Genome, 300)
+	for k := range front {
+		front[k] = moea.NewGenome(p.NumBits())
+		front[k].Randomize(rng, float64(k)/float64(len(front)-1), p.NumBits())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		must := a.MustHardenCount()
+		for _, g := range front {
+			solutionFrom(p, a, must, g)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // or equals the input. Evolutionary fronts routinely leave such slack
 // on large networks (see the ablation in EXPERIMENTS.md).
 func RefineMinCost(a *faults.Analysis, sol Solution, damageLimit int64) Solution {
-	mask := append([]bool(nil), sol.Mask...)
+	mask := maskOf(a, sol.Hardened)
 	damage := sol.Damage
 	hardened := append([]rsn.NodeID(nil), sol.Hardened...)
 	sort.Slice(hardened, func(i, j int) bool {
@@ -39,7 +39,7 @@ func RefineMinCost(a *faults.Analysis, sol Solution, damageLimit int64) Solution
 // adds unhardened primitives in decreasing damage-per-cost order while
 // the budget allows. The result dominates or equals the input.
 func RefineMinDamage(a *faults.Analysis, sol Solution, costLimit int64) Solution {
-	mask := append([]bool(nil), sol.Mask...)
+	mask := maskOf(a, sol.Hardened)
 	cost := sol.Cost
 	for _, id := range sol.Hardened {
 		if sol.CriticalCovered && a.CritHit[id] {
@@ -76,20 +76,32 @@ func ratio(a *faults.Analysis, id rsn.NodeID) float64 {
 	return float64(a.Damage[id]) / float64(c)
 }
 
+// maskOf returns the hardening decision of a Hardened list indexed by
+// rsn.NodeID, the form the refinements edit in place.
+func maskOf(a *faults.Analysis, hardened []rsn.NodeID) []bool {
+	mask := make([]bool, a.Net.NumNodes())
+	for _, id := range hardened {
+		mask[id] = true
+	}
+	return mask
+}
+
 // solutionFromMask rebuilds a Solution's bookkeeping from a mask.
 func solutionFromMask(a *faults.Analysis, mask []bool) Solution {
 	var hardened []rsn.NodeID
+	covered := true
 	for _, id := range a.Prims {
 		if mask[id] {
 			hardened = append(hardened, id)
+		} else if a.CritHit[id] {
+			covered = false
 		}
 	}
 	return Solution{
 		Hardened:        hardened,
-		Mask:            mask,
 		Cost:            a.HardeningCost(mask),
 		Damage:          a.ResidualDamage(mask),
-		CriticalCovered: criticalCovered(a, mask),
+		CriticalCovered: covered,
 	}
 }
 

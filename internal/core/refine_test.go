@@ -32,8 +32,8 @@ func TestRefineNeverWorse(t *testing.T) {
 					t.Logf("seed %d: refine broke the damage constraint", seed)
 					return false
 				}
-				if s.Analysis.ResidualDamage(ref.Mask) != ref.Damage ||
-					s.Analysis.HardeningCost(ref.Mask) != ref.Cost {
+				if mask := hardenedMask(s.Analysis, ref.Hardened); s.Analysis.ResidualDamage(mask) != ref.Damage ||
+					s.Analysis.HardeningCost(mask) != ref.Cost {
 					t.Logf("seed %d: refined bookkeeping inconsistent", seed)
 					return false
 				}

@@ -15,37 +15,31 @@ import (
 // extension its conclusion hints at, used by the multi-fault robustness
 // evaluation.
 func MultiEffect(net *rsn.Network, fs []Fault, opts Options) (obsLost, setLost []bool) {
-	skip := make([]bool, net.NumNodes())
+	// skip stays nil unless a segment breaks: stuck muxes remove no
+	// node. dead does not escape, so its first entries live on the
+	// stack.
+	var skip []bool
 	dead := map[edgeKey]bool{}
-	anySkip := false
-	// A stuck multiplexer pins its select physically: any control
-	// coupling from a broken select source is irrelevant for it.
-	stuck := map[rsn.NodeID]bool{}
 	for _, f := range fs {
 		if f.Kind == MuxStuck {
-			stuck[f.Node] = true
-			for k := range stuckDeadEdges(net, f.Node, f.Port) {
-				dead[k] = true
-			}
+			addStuckDeadEdges(dead, net, f.Node, f.Port)
 		}
 	}
 	for _, f := range fs {
 		if f.Kind != SegmentBreak {
 			continue
 		}
-		skip[f.Node] = true
-		anySkip = true
-		for k := range ctrlDeadEdges(net, f.Node, opts) {
-			if !stuck[k.to] {
-				dead[k] = true
-			}
+		if skip == nil {
+			skip = make([]bool, net.NumNodes())
 		}
+		skip[f.Node] = true
+		addCtrlDeadEdges(dead, net, f.Node, opts, fs)
 	}
 
 	toSO := multiBackward(net, skip, dead)
 	fromSI := multiForward(net, skip, dead)
 	toSOPath := toSO
-	if anySkip {
+	if skip != nil {
 		toSOPath = multiBackward(net, nil, dead)
 	}
 
@@ -71,7 +65,8 @@ func multiForward(net *rsn.Network, skip []bool, dead map[edgeKey]bool) []bool {
 		return seen
 	}
 	seen[start] = true
-	stack := []rsn.NodeID{start}
+	var buf [32]rsn.NodeID // small networks walk without a heap stack
+	stack := append(buf[:0], start)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -109,7 +104,8 @@ func multiBackward(net *rsn.Network, skip []bool, dead map[edgeKey]bool) []bool 
 		return seen
 	}
 	seen[end] = true
-	stack := []rsn.NodeID{end}
+	var buf [32]rsn.NodeID // small networks walk without a heap stack
+	stack := append(buf[:0], end)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

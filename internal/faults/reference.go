@@ -31,10 +31,11 @@ func Effect(net *rsn.Network, f Fault, opts Options) (obsLost, setLost []bool) {
 	return MultiEffect(net, []Fault{f}, opts)
 }
 
-// ctrlDeadEdges returns the mux input edges that die because their
-// select source broke: the dependent muxes fail to port 0.
-func ctrlDeadEdges(net *rsn.Network, src rsn.NodeID, opts Options) map[edgeKey]bool {
-	var dead map[edgeKey]bool
+// addCtrlDeadEdges adds to dead the mux input edges that die because
+// their select source src broke: the dependent muxes fail to port 0. A
+// mux stuck by one of fs pins its select physically, so the coupling
+// leaves it alone.
+func addCtrlDeadEdges(dead map[edgeKey]bool, net *rsn.Network, src rsn.NodeID, opts Options, fs []Fault) {
 	net.Nodes(func(nd *rsn.Node) {
 		if nd.Kind != rsn.KindMux || nd.Ctrl.Source != src {
 			return
@@ -45,8 +46,10 @@ func ctrlDeadEdges(net *rsn.Network, src rsn.NodeID, opts Options) map[edgeKey]b
 		if !nd.SIB && !opts.CtrlCoupling {
 			return
 		}
-		if dead == nil {
-			dead = make(map[edgeKey]bool)
+		for _, f := range fs {
+			if f.Kind == MuxStuck && f.Node == nd.ID {
+				return
+			}
 		}
 		for p, from := range net.Pred(nd.ID) {
 			if p != 0 {
@@ -54,19 +57,16 @@ func ctrlDeadEdges(net *rsn.Network, src rsn.NodeID, opts Options) map[edgeKey]b
 			}
 		}
 	})
-	return dead
 }
 
-// stuckDeadEdges returns the in-edges of mux that a stuck-at-port fault
-// disables.
-func stuckDeadEdges(net *rsn.Network, mux rsn.NodeID, alivePort int) map[edgeKey]bool {
-	dead := make(map[edgeKey]bool)
+// addStuckDeadEdges adds to dead the in-edges of mux that a
+// stuck-at-alivePort fault disables.
+func addStuckDeadEdges(dead map[edgeKey]bool, net *rsn.Network, mux rsn.NodeID, alivePort int) {
 	for p, from := range net.Pred(mux) {
 		if p != alivePort {
 			dead[edgeKey{from: from, to: mux, port: p}] = true
 		}
 	}
-	return dead
 }
 
 // edgeKey identifies a directed edge by endpoints and the port index at

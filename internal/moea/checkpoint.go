@@ -163,8 +163,9 @@ func (cp *Checkpoint) headerObjectives() int {
 
 // DecodeCheckpoint parses and validates a serialized checkpoint. Any
 // structural defect — short input, wrong magic or version, checksum
-// mismatch, counts inconsistent with the payload size — returns an
-// error wrapping ErrCheckpointCorrupt; no input panics.
+// mismatch, counts inconsistent with the payload size, a genome bit at
+// or beyond NumBits — returns an error wrapping ErrCheckpointCorrupt; no
+// input panics.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return decodeCheckpoint(data, 0)
 }
@@ -220,6 +221,13 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	if uint64(len(r.b)) < want {
 		return nil, fmt.Errorf("%w: payload is %d bytes, header implies at least %d", ErrCheckpointCorrupt, len(r.b), want)
 	}
+	// A genome bit at or beyond NumBits would index past the problem's
+	// primitives; only the last word can hold one.
+	var stray uint64
+	if tail := cp.NumBits & 63; tail != 0 {
+		stray = ^uint64(0) << tail
+	}
+	strayBits := false
 	readInds := func(n int) []CheckpointIndividual {
 		ins := make([]CheckpointIndividual, n)
 		for i := range ins {
@@ -227,11 +235,17 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 			ins[i].Obj = r.floats(m)
 			ins[i].Fitness = math.Float64frombits(r.u64())
 			ins[i].Density = math.Float64frombits(r.u64())
+			if nwords > 0 && ins[i].Genome[nwords-1]&stray != 0 {
+				strayBits = true
+			}
 		}
 		return ins
 	}
 	cp.Pop = readInds(npop)
 	cp.Archive = readInds(narch)
+	if strayBits {
+		return nil, fmt.Errorf("%w: a genome sets a bit at or beyond NumBits %d", ErrCheckpointCorrupt, cp.NumBits)
+	}
 	if nislands > 0 {
 		cp.IslandCkpts = make([]*Checkpoint, nislands)
 		for i := range cp.IslandCkpts {

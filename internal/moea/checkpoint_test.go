@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -151,10 +152,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Generation: 9, RNGDraws: 12345, Evaluations: 678, DeltaEvals: 600, FullEvals: 78,
 		Pop: []CheckpointIndividual{
 			{Genome: Genome{1, 2, 3}, Obj: []float64{1.5, -2.5}, Fitness: 0.25, Density: 3.75},
-			{Genome: Genome{4, 5, 6}, Obj: []float64{0, 7}, Fitness: 1, Density: 0},
+			{Genome: Genome{4, 5, 2}, Obj: []float64{0, 7}, Fitness: 1, Density: 0},
 		},
 		Archive: []CheckpointIndividual{
-			{Genome: Genome{7, 8, 9}, Obj: []float64{2, 2}, Fitness: 0.5, Density: 0.5},
+			{Genome: Genome{7, 8, 1}, Obj: []float64{2, 2}, Fitness: 0.5, Density: 0.5},
 		},
 	}
 	data := EncodeCheckpoint(cp)
@@ -278,6 +279,55 @@ func TestCheckpointDecodeCorrupt(t *testing.T) {
 			t.Errorf("appended byte: error does not wrap ErrCheckpointCorrupt")
 		}
 	})
+}
+
+// TestCheckpointRejectsStrayBits: a genome bit at or beyond NumBits
+// would index past the problem's primitives on resume, so the decoder
+// rejects it as corrupt even under a valid checksum — in the population,
+// the archive and a nested island state — while the highest in-range
+// bit and a NumBits that fills its last word decode.
+func TestCheckpointRejectsStrayBits(t *testing.T) {
+	_, cp := captureCheckpoint(t, "spea2", newKnapsack(7, 48), ckptParams(11, 1), 10)
+	withBit := func(c Checkpoint, bit int, archive bool) *Checkpoint {
+		set := append([]CheckpointIndividual(nil), c.Pop...)
+		if archive {
+			set = append([]CheckpointIndividual(nil), c.Archive...)
+		}
+		for i := range set {
+			set[i].Genome = set[i].Genome.Clone()
+			set[i].Genome.Set(bit, true)
+		}
+		if archive {
+			c.Archive = set
+		} else {
+			c.Pop = set
+		}
+		return &c
+	}
+	for _, tc := range []struct {
+		name    string
+		cp      *Checkpoint
+		corrupt bool
+	}{
+		{"pop bit 60", withBit(*cp, 60, false), true},
+		{"pop bit 48", withBit(*cp, 48, false), true},
+		{"archive bit 63", withBit(*cp, 63, true), true},
+		{"island bit 48", &Checkpoint{Algorithm: "spea2", Seed: 11, NumBits: 48, Population: 60,
+			NumObjectives: 2, Generation: 10, Islands: 2,
+			IslandCkpts: []*Checkpoint{cp, withBit(*cp, 48, true)}}, true},
+		{"pop bit 47", withBit(*cp, 47, false), false},
+		{"full last word", &Checkpoint{Algorithm: "spea2", Seed: 1, NumBits: 128, Population: 1,
+			NumObjectives: 2, Generation: 1,
+			Pop: []CheckpointIndividual{{Genome: Genome{1 << 63, 1 << 63}, Obj: []float64{1, 2}}}}, false},
+	} {
+		_, err := DecodeCheckpoint(EncodeCheckpoint(tc.cp))
+		if tc.corrupt && (!errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(fmt.Sprint(err), "beyond NumBits")) {
+			t.Errorf("%s: error %v is not a corrupt-checkpoint stray-bit error", tc.name, err)
+		}
+		if !tc.corrupt && err != nil {
+			t.Errorf("%s: in-range genome rejected: %v", tc.name, err)
+		}
+	}
 }
 
 // TestResumeValidation checks that structurally valid checkpoints from

@@ -29,7 +29,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			NumObjectives: 2, Generation: 1, RNGDraws: 77, Evaluations: 60, DeltaEvals: 55, FullEvals: 5,
 			Pop: []CheckpointIndividual{
 				{Genome: Genome{1, 2, 3}, Obj: []float64{0, 0}},
-				{Genome: Genome{4, 5, 6}, Obj: []float64{1, 1}},
+				{Genome: Genome{4, 5, 2}, Obj: []float64{1, 1}},
 			},
 		}),
 	}
@@ -43,6 +43,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 		flipped[len(flipped)/2] ^= 0x01
 		f.Add(flipped)
 	}
+	// A genome bit beyond NumBits under a valid checksum.
+	f.Add(EncodeCheckpoint(&Checkpoint{Algorithm: "spea2", Seed: 1, NumBits: 48, Population: 1,
+		NumObjectives: 2, Generation: 10,
+		Pop: []CheckpointIndividual{{Genome: Genome{1 << 60}, Obj: []float64{1, 2}}},
+	}))
 	f.Add([]byte{})
 	f.Add([]byte("RSNCKPT\x04"))
 	// A forged genome-length field claiming gigabytes of payload.
@@ -88,5 +93,28 @@ func FuzzParetoFilter(f *testing.F) {
 			pop[i] = Individual{G: Genome{uint64(i)}, Obj: vals[2*i : 2*i+2]}
 		}
 		checkParetoFilter(t, pop)
+	})
+}
+
+// FuzzGeometricGap holds the gap sampler to int(math.Log(u)/logq), the
+// variate it replaces, for every success probability p in (0, 1) and
+// every u in (0, 1).
+func FuzzGeometricGap(f *testing.F) {
+	for _, p := range gapSamplerPs {
+		f.Add(p, 0.5)
+		f.Add(p, 0x1p-63)
+		f.Add(p, math.Nextafter(1, 0))
+		f.Add(p, math.Pow(1-p, 3)) // near the step from 3 to 2
+	}
+	f.Add(0x1p-1074, 0.25)
+	f.Add(0.01, 0x1p-1070)
+	f.Fuzz(func(t *testing.T, p, u float64) {
+		if !(p > 0 && p < 1 && u > 0 && u < 1) {
+			return
+		}
+		s := newGapSampler(p)
+		if got, want := s.gap(u), refGap(u, s.logq); got != want {
+			t.Fatalf("p=%g u=%g: gap %d, int(math.Log(u)/logq) %d", p, u, got, want)
+		}
 	})
 }

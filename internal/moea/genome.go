@@ -154,22 +154,10 @@ func (g Genome) MutateBits(rng *rand.Rand, p float64, nbits int) {
 		}
 		return
 	}
-	logq := math.Log1p(-p)
-	i := nextFlip(rng, logq)
-	for i < nbits {
+	s := newGapSampler(p)
+	for i := s.nextFlip(rng); i < nbits; i += 1 + s.nextFlip(rng) {
 		g.Flip(i)
-		i += 1 + nextFlip(rng, logq)
 	}
-}
-
-// nextFlip draws the gap to the next flipped bit from the geometric
-// distribution with success probability p (logq = log(1-p)).
-func nextFlip(rng *rand.Rand, logq float64) int {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return int(math.Log(u) / logq)
 }
 
 // Randomize sets each bit independently with probability density.
@@ -186,10 +174,103 @@ func (g Genome) Randomize(rng *rand.Rand, density float64, nbits int) {
 		}
 		return
 	}
-	logq := math.Log1p(-density)
-	i := nextFlip(rng, logq)
-	for i < nbits {
+	s := newGapSampler(density)
+	for i := s.nextFlip(rng); i < nbits; i += 1 + s.nextFlip(rng) {
 		g.Set(i, true)
-		i += 1 + nextFlip(rng, logq)
 	}
 }
+
+// gapSampler draws the gaps between successes of independent Bernoulli
+// trials with probability p (0 < p < 1): the geometric variate
+// int(math.Log(u)/logq) for a uniform u in (0, 1), logq = log(1-p).
+// It returns exactly that integer for every u, yet calls math.Log only
+// for the rare u whose quotient lands near an integer.
+//
+// The fast quotient is fastLog(u) times the rounded 1/logq. fastLog
+// differs from math.Log by less than fastLogErr = 4e-13, and the two
+// roundings of the fast product and the one of the reference division
+// add less than 3·2⁻⁵³·|log u| ≤ 2.4e-13 (|log u| < 708.4 for a normal
+// u), so the fast and the reference quotient differ by less than
+// 1e-12/|logq|. When the fast one lies more than tol = gapMargin/|logq|
+// from every integer, the reference lies strictly between the same two
+// integers and truncates to the same one. gapMargin is 1000 times that
+// difference: a draw falls back with probability about 2·tol, 2e-7 at
+// the paper's p = 0.01, and tol reaches 1/2 for p below about 2e-9,
+// where every draw falls back and the sampler is math.Log itself.
+type gapSampler struct {
+	logq float64 // log(1-p) < 0
+	inv  float64 // 1/logq, rounded
+	tol  float64 // gapMargin/|logq|
+}
+
+// gapMargin bounds, in log units, the distance from an integer
+// boundary inside which gapSampler recomputes the quotient with
+// math.Log (see gapSampler).
+const gapMargin = 1e-9
+
+func newGapSampler(p float64) gapSampler {
+	logq := math.Log1p(-p)
+	return gapSampler{logq: logq, inv: 1 / logq, tol: gapMargin / -logq}
+}
+
+// nextFlip draws the gap to the next success: a nonzero uniform from
+// rng (redrawing zeros), then gap.
+func (s *gapSampler) nextFlip(rng *rand.Rand) int {
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	return s.gap(u)
+}
+
+// gap returns int(math.Log(u)/s.logq) for u in (0, 1).
+func (s *gapSampler) gap(u float64) int {
+	if u >= 0x1p-1022 { // fastLog covers normal numbers only
+		q := fastLog(u) * s.inv
+		// q ≥ 0, so int truncates it to its floor k, and q-k is exact.
+		// A q too large for an int implies tol ≥ 1/2, which no f passes.
+		k := int(q)
+		if f := q - float64(k); f > s.tol && f < 1-s.tol {
+			return k
+		}
+	}
+	return int(math.Log(u) / s.logq)
+}
+
+// logTable holds, for each of the 256 slices [1+i/256, 1+(i+1)/256) of
+// the mantissa range [1, 2), the natural logarithm of the slice centre
+// c = 1 + (i+1/2)/256 and 2⁻⁵²/c, which scales a mantissa-bit
+// difference to (y-c)/c.
+var logTable = func() (t [256]struct{ inv, log float64 }) {
+	for i := range t {
+		c := 1 + (float64(i)+0.5)/256
+		t[i].inv, t[i].log = 0x1p-52/c, math.Log(c)
+	}
+	return t
+}()
+
+// fastLog is the natural logarithm of a positive normal float64 u < 1.
+// With u = 2^e·y, y in [1, 2), and c the centre of y's logTable slice,
+//
+//	log u = e·ln 2 + log c + log1p(r),  r = (y-c)/c,  |r| ≤ 2⁻⁹,
+//
+// where y-c is exact (an integer difference of mantissa bits) and
+// log1p(r) is its quartic Taylor polynomial. Error bound: truncating
+// the series after r⁴ errs by less than |r|⁵/5·(1+2⁻⁸) < 6e-15; r's
+// rounding, the table entry and the polynomial's arithmetic add less
+// than 2e-16; e·ln 2 (|e| ≤ 1022) rounds to within 2·2⁻⁵³·708.4 <
+// 1.6e-13, and the final sum to within half an ulp of 708, 5.7e-14.
+// That puts fastLog within 2.2e-13 of log u, and math.Log is within
+// one ulp (1.2e-13) of it: |fastLog(u) - math.Log(u)| < fastLogErr.
+func fastLog(u float64) float64 {
+	b := math.Float64bits(u)
+	e := int(b>>52) - 1023
+	t := &logTable[b>>44&0xff]
+	// y-c is the low 44 mantissa bits less the slice centre's, times 2⁻⁵².
+	r := float64(int64(b&(1<<44-1))-1<<43) * t.inv
+	p := r * (1 + r*(-0.5+r*(1.0/3+r*-0.25)))
+	return float64(e)*math.Ln2 + (t.log + p)
+}
+
+// fastLogErr bounds |fastLog(u) - math.Log(u)| (see fastLog).
+const fastLogErr = 4e-13

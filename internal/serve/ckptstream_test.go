@@ -155,3 +155,50 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRejectsStrayBits checks that a resume blob whose genomes
+// set bits at or beyond the run's genome length — re-encoded with a
+// valid checksum — is rejected as a corrupt checkpoint, a 400 before
+// any synthesis starts: resuming it would index past the network's
+// primitives.
+func TestResumeRejectsStrayBits(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postStream(t, ts, "/v1/harden", ckptHardenBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	var blob []byte
+	for _, ev := range parseSSE(t, body) {
+		if ev.name == "checkpoint" {
+			var ce checkpointEvent
+			if err := json.Unmarshal(ev.data, &ce); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if blob, err = base64.StdEncoding.DecodeString(ce.Blob); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	cp, err := moea.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.NumBits%64 == 0 {
+		t.Fatalf("TreeFlat genome is %d bits, a whole number of words: no bit lies beyond it", cp.NumBits)
+	}
+	for i := range cp.Pop {
+		cp.Pop[i].Genome[len(cp.Pop[i].Genome)-1] |= 1 << 63
+	}
+	resumeBody := fmt.Sprintf(`{"network":{"name":"TreeFlat"},"spec":{"seed":3},`+
+		`"options":{"generations":40,"population":30,"seed":7,"no_cache":true,"resume":%q}}`,
+		base64.StdEncoding.EncodeToString(moea.EncodeCheckpoint(cp)))
+	// The body must name the corrupt checkpoint: a stray bit that got
+	// past the decoder would end in a 400 too, from the resumed run's
+	// evaluation panic.
+	status, _, got := post(t, ts, "/v1/harden", resumeBody)
+	if status != http.StatusBadRequest || !bytes.Contains(got, []byte("checkpoint corrupt")) {
+		t.Errorf("stray-bit resume: status = %d, body %s; want a 400 naming the corrupt checkpoint", status, got)
+	}
+}
