@@ -63,9 +63,13 @@ race:
 # the table-driven geometric sampler to int(math.Log(u)/logq) at random
 # u and around every integer step, and SamplerDrawsUnchanged holds
 # mutation and initialization to the math.Log loops, RNG position
-# included.
+# included. The CLI goldens pin whole stdouts: rsnharden's 3-objective
+# run and its multi-seed sweep at one and two jobs, and table1's
+# optimizer ablation (time column dropped); CheckpointResumeCLI holds a
+# table1 row resumed from its checkpoint directory to the uninterrupted
+# row.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis|ProgressMeasuresOnlyWhenRead|CheckpointBytesPinned|SolutionFromMatchesMasks|GapSamplerMatchesLog|SamplerDrawsUnchanged' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionMatchesReference|SynthesizeFingerprints|ParetoFilterMatchesPairwise|AnalyzeFingerprints|ProblemEvaluateMatchesAnalysis|ProgressMeasuresOnlyWhenRead|CheckpointBytesPinned|SolutionFromMatchesMasks|GapSamplerMatchesLog|SamplerDrawsUnchanged|GoldenCLI|CheckpointResumeCLI' ./internal/core ./internal/moea ./internal/chaos ./internal/faults ./cmd/rsnharden ./cmd/table1
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,
@@ -118,9 +122,9 @@ fuzz:
 # The root package's benchmarks, then, on one CPU, the by-name
 # MBIST_5_100_20 analyze job body (load, validate, spec, SP tree,
 # criticality), a served 150-generation TreeFlat_Ex harden miss, plain
-# and streamed, paper-rate mutation and density-0.25 initialization of a
-# 30,537-bit genome, and the extraction of a 300-point MBIST_5_20_20
-# front.
+# and streamed, paper-rate mutation of a 48-bit and a 30,537-bit genome
+# and density-0.25 initialization of the larger, and the extraction of
+# a 300-point MBIST_5_20_20 front.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 	$(GO) test -bench='AnalyzeNamed|HardenServed' -benchmem -cpu 1 -run=^$$ ./internal/serve

@@ -107,35 +107,30 @@ func main() {
 		fail(err)
 	}
 
-	net, entry, err := loadNetwork(*in, *name)
-	if err != nil {
-		fail(err)
-	}
 	objNames, err := core.ParseObjectives(*objs)
 	if err != nil {
 		fail(err)
 	}
-	generations := *gens
-	if generations == 0 {
-		generations = 500
+	cfg := synthConfig{
+		in: *in, name: *name, genspec: *genspec, seed: *seed,
+		algo: algo, scope: scope, force: *force, stag: *stag, workers: *workers,
+		islands: *islands, objectives: objNames,
+	}
+	net, entry, sp, err := cfg.load()
+	if err != nil {
+		fail(err)
+	}
+	cfg.generations = *gens
+	if cfg.generations == 0 {
+		cfg.generations = 500
 		if entry != nil {
-			generations = entry.Generations
+			cfg.generations = entry.Generations
 		}
 	}
 	netStats := net.Stats()
 	logger.Info("run start", "tool", "rsnharden", "network", net.Name,
 		"segments", netStats.Segments, "muxes", netStats.Muxes,
-		"algo", *algoN, "seed", *seed, "seeds", *seeds, "generations", generations)
-
-	var sp *spec.Spec
-	if *genspec || *name != "" {
-		sp, err = spec.Generate(net, spec.PaperGenOptions(*seed))
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		sp = spec.FromNetwork(net, spec.DefaultCostModel)
-	}
+		"algo", *algoN, "seed", *seed, "seeds", *seeds, "generations", cfg.generations)
 
 	var tel *telemetry.Collector
 	if *telOut != "" || *prog {
@@ -148,20 +143,16 @@ func main() {
 			defer f.Close()
 			tel.SetOutput(f)
 		}
-		st := net.Stats()
 		tel.Meta(map[string]any{
 			"tool": "rsnharden", "network": net.Name,
-			"segments": st.Segments, "muxes": st.Muxes,
-			"algo": *algoN, "seed": *seed, "generations": generations,
+			"segments": netStats.Segments, "muxes": netStats.Muxes,
+			"algo": *algoN, "seed": *seed, "generations": cfg.generations,
 		})
 	}
 
 	if *seeds > 1 {
 		err := runSeedSweep(ctx, sweepConfig{
-			in: *in, name: *name, genspec: *genspec,
-			generations: generations, seed: *seed, seeds: *seeds, jobs: *jobs,
-			algo: algo, scope: scope, force: *force, stag: *stag, workers: *workers,
-			islands: *islands, deadline: *ddl, objectives: objNames,
+			synthConfig: cfg, seeds: *seeds, jobs: *jobs, deadline: *ddl,
 		}, tel, logger)
 		if err != nil {
 			fail(err)
@@ -187,16 +178,12 @@ func main() {
 		defer cancelDeadline()
 	}
 
-	opt := core.DefaultOptions(generations, *seed)
-	opt.ForceCritical = *force
-	opt.Stagnation = *stag
-	opt.Workers = *workers
-	opt.Islands = *islands
-	opt.Objectives = objNames
-	opt.Telemetry = tel
-	opt.Context = ctx
-	opt.CheckpointPath = *ckpt
-	opt.CheckpointEvery = *ckptN
+	opt := cfg.options(ctx, *seed, tel)
+	if *ckpt != "" {
+		path := *ckpt
+		opt.CheckpointFn = func(cp *moea.Checkpoint) error { return moea.SaveCheckpoint(path, cp) }
+		opt.CheckpointEvery = *ckptN
+	}
 	if *resume != "" {
 		cp, err := moea.LoadCheckpoint(*resume)
 		if err != nil {
@@ -213,8 +200,6 @@ func main() {
 			return true
 		}
 	}
-	opt.Analysis.Scope = scope
-	opt.Algorithm = algo
 
 	s, err := core.Synthesize(net, sp, opt)
 	if err != nil {
@@ -424,23 +409,62 @@ func verifyCompat(net *rsn.Network, s *core.Synthesis, tel *telemetry.Collector)
 	tel.Gauge("verify.pattern_compatible").Set(compatible)
 }
 
-// sweepConfig is the multi-seed run description: the same synthesis at
-// seeds seed .. seed+N-1, scheduled across a bounded job pool.
-type sweepConfig struct {
+// synthConfig is what a single run and every seed of a sweep share:
+// the network source, the specification rule and the synthesis options
+// the flags set.
+type synthConfig struct {
 	in, name    string
 	genspec     bool
 	generations int
-	seed        int64
-	seeds       int
-	jobs        int
+	seed        int64 // the base seed, which also seeds a generated specification
 	algo        core.Algorithm
 	scope       faults.Scope
 	force       bool
 	stag        int
 	workers     int
 	islands     int
-	deadline    time.Duration
 	objectives  []string
+}
+
+// load reads the network and its criticality specification: the
+// paper's randomized one for a benchmark or with -genspec, generated
+// from the base seed so that it stays fixed across a sweep, else the
+// one in the network's annotations.
+func (c synthConfig) load() (*rsn.Network, *benchnets.Entry, *spec.Spec, error) {
+	net, entry, err := loadNetwork(c.in, c.name)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if c.genspec || c.name != "" {
+		sp, err := spec.Generate(net, spec.PaperGenOptions(c.seed))
+		return net, entry, sp, err
+	}
+	return net, entry, spec.FromNetwork(net, spec.DefaultCostModel), nil
+}
+
+// options returns the synthesis options of one run at the optimizer
+// seed, cancelled by ctx and reporting to tel.
+func (c synthConfig) options(ctx context.Context, seed int64, tel *telemetry.Collector) core.Options {
+	opt := core.DefaultOptions(c.generations, seed)
+	opt.Algorithm = c.algo
+	opt.Analysis.Scope = c.scope
+	opt.ForceCritical = c.force
+	opt.Stagnation = c.stag
+	opt.Workers = c.workers
+	opt.Islands = c.islands
+	opt.Objectives = c.objectives
+	opt.Telemetry = tel
+	opt.Context = ctx
+	return opt
+}
+
+// sweepConfig is the multi-seed run description: the same synthesis at
+// seeds seed .. seed+N-1, scheduled across a bounded job pool.
+type sweepConfig struct {
+	synthConfig
+	seeds    int
+	jobs     int
+	deadline time.Duration
 }
 
 // seedResult is one seed's outcome in the sweep summary.
@@ -539,31 +563,12 @@ func runSeedSweep(ctx context.Context, cfg sweepConfig, tel *telemetry.Collector
 // runOneSeed is one job of the sweep: a full, self-contained synthesis.
 func runOneSeed(ctx context.Context, cfg sweepConfig, seed int64, tel *telemetry.Collector, span *telemetry.Span) (seedResult, error) {
 	res := seedResult{seed: seed, costD10: -1, dmgD10: -1, costC10: -1, dmgC10: -1}
-	net, _, err := loadNetwork(cfg.in, cfg.name)
+	net, _, sp, err := cfg.load()
 	if err != nil {
 		return res, err
 	}
-	var sp *spec.Spec
-	if cfg.genspec || cfg.name != "" {
-		// Base seed on purpose: the specification is part of the problem
-		// and stays fixed across the sweep.
-		if sp, err = spec.Generate(net, spec.PaperGenOptions(cfg.seed)); err != nil {
-			return res, err
-		}
-	} else {
-		sp = spec.FromNetwork(net, spec.DefaultCostModel)
-	}
-	opt := core.DefaultOptions(cfg.generations, seed)
-	opt.ForceCritical = cfg.force
-	opt.Stagnation = cfg.stag
-	opt.Workers = cfg.workers
-	opt.Islands = cfg.islands
-	opt.Objectives = cfg.objectives
-	opt.Telemetry = tel
+	opt := cfg.options(ctx, seed, tel)
 	opt.ParentSpan = span
-	opt.Context = ctx
-	opt.Analysis.Scope = cfg.scope
-	opt.Algorithm = cfg.algo
 	s, err := core.Synthesize(net, sp, opt)
 	if err != nil {
 		return res, err

@@ -133,6 +133,25 @@ func TestThreeObjectivesGoldenCLI(t *testing.T) {
 	}
 }
 
+// TestSeedSweepGoldenCLI pins the multi-seed sweep to a golden stdout:
+// the per-seed rows and the aggregate line must reproduce byte for
+// byte at one and at two concurrent jobs.
+func TestSeedSweepGoldenCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "seed_sweep_treeflat.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []string{"1", "2"} {
+		got := runCLI(t, "-name", "TreeFlat", "-generations", "20", "-seeds", "3", "-jobs", jobs)
+		if got != string(want) {
+			t.Errorf("jobs=%s: sweep stdout deviates from golden\n got:\n%s\nwant:\n%s", jobs, got, want)
+		}
+	}
+}
+
 // TestSIGINTWritesCheckpoint interrupts a live run with the real
 // signal: the process must drain at a generation boundary, write a
 // loadable checkpoint, print the partial-result summary with the

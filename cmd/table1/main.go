@@ -307,7 +307,8 @@ func runRow(ctx context.Context, e benchnets.Entry, ro rowOpts, telWriter io.Wri
 	opt.Objectives = ro.objectives
 	opt.Context = ctx
 	if ro.ckptDir != "" {
-		opt.CheckpointPath = filepath.Join(ro.ckptDir, e.Name+".ckpt")
+		path := filepath.Join(ro.ckptDir, e.Name+".ckpt")
+		opt.CheckpointFn = func(cp *moea.Checkpoint) error { return moea.SaveCheckpoint(path, cp) }
 		opt.CheckpointEvery = ro.ckptEvery
 	}
 	if ro.resumeDir != "" {
@@ -390,41 +391,27 @@ func runAblation(filter *regexp.Regexp, seed int64, quick bool) {
 		}
 		gens := budget(e, quick)
 
-		type method struct {
-			name string
-			run  func() ([]core.Solution, *core.Synthesis, error)
-		}
-		var analysisRef *core.Synthesis
-		methods := []method{
-			{"spea2", func() ([]core.Solution, *core.Synthesis, error) {
-				s, err := core.Synthesize(net, sp, core.DefaultOptions(gens, seed))
-				if s != nil {
-					analysisRef = s
-				}
-				return frontOf(s), s, err
-			}},
-			{"nsga2", func() ([]core.Solution, *core.Synthesis, error) {
-				opt := core.DefaultOptions(gens, seed)
-				opt.Algorithm = core.AlgoNSGA2
-				s, err := core.Synthesize(net, sp, opt)
-				return frontOf(s), s, err
-			}},
-		}
-		methods = append(methods, method{"spea2-uniform", func() ([]core.Solution, *core.Synthesis, error) {
+		var analysisRef *core.Synthesis // the SPEA-2 run
+		for _, m := range []struct {
+			name      string
+			algo      core.Algorithm
+			crossover moea.CrossoverKind
+		}{
+			{"spea2", core.AlgoSPEA2, moea.OnePoint},
+			{"nsga2", core.AlgoNSGA2, moea.OnePoint},
+			{"spea2-uniform", core.AlgoSPEA2, moea.Uniform},
+		} {
 			opt := core.DefaultOptions(gens, seed)
-			p := moea.Defaults(net.Stats().Muxes, gens, seed)
-			p.Crossover = moea.Uniform
-			opt.Params = &p
-			s, err := core.Synthesize(net, sp, opt)
-			return frontOf(s), s, err
-		}})
-		for _, m := range methods {
+			opt.Algorithm, opt.Crossover = m.algo, m.crossover
 			start := time.Now()
-			front, s, err := m.run()
+			s, err := core.Synthesize(net, sp, opt)
 			if err != nil {
 				fail(err)
 			}
-			addAblationRow(tb, e.Name, m.name, front, s, time.Since(start))
+			if analysisRef == nil {
+				analysisRef = s
+			}
+			addAblationRow(tb, e.Name, m.name, s.Front, s, time.Since(start))
 		}
 		// Greedy, random and exact reuse the SPEA-2 run's analysis.
 		a := analysisRef.Analysis
@@ -446,13 +433,6 @@ func runAblation(filter *regexp.Regexp, seed int64, quick bool) {
 	if err := tb.WriteText(os.Stdout); err != nil {
 		fail(err)
 	}
-}
-
-func frontOf(s *core.Synthesis) []core.Solution {
-	if s == nil {
-		return nil
-	}
-	return s.Front
 }
 
 // addAblationRow computes the hypervolume of a solution front relative

@@ -86,20 +86,15 @@ type Options struct {
 	// list selects the paper's (damage, cost) pair. Every set runs on
 	// the same evaluation kernel.
 	Objectives []string
-	// Params, if non-nil, overrides the evolutionary parameters
-	// (population, operators). Otherwise the paper's defaults are used:
-	// population 300 for networks with more than 100 multiplexers else
-	// 100, crossover 0.95, per-bit mutation 0.01.
-	Params *moea.Params
-	// Population, if positive, overrides the population size without
-	// replacing the rest of the parameter set — the single evolutionary
-	// knob request-driven callers (rsnserve) expose. It applies on top
-	// of Params or the paper defaults; the SPEA-2 archive follows the
-	// population unless Params pins it explicitly.
+	// Population, if positive, overrides the paper's population size
+	// (300 for networks with more than 100 multiplexers, else 100); the
+	// SPEA-2 archive follows it. The other evolutionary parameters are
+	// the paper's: crossover 0.95, per-bit mutation 0.01.
 	Population int
-	// Seeds optionally injects warm-start genomes (bit i refers to the
-	// i-th primitive in ID order).
-	Seeds []moea.Genome
+	// Crossover selects the recombination operator: the paper's
+	// one-point crossover (the zero value) or uniform crossover, which
+	// the operator ablation compares against it.
+	Crossover moea.CrossoverKind
 	// Workers sizes the objective-evaluation worker pool: 0 selects
 	// GOMAXPROCS, 1 forces serial evaluation. Results are bit-for-bit
 	// identical at every worker count.
@@ -120,23 +115,18 @@ type Options struct {
 	// boundary and Synthesize returns a valid partial result with
 	// Interrupted set. A nil context never cancels.
 	Context context.Context
-	// CheckpointPath, if non-empty, enables checkpointing: the
-	// evolutionary state is atomically written there every
-	// CheckpointEvery generations (default 10) and once more when
-	// cancellation is observed at a generation boundary. Resuming from
-	// the file continues the run bit-identically.
-	CheckpointPath string
 	// CheckpointEvery overrides the checkpoint interval in generations
-	// (0 with a CheckpointPath or CheckpointFn selects the default of
-	// 10).
+	// (0 with a CheckpointFn selects the default of 10).
 	CheckpointEvery int
-	// CheckpointFn, if non-nil, receives the run state every
-	// CheckpointEvery generations instead of writing it to a file — the
-	// transport hook remote callers (rsnserve checkpoint streaming, the
-	// fleet migration protocol) use to move a live run between
-	// processes. The *moea.Checkpoint aliases live engine buffers and is
-	// only valid for the duration of the call: encode (or deep-copy) it
-	// before returning. Mutually exclusive with CheckpointPath.
+	// CheckpointFn, if non-nil, enables checkpointing: it receives the
+	// run state every CheckpointEvery generations and once more when
+	// cancellation is observed at a generation boundary. A caller writes
+	// it to a file (moea.SaveCheckpoint, as the CLIs do) or moves it to
+	// another process (rsnserve checkpoint streaming, the fleet
+	// migration protocol); resuming from it continues the run
+	// bit-identically. The *moea.Checkpoint aliases live engine buffers
+	// and is only valid for the duration of the call: encode (or
+	// deep-copy) it before returning.
 	CheckpointFn func(*moea.Checkpoint) error
 	// Resume, if non-nil, restores the evolutionary run from a
 	// checkpoint instead of initializing a fresh population. The
@@ -524,26 +514,14 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	// set, the one the progress hook measures every front against.
 	ref := moea.RefPoint(problem.ObjectiveMaxes()...)
 
-	var params moea.Params
-	if opt.Params != nil {
-		params = *opt.Params
-	} else {
-		params = moea.Defaults(net.Stats().Muxes, opt.Generations, opt.Seed)
-	}
-	if opt.Generations > 0 {
-		params.Generations = opt.Generations
-	}
+	params := moea.Defaults(net.Stats().Muxes, opt.Generations, opt.Seed)
 	if opt.Population > 0 {
 		params.Population = opt.Population
 	}
-	params.Seed = opt.Seed
+	params.Crossover = opt.Crossover
 	params.Telemetry = tel
-	if opt.Workers != 0 {
-		params.Workers = opt.Workers
-	}
-	if opt.Islands != 0 {
-		params.Islands = opt.Islands
-	}
+	params.Workers = opt.Workers
+	params.Islands = opt.Islands
 	workers := params.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -553,21 +531,11 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	params.Context = opt.Context
 	params.Resume = opt.Resume
-	if opt.CheckpointFn != nil && opt.CheckpointPath != "" {
-		return fail(nil, fmt.Errorf("core: CheckpointFn and CheckpointPath are mutually exclusive"))
-	}
-	if opt.CheckpointFn != nil || opt.CheckpointPath != "" {
+	if opt.CheckpointFn != nil {
+		params.CheckpointFn = opt.CheckpointFn
 		params.CheckpointEvery = opt.CheckpointEvery
 		if params.CheckpointEvery <= 0 {
 			params.CheckpointEvery = 10
-		}
-		if opt.CheckpointFn != nil {
-			params.CheckpointFn = opt.CheckpointFn
-		} else {
-			path := opt.CheckpointPath
-			params.CheckpointFn = func(cp *moea.Checkpoint) error {
-				return moea.SaveCheckpoint(path, cp)
-			}
 		}
 	}
 
@@ -581,7 +549,7 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	for i := 0; i < problem.NumBits(); i++ {
 		ones.Set(i, true)
 	}
-	params.Seeds = append(append([]moea.Genome{}, opt.Seeds...), zeros, ones)
+	params.Seeds = []moea.Genome{zeros, ones}
 
 	evolveStart := time.Now()
 	se := root.Child(opt.Algorithm.String())

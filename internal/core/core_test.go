@@ -700,14 +700,20 @@ func TestOptionsPopulation(t *testing.T) {
 		t.Errorf("population 8 evaluated %d genomes, population 32 evaluated %d — knob has no effect",
 			small.Evaluations, big.Evaluations)
 	}
-	// The knob must compose with an explicit Params override too.
-	par := moea.Defaults(0, 20, 1)
-	optPar := DefaultOptions(20, 1)
-	optPar.Params = &par
-	optPar.Population = 6
-	s := synthesizeExample(t, optPar)
-	if len(s.Front) == 0 {
-		t.Fatal("empty front with Params + Population override")
+	// The knob must compose with the Crossover option too, which must
+	// reach the optimizer: the same run under one-point crossover
+	// breeds different genomes.
+	optUni := DefaultOptions(20, 1)
+	optUni.Crossover = moea.Uniform
+	optUni.Population = 6
+	uni := synthesizeExample(t, optUni)
+	if len(uni.Front) == 0 {
+		t.Fatal("empty front with Crossover + Population override")
+	}
+	optOne := optUni
+	optOne.Crossover = moea.OnePoint
+	if one := synthesizeExample(t, optOne); one.DeltaEvals == uni.DeltaEvals && fmt.Sprint(one.Front) == fmt.Sprint(uni.Front) {
+		t.Error("uniform and one-point crossover ran identically — Crossover has no effect")
 	}
 	// An invalid population must surface moea's validation error.
 	optBad := DefaultOptions(20, 1)

@@ -74,18 +74,11 @@ func (g Genome) Equal(o Genome) bool {
 	return true
 }
 
-// OnePointCrossover performs the paper's one-point crossover at bit
-// position point (1 <= point < nbits): the first child takes bits
-// [0,point) from g and the rest from o; the second child vice versa.
-func (g Genome) OnePointCrossover(o Genome, point, nbits int) (Genome, Genome) {
-	c1 := g.Clone()
-	c2 := o.Clone()
-	crossOnePoint(c1, c2, point)
-	return c1, c2
-}
-
-// crossOnePoint swaps the bit range [point, end) between the two
-// children in place. The callers hand in c1 == parent A, c2 == parent B.
+// crossOnePoint is the paper's one-point crossover at bit position
+// point (1 <= point < nbits), in place: it swaps the bit range
+// [point, end) between the two children, so that c1 keeps its bits
+// [0,point) and takes the rest from c2, and c2 vice versa. The callers
+// hand in c1 == parent A, c2 == parent B.
 func crossOnePoint(c1, c2 Genome, point int) {
 	word := point >> 6
 	// Full words after the crossover word swap wholesale.
@@ -103,35 +96,9 @@ func crossOnePoint(c1, c2 Genome, point int) {
 	}
 }
 
-// TwoPointCrossover exchanges the bit range [a, b) between the parents
-// (0 <= a < b <= nbits).
-func (g Genome) TwoPointCrossover(o Genome, a, b, nbits int) (Genome, Genome) {
-	c1 := g.Clone()
-	c2 := o.Clone()
-	crossTwoPoint(c1, c2, a, b, nbits)
-	return c1, c2
-}
-
-// crossTwoPoint is the in-place two-point crossover: swap the suffix at
-// a, then swap it back at b.
-func crossTwoPoint(c1, c2 Genome, a, b, nbits int) {
-	crossOnePoint(c1, c2, a)
-	if b < nbits {
-		crossOnePoint(c1, c2, b)
-	}
-}
-
-// UniformCrossover exchanges every bit independently with probability
-// 1/2, drawing word-sized masks from rng.
-func (g Genome) UniformCrossover(o Genome, rng *rand.Rand) (Genome, Genome) {
-	c1 := g.Clone()
-	c2 := o.Clone()
-	crossUniform(c1, c2, rng)
-	return c1, c2
-}
-
-// crossUniform is the in-place uniform crossover, drawing the same
-// word-sized masks from rng as UniformCrossover.
+// crossUniform is the in-place uniform crossover: it exchanges every
+// bit between the two children independently with probability 1/2,
+// drawing one word-sized mask from rng per word.
 func crossUniform(c1, c2 Genome, rng *rand.Rand) {
 	for w := range c1 {
 		mask := rng.Uint64()
@@ -141,43 +108,43 @@ func crossUniform(c1, c2 Genome, rng *rand.Rand) {
 	}
 }
 
-// MutateBits flips each of the nbits bits independently with probability
-// p, using geometric gap sampling so the cost is proportional to the
-// number of flips rather than the genome length.
-func (g Genome) MutateBits(rng *rand.Rand, p float64, nbits int) {
-	if p <= 0 {
+// mutator flips each bit of a genome independently with a fixed
+// probability p, through the gap sampler for p. An island's engine
+// builds one for the run's mutation rate; Randomize builds one per
+// call.
+type mutator struct {
+	p    float64
+	gaps gapSampler // read only for 0 < p < 1
+}
+
+func newMutator(p float64) mutator {
+	return mutator{p: p, gaps: newGapSampler(p)}
+}
+
+// mutate flips each of the nbits bits of g independently with
+// probability m.p, using geometric gap sampling so the cost is
+// proportional to the number of flips rather than the genome length.
+func (m *mutator) mutate(g Genome, rng *rand.Rand, nbits int) {
+	if m.p <= 0 {
 		return
 	}
-	if p >= 1 {
+	if m.p >= 1 {
 		for i := 0; i < nbits; i++ {
 			g.Flip(i)
 		}
 		return
 	}
-	s := newGapSampler(p)
-	for i := s.nextFlip(rng); i < nbits; i += 1 + s.nextFlip(rng) {
+	for i := m.gaps.nextFlip(rng); i < nbits; i += 1 + m.gaps.nextFlip(rng) {
 		g.Flip(i)
 	}
 }
 
-// Randomize sets each bit independently with probability density.
+// Randomize sets each bit independently with probability density: it
+// clears g and mutates it at that rate.
 func (g Genome) Randomize(rng *rand.Rand, density float64, nbits int) {
-	for w := range g {
-		g[w] = 0
-	}
-	if density <= 0 {
-		return
-	}
-	if density >= 1 {
-		for i := 0; i < nbits; i++ {
-			g.Set(i, true)
-		}
-		return
-	}
-	s := newGapSampler(density)
-	for i := s.nextFlip(rng); i < nbits; i += 1 + s.nextFlip(rng) {
-		g.Set(i, true)
-	}
+	clear(g)
+	m := newMutator(density)
+	m.mutate(g, rng, nbits)
 }
 
 // gapSampler draws the gaps between successes of independent Bernoulli

@@ -1,6 +1,7 @@
 package moea
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,8 @@ func TestOnePointCrossoverExact(t *testing.T) {
 		a.Set(i, true) // a = all ones, b = all zeros
 	}
 	for _, point := range []int{1, 63, 64, 65, 100, 199} {
-		c1, c2 := a.OnePointCrossover(b, point, n)
+		c1, c2 := a.Clone(), b.Clone()
+		crossOnePoint(c1, c2, point)
 		for i := 0; i < n; i++ {
 			wantC1 := i < point // c1 takes a's low bits
 			if c1.Get(i) != wantC1 {
@@ -65,7 +67,8 @@ func TestCrossoverPreservesBitSum(t *testing.T) {
 			return true
 		}
 		point := 1 + rng.Intn(n-1)
-		c1, c2 := a.OnePointCrossover(b, point, n)
+		c1, c2 := a.Clone(), b.Clone()
+		crossOnePoint(c1, c2, point)
 		return c1.Count()+c2.Count() == a.Count()+b.Count()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -78,22 +81,24 @@ func TestMutateBitsRate(t *testing.T) {
 	const p = 0.01
 	g := NewGenome(n)
 	rng := rand.New(rand.NewSource(1))
-	g.MutateBits(rng, p, n)
+	m := newMutator(p)
+	m.mutate(g, rng, n)
 	flips := g.Count()
 	// Expected 1000 flips; allow +-30%.
 	if flips < 700 || flips > 1300 {
-		t.Errorf("MutateBits flipped %d of %d bits at p=%v, want about %d", flips, n, p, int(n*p))
+		t.Errorf("mutation flipped %d of %d bits at p=%v, want about %d", flips, n, p, int(n*p))
 	}
 }
 
 func TestMutateBitsEdgeCases(t *testing.T) {
 	g := NewGenome(64)
 	rng := rand.New(rand.NewSource(2))
-	g.MutateBits(rng, 0, 64)
+	none, all := newMutator(0), newMutator(1)
+	none.mutate(g, rng, 64)
 	if g.Count() != 0 {
 		t.Error("p=0 mutated bits")
 	}
-	g.MutateBits(rng, 1, 64)
+	all.mutate(g, rng, 64)
 	if g.Count() != 64 {
 		t.Errorf("p=1 flipped %d bits, want 64", g.Count())
 	}
@@ -227,7 +232,7 @@ func TestFastLogBound(t *testing.T) {
 	t.Logf("max |fastLog - math.Log| = %g (bound %g)", worst, fastLogErr)
 }
 
-// TestSamplerDrawsUnchanged holds MutateBits and Randomize to the
+// TestSamplerDrawsUnchanged holds mutation and Randomize to the
 // math.Log loops they replace: same genomes and the same RNG position
 // afterwards, for every probability the oracle covers.
 func TestSamplerDrawsUnchanged(t *testing.T) {
@@ -251,7 +256,8 @@ func TestSamplerDrawsUnchanged(t *testing.T) {
 			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 			got.Randomize(r1, p, n)
 			refLoop(r2, p, func(i int) { want.Set(i, true) })
-			got.MutateBits(r1, p, n)
+			m := newMutator(p)
+			m.mutate(got, r1, n)
 			refLoop(r2, p, want.Flip)
 			if !got.Equal(want) || r1.Int63() != r2.Int63() {
 				t.Fatalf("p=%g seed %d: genome or RNG position differs from the math.Log loop", p, seed)
@@ -260,15 +266,21 @@ func TestSamplerDrawsUnchanged(t *testing.T) {
 	}
 }
 
-// BenchmarkMutateBits times one paper-rate mutation of an
-// MBIST_5_20_20-sized genome (30,537 bits, about 305 flips).
+// BenchmarkMutateBits times one paper-rate mutation (p = 0.01, the
+// sampler built once, as an island's engine does) of a TreeFlat-sized
+// genome (48 bits, about 0.5 flips) and of an MBIST_5_20_20-sized one
+// (30,537 bits, about 305 flips).
 func BenchmarkMutateBits(b *testing.B) {
-	const n = 30537
-	g := NewGenome(n)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.MutateBits(rng, 0.01, n)
+	for _, n := range []int{48, 30537} {
+		b.Run(fmt.Sprintf("bits=%d", n), func(b *testing.B) {
+			g := NewGenome(n)
+			rng := rand.New(rand.NewSource(1))
+			m := newMutator(0.01)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.mutate(g, rng, n)
+			}
+		})
 	}
 }
 

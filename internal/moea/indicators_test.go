@@ -212,96 +212,32 @@ func TestRefPoint(t *testing.T) {
 }
 
 func TestNormalizedHypervolume(t *testing.T) {
+	norm := func(front []Individual, ref []float64) float64 {
+		return NormalizeHypervolume(Hypervolume(front, ref), ref)
+	}
 	ref := []float64{10, 10}
 	// A single point at the origin dominates the whole box.
-	if got := NormalizedHypervolume(indFront([]float64{0, 0}), ref); got != 1 {
+	if got := norm(indFront([]float64{0, 0}), ref); got != 1 {
 		t.Errorf("origin norm HV = %v, want 1", got)
 	}
-	if got := NormalizedHypervolume(nil, ref); got != 0 {
+	if got := norm(nil, ref); got != 0 {
 		t.Errorf("empty norm HV = %v, want 0", got)
 	}
-	if got := NormalizedHypervolume(indFront([]float64{5, 5}), ref); got != 0.25 {
+	if got := norm(indFront([]float64{5, 5}), ref); got != 0.25 {
 		t.Errorf("center norm HV = %v, want 0.25", got)
 	}
 	// Degenerate reference box.
-	if got := NormalizedHypervolume(indFront([]float64{0, 0}), []float64{0, 10}); got != 0 {
+	if got := norm(indFront([]float64{0, 0}), []float64{0, 10}); got != 0 {
 		t.Errorf("degenerate box norm HV = %v, want 0", got)
 	}
 	// Monotone in front additions.
-	a := NormalizedHypervolume(indFront([]float64{2, 8}), ref)
-	b := NormalizedHypervolume(indFront([]float64{2, 8}, []float64{8, 2}), ref)
+	a := norm(indFront([]float64{2, 8}), ref)
+	b := norm(indFront([]float64{2, 8}, []float64{8, 2}), ref)
 	if b <= a {
 		t.Errorf("adding a nondominated point did not grow norm HV: %v -> %v", a, b)
 	}
 	// 3-D: the origin still claims the whole box.
-	if got := NormalizedHypervolume(indFront([]float64{0, 0, 0}), []float64{4, 5, 10}); got != 1 {
+	if got := norm(indFront([]float64{0, 0, 0}), []float64{4, 5, 10}); got != 1 {
 		t.Errorf("3-D origin norm HV = %v, want 1", got)
-	}
-}
-
-func TestHypervolumeContributions(t *testing.T) {
-	ref := []float64{4, 4}
-	// Staircase front (1,3), (2,2), (3,1): HV = 6 (see TestHypervolume).
-	front := indFront([]float64{1, 3}, []float64{2, 2}, []float64{3, 1})
-	contrib := HypervolumeContributions(front, ref)
-	want := []float64{1, 1, 1}
-	for i := range want {
-		if math.Abs(contrib[i]-want[i]) > 1e-12 {
-			t.Errorf("contrib[%d] = %v, want %v", i, contrib[i], want[i])
-		}
-	}
-	// A dominated point contributes zero; the dominator's exclusive
-	// volume is the total minus what the dominated point still covers:
-	// 9 - 4 = 5.
-	front = indFront([]float64{1, 1}, []float64{2, 2})
-	contrib = HypervolumeContributions(front, ref)
-	if contrib[1] != 0 {
-		t.Errorf("dominated contrib = %v, want 0", contrib[1])
-	}
-	if math.Abs(contrib[0]-5) > 1e-12 {
-		t.Errorf("dominator contrib = %v, want 5", contrib[0])
-	}
-	// Duplicate vectors each contribute zero.
-	front = indFront([]float64{2, 2}, []float64{2, 2})
-	contrib = HypervolumeContributions(front, ref)
-	if contrib[0] != 0 || contrib[1] != 0 {
-		t.Errorf("duplicate contribs = %v, want zeros", contrib)
-	}
-	// Out-of-box point contributes zero.
-	front = indFront([]float64{1, 1}, []float64{5, 5})
-	contrib = HypervolumeContributions(front, ref)
-	if contrib[1] != 0 {
-		t.Errorf("out-of-box contrib = %v, want 0", contrib[1])
-	}
-	if got := HypervolumeContributions(nil, ref); len(got) != 0 {
-		t.Errorf("nil front contribs = %v, want empty", got)
-	}
-	// Contributions sum to at most the total hypervolume.
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(12)
-		f := make([]Individual, n)
-		for i := range f {
-			f[i] = Individual{Obj: []float64{rng.Float64() * 5, rng.Float64() * 5}}
-		}
-		total := Hypervolume(f, ref)
-		sum := 0.0
-		for _, cv := range HypervolumeContributions(f, ref) {
-			if cv < 0 {
-				t.Fatalf("negative contribution %v", cv)
-			}
-			sum += cv
-		}
-		if sum > total+1e-9 {
-			t.Fatalf("contributions sum %v exceeds total %v", sum, total)
-		}
-	}
-	// 3-D contributions: two symmetric nondominated points with ref
-	// (3,3,3) — each exclusive region has the same volume.
-	f3 := indFront([]float64{1, 2, 2}, []float64{2, 1, 1})
-	c3 := HypervolumeContributions(f3, []float64{3, 3, 3})
-	total3 := Hypervolume(f3, []float64{3, 3, 3})
-	if c3[0] <= 0 || c3[1] <= 0 || c3[0]+c3[1] > total3 {
-		t.Errorf("3-D contributions %v inconsistent with total %v", c3, total3)
 	}
 }

@@ -28,8 +28,8 @@ import (
 // interleaves with migration: initialization (or resume), selection
 // (which counts the generation), breeding (which recycles the previous
 // union, so it must run after migration has decided which members stay
-// referenced), the current best set, and the migration hooks — the
-// selection pool migration reads and writes, and the algorithm's
+// referenced), the current best set, and the pool that mating selection
+// and migration read (migration also writes it) with the algorithm's
 // fitness order over it.
 type islandRun interface {
 	start() error
@@ -101,17 +101,13 @@ func evolve(algo string, p Problem, par Params) (*Result, error) {
 		if K > 1 {
 			kp.Islands = 1
 			kp.Population = popShare(par.Population, K, k)
-			kp.Archive = max(popShare(par.Archive, K, k), 1)
 			kp.Seed = islandSeed(par.Seed, k)
 			kp.Resume = nil
 			if cp := par.Resume; cp != nil {
 				kp.Resume = cp.IslandCkpts[k]
 			}
 		}
-		e, err := newEngine(p, &kp)
-		if err != nil {
-			return nil, err
-		}
+		e := newEngine(p, &kp)
 		if algo == "nsga2" {
 			runs[k] = &nsga2Run{e: e}
 		} else {
@@ -193,7 +189,7 @@ func evolve(algo string, p Problem, par Params) (*Result, error) {
 			break
 		}
 		if K > 1 && gen > 0 && gen%par.MigrationEvery == 0 {
-			migrate(runs, par.MigrationCount)
+			migrate(runs)
 		}
 		if err := phaseAll(runs, phaseBreed, gen); err != nil {
 			// Mid-batch cancellation: the half-evaluated offspring are
@@ -285,33 +281,21 @@ func phaseAll(runs []islandRun, ph phase, gen int) error {
 }
 
 // migrate performs one ring migration k → (k+1) mod K: each island's
-// count best pool members (by the algorithm's fitness order, index
-// tiebreak) are cloned into the receiver's arena, then each receiver's
-// count worst are replaced in place. Cloning everything before any
-// injection keeps the exchange consistent — every migrant reflects the
-// pre-migration state. The displaced victims stay referenced by the
+// best tenth of its pool (by the algorithm's fitness order, index
+// tiebreak; at least one member, at most the receiver's pool) is cloned
+// into the receiver's arena, then as many of each receiver's worst are
+// replaced in place. Cloning everything before any injection keeps the
+// exchange consistent — every migrant reflects the pre-migration state. The displaced victims stay referenced by the
 // sender's last union, so the normal breed-phase recycle frees their
 // buffers; migration itself draws no randomness and is a pure function
 // of island state.
-func migrate(runs []islandRun, count int) {
+func migrate(runs []islandRun) {
 	K := len(runs)
 	incoming := make([][]Individual, K)
 	for k := 0; k < K; k++ {
 		dst := (k + 1) % K
 		pool := runs[k].pool()
-		n := count
-		if n <= 0 {
-			n = len(pool) / 10
-			if n < 1 {
-				n = 1
-			}
-		}
-		if n > len(pool) {
-			n = len(pool)
-		}
-		if rp := runs[dst].pool(); n > len(rp) {
-			n = len(rp)
-		}
+		n := min(max(len(pool)/10, 1), len(pool), len(runs[dst].pool()))
 		if n == 0 {
 			continue
 		}

@@ -359,7 +359,6 @@ func TestIslandParamsValidation(t *testing.T) {
 		{"negative islands", func(p *Params) { p.Islands = -1 }},
 		{"population too small", func(p *Params) { p.Islands = 5 }},
 		{"negative migration interval", func(p *Params) { p.Islands = 2; p.MigrationEvery = -1 }},
-		{"negative migration count", func(p *Params) { p.Islands = 2; p.MigrationCount = -2 }},
 	} {
 		par := base
 		tc.mut(&par)

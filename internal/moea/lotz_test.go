@@ -46,7 +46,7 @@ func lotzFrontCoverage(res *Result, n int) (onFront, distinct int) {
 func TestSPEA2OnLOTZ(t *testing.T) {
 	const n = 24
 	res, err := SPEA2(lotz{n: n}, Params{
-		Population: 60, Archive: 60, Generations: 250,
+		Population: 60, Generations: 250,
 		PCrossover: 0.95, PMutateBit: 1.0 / n, Seed: 3,
 	})
 	if err != nil {
@@ -82,8 +82,9 @@ func TestNSGA2OnLOTZ(t *testing.T) {
 }
 
 // TestSPEA2DensityPreservesSpread checks that archive truncation keeps
-// the extreme points: with an archive smaller than the exact front, the
-// two corners (all-ones, all-zeros objectives) must survive.
+// the extreme points: with an archive (the population, 8) much smaller
+// than the 41-point exact front, the two corners (all-ones, all-zeros
+// objectives) must survive.
 func TestSPEA2DensityPreservesSpread(t *testing.T) {
 	// Seed the two exact corners into the initial population: truncation
 	// must never drop them, however small the archive.
@@ -93,7 +94,7 @@ func TestSPEA2DensityPreservesSpread(t *testing.T) {
 		ones.Set(i, true)
 	}
 	res, err := SPEA2(lotz{n: n}, Params{
-		Population: 30, Archive: 8, Generations: 120,
+		Population: 8, Generations: 120,
 		PCrossover: 0.95, PMutateBit: 1.0 / n, Seed: 5,
 		Seeds: []Genome{NewGenome(n), ones},
 	})

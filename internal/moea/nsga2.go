@@ -2,7 +2,6 @@ package moea
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 )
 
@@ -50,7 +49,7 @@ func (r *nsga2Run) start() error {
 func (r *nsga2Run) selectPhase(gen int) error {
 	e := r.e
 	var err error
-	r.off, err = e.offspring(r.off, nsga2Tournament(r.pop, e.par, e.rng))
+	r.off, err = e.offspring(r.off, r)
 	if err != nil {
 		return err
 	}
@@ -96,27 +95,14 @@ func (r *nsga2Run) breedPhase() error {
 // current is the set to extract a front from.
 func (r *nsga2Run) current() []Individual { return r.pop }
 
-// Migration hooks: NSGA-II migrates through the population, ordered by
-// the crowded comparison (rank, then crowding distance).
+// Mating selection and migration hooks: NSGA-II selects parents from,
+// and migrates through, the population, ordered by the crowded
+// comparison (rank, then crowding distance).
 func (r *nsga2Run) eng() *engine                 { return r.e }
 func (r *nsga2Run) pool() []Individual           { return r.pop }
 func (r *nsga2Run) better(a, b *Individual) bool { return crowdedLess(a, b) }
 func (r *nsga2Run) snapshot(gen int) *Checkpoint {
 	return r.e.snapshot("nsga2", gen, r.pop, nil)
-}
-
-// nsga2Tournament is NSGA-II's mating selection: the crowded-comparison
-// winner of a size-TournamentSize tournament over the population.
-func nsga2Tournament(pop []Individual, par *Params, rng *rand.Rand) func() *Individual {
-	return func() *Individual {
-		best := rng.Intn(len(pop))
-		for t := 1; t < par.TournamentSize; t++ {
-			if c := rng.Intn(len(pop)); crowdedLess(&pop[c], &pop[best]) {
-				best = c
-			}
-		}
-		return &pop[best]
-	}
 }
 
 // crowdedLess implements the crowded-comparison operator: lower rank

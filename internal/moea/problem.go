@@ -63,34 +63,28 @@ func (in *Individual) Fitness() float64 { return in.fitness }
 // CrossoverKind selects the recombination operator.
 type CrossoverKind uint8
 
-// Crossover operators. The paper uses one-point crossover; the others
-// exist for the operator ablation.
+// Crossover operators. The paper uses one-point crossover; uniform
+// crossover exists for the operator ablation.
 const (
 	OnePoint CrossoverKind = iota
-	TwoPoint
 	Uniform
 )
 
 // String names the operator.
 func (c CrossoverKind) String() string {
-	switch c {
-	case TwoPoint:
-		return "two-point"
-	case Uniform:
+	if c == Uniform {
 		return "uniform"
-	default:
-		return "one-point"
 	}
+	return "one-point"
 }
 
 // Params configures an evolutionary run. The defaults (via Defaults)
 // reproduce the operator settings of the paper's Section VI.
 type Params struct {
-	// Population is the number of individuals per generation. The paper
-	// uses 300 for networks with more than 100 multiplexers, else 100.
+	// Population is the number of individuals per generation, and the
+	// capacity of the SPEA-2 archive. The paper uses 300 for networks
+	// with more than 100 multiplexers, else 100.
 	Population int
-	// Archive is the SPEA-2 archive capacity; 0 means Population.
-	Archive int
 	// Generations is the number of generations to run.
 	Generations int
 	// PCrossover is the crossover probability (paper: 0.95).
@@ -101,39 +95,29 @@ type Params struct {
 	// PMutateBit is the independent per-bit mutation probability
 	// (paper: 0.01).
 	PMutateBit float64
-	// TournamentSize is the mating-selection tournament size
-	// (0 = binary, the standard).
-	TournamentSize int
 	// Seed drives the deterministic pseudo-random run.
 	Seed int64
-	// Seeds are optional genomes injected into the initial population
-	// (for example greedy warm starts). The paper's setup uses none.
+	// Seeds are optional genomes that take the first slots of the
+	// initial population; the synthesis (internal/core) injects the two
+	// extreme solutions, nothing and everything hardened.
 	Seeds []Genome
-	// MaxInitDensity bounds the hardening density of random initial
-	// individuals; individual k gets density (k+1)/pop · MaxInitDensity,
-	// giving the "diversified set of genes" of Section V. Default 0.5.
-	MaxInitDensity float64
 	// Workers is the evaluation worker-pool size: 0 selects
 	// GOMAXPROCS, 1 forces serial evaluation. The result is
 	// bit-for-bit identical at every worker count.
 	Workers int
 	// Islands, when greater than 1, runs the island model: K seeded
 	// sub-populations (the total Population is split across them) evolve
-	// concurrently in generation lockstep, exchanging their best
-	// individuals along a ring every MigrationEvery generations, and the
-	// final front is the merged nondominated set. The run is a pure
-	// function of (Seed, Islands): bit-identical at any worker count.
-	// 0 and 1 both run a single population: one island, which never
-	// migrates.
+	// concurrently in generation lockstep, each sending its best tenth
+	// (at least one individual) to its ring successor every
+	// MigrationEvery generations, and the final front is the merged
+	// nondominated set. The run is a pure function of (Seed, Islands):
+	// bit-identical at any worker count. 0 and 1 both run a single
+	// population: one island, which never migrates.
 	Islands int
 	// MigrationEvery is the island-model migration interval in
 	// generations (default 10). Migration happens after the selection of
 	// every generation g with g > 0 and g % MigrationEvery == 0.
 	MigrationEvery int
-	// MigrationCount is the number of individuals each island sends to
-	// its ring successor per migration (default: a tenth of the island
-	// population, at least 1; clamped to the island size).
-	MigrationCount int
 	// Telemetry, if non-nil, receives the executor's instruments
 	// (evaluation counters, batch-size gauge, utilization histogram).
 	Telemetry *telemetry.Collector
@@ -243,33 +227,22 @@ func Defaults(numMuxes int, generations int, seed int64) Params {
 		pop = 300
 	}
 	return Params{
-		Population:     pop,
-		Generations:    generations,
-		PCrossover:     0.95,
-		PMutateBit:     0.01,
-		Seed:           seed,
-		MaxInitDensity: 0.5,
+		Population:  pop,
+		Generations: generations,
+		PCrossover:  0.95,
+		PMutateBit:  0.01,
+		Seed:        seed,
 	}
 }
 
+// normalize validates the parameters and fills in the defaults; evolve
+// runs it once per run, before splitting the population into islands.
 func (p *Params) normalize() error {
 	if p.Population < 2 {
 		return fmt.Errorf("moea: population must be at least 2, got %d", p.Population)
 	}
-	if p.Archive < 0 {
-		return fmt.Errorf("moea: archive must be non-negative, got %d", p.Archive)
-	}
-	if p.Archive == 0 {
-		p.Archive = p.Population
-	}
 	if p.Generations < 1 {
 		return fmt.Errorf("moea: generations must be positive, got %d", p.Generations)
-	}
-	if p.MaxInitDensity <= 0 {
-		p.MaxInitDensity = 0.5
-	}
-	if p.TournamentSize < 2 {
-		p.TournamentSize = 2
 	}
 	if p.CheckpointEvery < 0 {
 		return fmt.Errorf("moea: checkpoint interval must be non-negative, got %d", p.CheckpointEvery)
@@ -285,9 +258,6 @@ func (p *Params) normalize() error {
 	}
 	if p.MigrationEvery < 0 {
 		return fmt.Errorf("moea: migration interval must be non-negative, got %d", p.MigrationEvery)
-	}
-	if p.MigrationCount < 0 {
-		return fmt.Errorf("moea: migration count must be non-negative, got %d", p.MigrationCount)
 	}
 	if p.MigrationEvery == 0 {
 		p.MigrationEvery = 10

@@ -2,12 +2,12 @@ package moea
 
 import "math/rand"
 
-// engine is the runtime of one island (one population): parameter
-// normalization, the seeded RNG, diversified population initialization,
-// batched objective evaluation with exact accounting, and offspring
-// breeding. The algorithm files reduce to fitness assignment plus
-// selection on top of it, and the generation loop (evolve) steps the
-// engines of all islands.
+// engine is the runtime of one island (one population): the seeded
+// RNG, diversified population initialization, batched objective
+// evaluation with exact accounting, and offspring breeding. The
+// algorithm files reduce to fitness assignment plus selection on top of
+// it, and the generation loop (evolve) steps the engines of all
+// islands.
 //
 // Evaluation goes through the Executor at a whole-population batch
 // boundary: genomes are bred first (consuming the RNG in exactly the
@@ -29,6 +29,7 @@ type engine struct {
 	rng   *rand.Rand
 	exec  *Executor
 	res   *Result
+	mut   mutator // the run's per-bit mutation, its sampler built once
 	nbits int
 	m     int
 
@@ -52,11 +53,9 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// newEngine validates the parameters and assembles the runtime.
-func newEngine(p Problem, par *Params) (*engine, error) {
-	if err := par.normalize(); err != nil {
-		return nil, err
-	}
+// newEngine assembles the runtime of one island from its normalized
+// parameters.
+func newEngine(p Problem, par *Params) *engine {
 	src := newCountedSource(par.Seed)
 	return &engine{
 		prob:  p,
@@ -65,10 +64,11 @@ func newEngine(p Problem, par *Params) (*engine, error) {
 		rng:   rand.New(src),
 		exec:  NewExecutor(par.Context, p, par.Workers, par.Telemetry),
 		res:   &Result{},
+		mut:   newMutator(par.PMutateBit),
 		nbits: p.NumBits(),
 		m:     p.NumObjectives(),
 		live:  make(map[*uint64]struct{}),
-	}, nil
+	}
 }
 
 // evaluate batch-evaluates the individuals, accounting every objective
@@ -225,6 +225,12 @@ func (e *engine) unionInto(a, b []Individual) []Individual {
 	return e.union
 }
 
+// maxInitDensity bounds the hardening density of random initial
+// individuals: individual k of a population of n gets density
+// (k+1)/n · maxInitDensity, the "diversified set of genes" of the
+// paper's Section V.
+const maxInitDensity = 0.5
+
 // initialPopulation builds the diversified random initial population,
 // with optional seed genomes occupying the first slots.
 func (e *engine) initialPopulation() ([]Individual, error) {
@@ -236,7 +242,7 @@ func (e *engine) initialPopulation() ([]Individual, error) {
 	}
 	for ; i < par.Population; i++ {
 		g := NewGenome(e.nbits)
-		density := par.MaxInitDensity * float64(i+1) / float64(par.Population)
+		density := maxInitDensity * float64(i+1) / float64(par.Population)
 		g.Randomize(e.rng, density, e.nbits)
 		pop[i] = Individual{G: g}
 	}
@@ -244,11 +250,13 @@ func (e *engine) initialPopulation() ([]Individual, error) {
 }
 
 // offspring refills dst with Population children bred from pairs of
-// pick() tournament winners, then batch-evaluates them, offering each
-// child's closest breeding parent as its delta-evaluation base. On
-// error the returned slice must still replace the caller's (the buffers
-// were already consumed) but its objectives are not all valid.
-func (e *engine) offspring(dst []Individual, pick func() *Individual) ([]Individual, error) {
+// binary-tournament winners over r's pool, then batch-evaluates them,
+// offering each child's closest breeding parent as its delta-evaluation
+// base. A tournament draws two pool members and keeps the second only
+// when it is strictly better in r's order. On error the returned slice
+// must still replace the caller's (the buffers were already consumed)
+// but its objectives are not all valid.
+func (e *engine) offspring(dst []Individual, r islandRun) ([]Individual, error) {
 	if cap(dst) < e.par.Population {
 		dst = make([]Individual, 0, e.par.Population)
 	} else {
@@ -257,8 +265,17 @@ func (e *engine) offspring(dst []Individual, pick func() *Individual) ([]Individ
 		dst = dst[:0:e.par.Population]
 	}
 	e.bases = e.bases[:0]
+	pool := r.pool()
 	for len(dst) < e.par.Population {
-		dst = e.vary(dst, pick(), pick())
+		var parents [2]*Individual
+		for k := range parents {
+			best := e.rng.Intn(len(pool))
+			if c := e.rng.Intn(len(pool)); r.better(&pool[c], &pool[best]) {
+				best = c
+			}
+			parents[k] = &pool[best]
+		}
+		dst = e.vary(dst, parents[0], parents[1])
 	}
 	err := e.evaluate(dst, e.bases)
 	// Drop the parent-buffer aliases: the parents may die in the next
@@ -284,31 +301,14 @@ func (e *engine) vary(dst []Individual, pa, pb *Individual) []Individual {
 	c1.CopyFrom(a)
 	c2.CopyFrom(b)
 	// The base is the parent contributing the majority of each child's
-	// bits: for one-point at x, c1 is a[:x]+b[x:]; for two-point [x,y),
-	// c1 keeps a except b's middle. Uniform mixes ~half from each, so
-	// either parent works (the delta path falls back on large diffs).
+	// bits: for one-point at x, c1 is a[:x]+b[x:]. Uniform mixes ~half
+	// from each, so either parent works (the delta path falls back on
+	// large diffs).
 	b1, b2 := pa, pb
 	if nbits > 1 && rng.Float64() < par.PCrossover {
-		switch par.Crossover {
-		case Uniform:
+		if par.Crossover == Uniform {
 			crossUniform(c1, c2, rng)
-		case TwoPoint:
-			x := 1 + rng.Intn(nbits-1)
-			y := 1 + rng.Intn(nbits-1)
-			if x > y {
-				x, y = y, x
-			}
-			if x == y {
-				y = x + 1
-				if y > nbits {
-					y = nbits
-				}
-			}
-			crossTwoPoint(c1, c2, x, y, nbits)
-			if 2*(y-x) > nbits {
-				b1, b2 = pb, pa
-			}
-		default:
+		} else {
 			point := 1 + rng.Intn(nbits-1)
 			crossOnePoint(c1, c2, point)
 			if 2*point < nbits {
@@ -316,8 +316,8 @@ func (e *engine) vary(dst []Individual, pa, pb *Individual) []Individual {
 			}
 		}
 	}
-	c1.MutateBits(rng, par.PMutateBit, nbits)
-	c2.MutateBits(rng, par.PMutateBit, nbits)
+	e.mut.mutate(c1, rng, nbits)
+	e.mut.mutate(c2, rng, nbits)
 	dst = append(dst, Individual{G: c1, Obj: e.grabObj()})
 	e.bases = append(e.bases, EvalBase{G: b1.G, Obj: b1.Obj})
 	if len(dst) < cap(dst) {

@@ -3,7 +3,6 @@ package moea
 import (
 	"cmp"
 	"math"
-	"math/rand"
 	"slices"
 )
 
@@ -57,7 +56,7 @@ func (r *spea2Run) start() (err error) {
 func (r *spea2Run) selectPhase(gen int) error {
 	e := r.e
 	union := e.unionInto(r.pop, r.archive)
-	r.archive = environmentalSelection(union, e.par.Archive, e.m, e.exec.Workers(), &e.sel)
+	r.archive = environmentalSelection(union, e.par.Population, e.m, e.exec.Workers(), &e.sel)
 	r.lastUnion = union
 	e.res.Generations = gen + 1
 	return nil
@@ -69,7 +68,7 @@ func (r *spea2Run) breedPhase() error {
 	e := r.e
 	e.recycle(r.lastUnion, r.archive)
 	var err error
-	r.pop, err = e.offspring(r.pop, spea2Tournament(r.archive, e.par, e.rng))
+	r.pop, err = e.offspring(r.pop, r)
 	return err
 }
 
@@ -82,27 +81,14 @@ func (r *spea2Run) current() []Individual {
 	return r.archive
 }
 
-// Migration hooks: SPEA-2 migrates through the archive, ordered by its
-// fitness F (lower is better).
+// Mating selection and migration hooks: SPEA-2 selects parents from,
+// and migrates through, the archive, ordered by its fitness F (lower is
+// better).
 func (r *spea2Run) eng() *engine                 { return r.e }
 func (r *spea2Run) pool() []Individual           { return r.archive }
 func (r *spea2Run) better(a, b *Individual) bool { return a.fitness < b.fitness }
 func (r *spea2Run) snapshot(gen int) *Checkpoint {
 	return r.e.snapshot("spea2", gen, r.pop, r.archive)
-}
-
-// spea2Tournament is SPEA-2's mating selection: the best-fitness winner
-// of a size-TournamentSize tournament over the archive.
-func spea2Tournament(archive []Individual, par *Params, rng *rand.Rand) func() *Individual {
-	return func() *Individual {
-		best := rng.Intn(len(archive))
-		for t := 1; t < par.TournamentSize; t++ {
-			if c := rng.Intn(len(archive)); archive[c].fitness < archive[best].fitness {
-				best = c
-			}
-		}
-		return &archive[best]
-	}
 }
 
 // fitScratch is the reusable per-generation scratch of the fitness
