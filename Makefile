@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache perfbench fuzz bench bench-smoke clean
+.PHONY: ci fmt vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache perfbench artifacts-check fuzz bench bench-smoke clean
 
-ci: fmt vet lint build race determinism serve-smoke chaos-fleet chaos-cache perfbench
+ci: fmt vet lint build race determinism serve-smoke chaos-fleet chaos-cache perfbench artifacts-check
 
 # Formatting gate: fails when gofmt would rewrite any tracked Go file,
 # naming the files.
@@ -107,6 +107,29 @@ chaos-cache:
 # only the benchmark fails here.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Artifact gate: regenerate three committed outputs from the current
+# tree and fail on any difference: ftcompare.txt byte for byte, and
+# ablation.txt (table1 -ablate) and table1_control.md (table1 -paper
+# -format markdown) in every column but their wall-clock time, the last
+# field of an ablation line and the 12th |-separated field of a Table I
+# row. The universe-all table1_all.md takes minutes and stays a manual
+# check.
+NO_TIME_ABLATION = awk '{ $$NF = "" } 1'
+NO_TIME_TABLE1 = awk -F'|' 'NR > 2 { $$12 = "" } 1'
+
+artifacts-check:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/" ./cmd/ftcompare ./cmd/table1; \
+	"$$d/ftcompare" > "$$d/ftcompare.txt" 2> "$$d/log" || { cat "$$d/log"; exit 1; }; \
+	"$$d/table1" -ablate > "$$d/ablation.txt" 2> "$$d/log" || { cat "$$d/log"; exit 1; }; \
+	"$$d/table1" -paper -format markdown > "$$d/table1_control.md" 2> "$$d/log" || { cat "$$d/log"; exit 1; }; \
+	diff ftcompare.txt "$$d/ftcompare.txt"; \
+	$(NO_TIME_ABLATION) ablation.txt > "$$d/want"; $(NO_TIME_ABLATION) "$$d/ablation.txt" > "$$d/got"; \
+	diff "$$d/want" "$$d/got"; \
+	$(NO_TIME_TABLE1) table1_control.md > "$$d/want"; $(NO_TIME_TABLE1) "$$d/table1_control.md" > "$$d/got"; \
+	diff "$$d/want" "$$d/got"; \
+	echo "artifacts-check: ftcompare.txt, ablation.txt and table1_control.md reproduce"
 
 # Short fuzz pass over the hostile-input decoders — the ICL parser, the
 # checkpoint codec and the one-pass request-body decoder against

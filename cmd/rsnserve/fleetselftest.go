@@ -46,11 +46,11 @@ func runFleetSelftest() error {
 	}
 	defer stop2()
 
-	// Requests 0 and 1 through the proxy are the dispatch sweep's
-	// health probes; request 2 is the job itself, killed after the
-	// first checkpoint event so the coordinator must migrate it.
+	// Request 0 through the proxy is the dispatch sweep's health probe;
+	// request 1 is the job itself, killed after the first checkpoint
+	// event so the coordinator must migrate it.
 	proxy, err := chaos.NewProxy(w1, []chaos.Fault{
-		{}, {},
+		{},
 		{Kind: chaos.FaultKillAfterEvents, Event: "checkpoint", Events: 1},
 	})
 	if err != nil {

@@ -33,7 +33,7 @@
 // and new jobs are rejected while in-flight requests keep running; when
 // the grace period expires, the remaining syntheses are aborted
 // cooperatively and return their partial fronts before the process
-// exits. The drain also dumps the flight recorder — the last completed
+// exits. The drain also dumps the flight recorder — the last finished
 // jobs with their span trees — to stderr as JSON, so a terminated pod
 // leaves its black box in the log stream.
 package main
@@ -70,7 +70,7 @@ func main() {
 		grace     = flag.Duration("drain-grace", 10*time.Second, "how long a drain waits before aborting in-flight jobs")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "json", "log format: json (one object per line) or text")
-		flight    = flag.Int("flight", 128, "flight recorder capacity in completed jobs (negative disables; dumped on drain and served at /debug/flight)")
+		flight    = flag.Int("flight", 128, "flight recorder capacity in finished jobs, listed at /v1/jobs; their span trees are served at /debug/flight and dumped on drain (negative keeps 128 jobs without span trees)")
 		selftest  = flag.Bool("selftest", false, "start the server on a loopback port, run a load-generating smoke test against it, and exit")
 
 		coordinator = flag.String("coordinator", "", "run as fleet coordinator fronting these comma-separated worker URLs instead of serving jobs locally")

@@ -416,7 +416,10 @@ func runAblation(filter *regexp.Regexp, seed int64, quick bool) {
 		// Greedy, random and exact reuse the SPEA-2 run's analysis.
 		a := analysisRef.Analysis
 		start := time.Now()
-		greedy := baseline.GreedyFront(a)
+		var greedy []core.Solution // the rows score cost and damage alone
+		for _, st := range baseline.GreedyFront(a) {
+			greedy = append(greedy, core.Solution{Cost: st.Cost, Damage: st.Damage})
+		}
 		addAblationRow(tb, e.Name, "greedy", greedy, analysisRef, time.Since(start))
 		start = time.Now()
 		rnd := baseline.RandomFront(a, seed, 2000)

@@ -43,7 +43,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedy := baseline.GreedyFront(spea.Analysis)
+	var greedy []core.Solution // the plot and the table read cost and damage alone
+	for _, st := range baseline.GreedyFront(spea.Analysis) {
+		greedy = append(greedy, core.Solution{Cost: st.Cost, Damage: st.Damage})
+	}
 	exact := baseline.NewExact(spea.Analysis)
 
 	maxC, maxD := float64(spea.MaxCost), float64(spea.MaxDamage)

@@ -24,90 +24,77 @@ import (
 	"rsnrobust/internal/rsn"
 )
 
+// GreedyStep is one solution of the greedy staircase: the first
+// Hardened primitives of the greedy order hardened, at the given cost
+// and residual damage.
+type GreedyStep struct {
+	Hardened     int
+	Cost, Damage int64
+	// CriticalCovered reports whether the prefix hardens every
+	// critical-hit primitive.
+	CriticalCovered bool
+}
+
 // GreedyFront hardens primitives in decreasing damage-per-cost order and
 // returns the nondominated ones among the n+1 prefix solutions (from
-// nothing hardened to everything hardened). The result is sorted by
-// increasing cost.
-func GreedyFront(a *faults.Analysis) []core.Solution {
-	type item struct {
-		i    int // index into a.Prims
-		d, c int64
+// nothing hardened to everything hardened), sorted by increasing cost.
+// A step names its prefix by length, so the front takes O(primitives)
+// memory.
+func GreedyFront(a *faults.Analysis) []GreedyStep {
+	order := greedyOrder(a)
+	must, crit := a.MustHardenCount(), 0
+	st := GreedyStep{Damage: a.TotalDamage, CriticalCovered: must == 0}
+	steps := append(make([]GreedyStep, 0, len(order)+1), st)
+	for _, id := range order {
+		st.Hardened++
+		st.Cost += a.Spec.Cost[id]
+		st.Damage -= a.Damage[id]
+		if a.CritHit[id] {
+			crit++
+		}
+		st.CriticalCovered = crit == must
+		steps = append(steps, st)
 	}
-	items := make([]item, 0, len(a.Prims))
-	for i, id := range a.Prims {
-		items = append(items, item{i: i, d: a.Damage[id], c: a.Spec.Cost[id]})
-	}
-	// Decreasing d/c; free items (c == 0) first, zero-damage items last.
-	sort.SliceStable(items, func(i, j int) bool {
-		// Compare d_i/c_i > d_j/c_j without division: d_i*c_j > d_j*c_i,
-		// in 128 bits — damage × cost products overflow int64 on big
-		// nets (TotalDamage ~1e9 × areas ~1e10), which would flip the
-		// sort. Zero costs sort as infinite ratio when damage > 0.
-		hi, lo := bits.Mul64(uint64(items[i].d), uint64(items[j].c))
-		hj, lj := bits.Mul64(uint64(items[j].d), uint64(items[i].c))
+	return dedupe(steps)
+}
+
+// greedyOrder returns the universe's primitives in decreasing
+// damage-per-cost order: free primitives (cost 0) with damage first,
+// zero-damage ones last, ties broken by decreasing damage, then by
+// universe order.
+func greedyOrder(a *faults.Analysis) []rsn.NodeID {
+	order := append([]rsn.NodeID(nil), a.Prims...)
+	sort.SliceStable(order, func(i, j int) bool {
+		di, ci := a.Damage[order[i]], a.Spec.Cost[order[i]]
+		dj, cj := a.Damage[order[j]], a.Spec.Cost[order[j]]
+		// Compare di/ci > dj/cj without division: di*cj > dj*ci, in 128
+		// bits — damage × cost products overflow int64 on big nets
+		// (TotalDamage ~1e9 × areas ~1e10), which would flip the sort.
+		// Zero costs sort as infinite ratio when damage > 0.
+		hi, lo := bits.Mul64(uint64(di), uint64(cj))
+		hj, lj := bits.Mul64(uint64(dj), uint64(ci))
 		if hi != hj {
 			return hi > hj
 		}
 		if lo != lj {
 			return lo > lj
 		}
-		return items[i].d > items[j].d
+		return di > dj
 	})
-
-	// The staircase first, as (prefix length, cost, damage, critical
-	// count) steps; only the surviving prefixes get a Hardened list.
-	steps := make([]greedyStep, 0, len(items)+1)
-	st := greedyStep{damage: a.TotalDamage}
-	steps = append(steps, st)
-	rank := make([]int, len(a.Prims)) // 1 + position in the greedy order
-	for k, it := range items {
-		rank[it.i] = k + 1
-		st.k++
-		st.cost += it.c
-		st.damage -= it.d
-		if a.CritHit[a.Prims[it.i]] {
-			st.crit++
-		}
-		steps = append(steps, st)
-	}
-	must := a.MustHardenCount()
-	steps = dedupe(steps)
-	front := make([]core.Solution, len(steps))
-	for f, st := range steps {
-		hardened := make([]rsn.NodeID, 0, st.k)
-		for i, id := range a.Prims {
-			if rank[i] <= st.k {
-				hardened = append(hardened, id)
-			}
-		}
-		front[f] = core.Solution{
-			Hardened:        hardened,
-			Cost:            st.cost,
-			Damage:          st.damage,
-			CriticalCovered: st.crit == must,
-		}
-	}
-	return front
-}
-
-// greedyStep is one greedy prefix: the first k items hardened, at the
-// given cost and residual damage, crit of them critical-hit primitives.
-type greedyStep struct {
-	k, crit      int
-	cost, damage int64
+	return order
 }
 
 // dedupe removes dominated prefixes from the greedy staircase. The
 // input has non-decreasing cost and non-increasing damage, so a prefix
 // is dominated iff a later one has the same cost (strictly less damage)
 // or it fails to reduce damage over its predecessor.
-func dedupe(steps []greedyStep) []greedyStep {
+func dedupe(steps []GreedyStep) []GreedyStep {
 	out := steps[:0]
 	for _, s := range steps {
-		for len(out) > 0 && out[len(out)-1].cost == s.cost {
+		for len(out) > 0 && out[len(out)-1].Cost == s.Cost {
 			out = out[:len(out)-1]
 		}
-		if len(out) > 0 && out[len(out)-1].damage <= s.damage {
+		if len(out) > 0 && out[len(out)-1].Damage <= s.Damage {
 			continue
 		}
 		out = append(out, s)

@@ -1,7 +1,10 @@
 package baseline
 
 import (
+	"math/big"
 	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -55,9 +58,39 @@ func TestGreedyFrontShape(t *testing.T) {
 			t.Errorf("damage not strictly decreasing at %d", i)
 		}
 	}
-	// Objectives must recompute from the Hardened lists.
-	for _, s := range front {
-		checkBookkeeping(t, a, s, true)
+	checkSteps(t, a, front)
+}
+
+// sorted returns a sorted copy of ids.
+func sorted(ids []rsn.NodeID) []rsn.NodeID {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return out
+}
+
+// checkSteps holds each greedy step to its prefix of the greedy order,
+// which must list every universe primitive once in non-increasing
+// damage-per-cost order: the step's cost, residual damage and critical
+// coverage must recompute from the prefix's mask.
+func checkSteps(t testing.TB, a *faults.Analysis, front []GreedyStep) {
+	t.Helper()
+	order := greedyOrder(a)
+	if got, want := sorted(order), sorted(a.Prims); !slices.Equal(got, want) {
+		t.Fatalf("greedy order is not a permutation of the universe")
+	}
+	ratio := func(id rsn.NodeID) (d, c *big.Int) {
+		return big.NewInt(a.Damage[id]), big.NewInt(a.Spec.Cost[id])
+	}
+	for i := 1; i < len(order); i++ {
+		d0, c0 := ratio(order[i-1])
+		d1, c1 := ratio(order[i])
+		if new(big.Int).Mul(d0, c1).Cmp(new(big.Int).Mul(d1, c0)) < 0 {
+			t.Fatalf("greedy order puts %v/%v before %v/%v", d0, c0, d1, c1)
+		}
+	}
+	for _, st := range front {
+		hardened := sorted(order[:st.Hardened])
+		checkBookkeeping(t, a, core.Solution{Hardened: hardened, Cost: st.Cost, Damage: st.Damage, CriticalCovered: st.CriticalCovered}, true)
 	}
 }
 
@@ -285,20 +318,21 @@ func TestGreedyFrontRatioOverflow(t *testing.T) {
 		t.Fatalf("front has %d solutions, want 3", len(front))
 	}
 	// The better-ratio item A must be hardened first.
-	if h := front[1].Hardened; len(h) != 1 || h[0] != idA {
+	if order := greedyOrder(a); order[0] != idA {
 		t.Errorf("first greedy pick hardened B (ratio %.3f) before A (ratio %.3f)",
 			float64(dB)/float64(cB), float64(dA)/float64(cA))
 	}
-	if front[1].Cost != cA || front[1].Damage != dB {
-		t.Errorf("front[1] = (%d,%d), want (%d,%d)", front[1].Cost, front[1].Damage, cA, dB)
+	if front[1].Hardened != 1 || front[1].Cost != cA || front[1].Damage != dB {
+		t.Errorf("front[1] = %d hardened at (%d,%d), want 1 at (%d,%d)", front[1].Hardened, front[1].Cost, front[1].Damage, cA, dB)
 	}
+	checkSteps(t, a, front)
 }
 
 // TestGreedyFrontInvariants checks the greedy staircase on random
 // networks: strictly increasing cost, strictly decreasing damage (so
 // the output is mutually nondominated), endpoints at (0, TotalDamage)
-// and (≤MaxCost, 0), and objectives that recompute from the Hardened
-// lists.
+// and (≤MaxCost, 0), and objectives that recompute from each step's
+// prefix of the greedy order.
 func TestGreedyFrontInvariants(t *testing.T) {
 	check := func(seed int64) bool {
 		net := benchnets.Random(benchnets.RandomOptions{Seed: seed, TargetPrims: 40, SegmentControls: true})
@@ -330,13 +364,15 @@ func TestGreedyFrontInvariants(t *testing.T) {
 		}
 		// Strict monotonicity in both objectives ⇒ mutually nondominated;
 		// cross-check against the generic dominance filter anyway.
-		if got := paretoSolutions(front); len(got) != len(front) {
+		sols := make([]core.Solution, len(front))
+		for i, st := range front {
+			sols[i] = core.Solution{Cost: st.Cost, Damage: st.Damage}
+		}
+		if got := paretoSolutions(sols); len(got) != len(front) {
 			t.Logf("seed %d: %d of %d greedy solutions dominated", seed, len(front)-len(got), len(front))
 			return false
 		}
-		for _, s := range front {
-			checkBookkeeping(t, a, s, true)
-		}
+		checkSteps(t, a, front)
 		return !t.Failed()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
@@ -348,8 +384,8 @@ func TestGreedyFrontInvariants(t *testing.T) {
 // prefixes keep only the last (least damage), prefixes that fail to
 // reduce damage are dropped.
 func TestDedupe(t *testing.T) {
-	mk := func(cost, damage int64) greedyStep { return greedyStep{cost: cost, damage: damage} }
-	in := []greedyStep{
+	mk := func(cost, damage int64) GreedyStep { return GreedyStep{Cost: cost, Damage: damage} }
+	in := []GreedyStep{
 		mk(0, 100),
 		mk(0, 90), // same cost, less damage: replaces the previous
 		mk(5, 90), // more cost, same damage: dominated, dropped
@@ -359,14 +395,40 @@ func TestDedupe(t *testing.T) {
 		mk(9, 10), // exact duplicate: dropped
 		mk(12, 0),
 	}
-	want := []greedyStep{mk(0, 90), mk(5, 80), mk(9, 10), mk(12, 0)}
+	want := []GreedyStep{mk(0, 90), mk(5, 80), mk(9, 10), mk(12, 0)}
 	got := dedupe(in)
 	if len(got) != len(want) {
 		t.Fatalf("dedupe returned %d solutions, want %d: %+v", len(got), len(want), got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("dedupe[%d] = (%d,%d), want (%d,%d)", i, got[i].cost, got[i].damage, want[i].cost, want[i].damage)
+			t.Errorf("dedupe[%d] = (%d,%d), want (%d,%d)", i, got[i].Cost, got[i].Damage, want[i].Cost, want[i].Damage)
 		}
+	}
+}
+
+// TestGreedyFrontMemory holds the greedy staircase to O(primitives)
+// memory on a row where every prefix survives: MBIST_1_20_20 in
+// universe all, 6,113 primitives. Prefix lists of their own took 79.5 MB
+// there.
+func TestGreedyFrontMemory(t *testing.T) {
+	net, err := benchnets.Generate("MBIST_1_20_20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := spec.Generate(net, spec.PaperGenOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := analyzeScope(t, net, sp, faults.ScopeAll)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	front := GreedyFront(a)
+	runtime.ReadMemStats(&after)
+	if len(front) != len(a.Prims)+1 {
+		t.Errorf("%d of %d prefixes survive, want all", len(front), len(a.Prims)+1)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("GreedyFront allocated %.1f MB for %d primitives, want <= 2 MB", float64(got)/(1<<20), len(a.Prims))
 	}
 }

@@ -188,10 +188,10 @@ func TestFleetCacheNoCacheOptOut(t *testing.T) {
 func TestFleetCacheL1RepeatAfterMigration(t *testing.T) {
 	srv1, wts1 := newWorkerPair(t)
 	srv2, wts2 := newWorkerPair(t)
-	// Requests 0/1 are the first sweep's probes; request 2 is the
-	// dispatch, killed after its first streamed checkpoint.
+	// Request 0 is the first sweep's probe; request 1 is the dispatch,
+	// killed after its first streamed checkpoint.
 	p, err := chaos.NewProxy(wts1.URL, []chaos.Fault{
-		{}, {},
+		{},
 		{Kind: chaos.FaultKillAfterEvents, Event: "checkpoint", Events: 1},
 	})
 	if err != nil {
@@ -279,9 +279,6 @@ func TestDispatch429RetryAfterDate(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{}`))
 	})
 	attempts := 0
 	mux.HandleFunc("POST /v1/harden", func(w http.ResponseWriter, r *http.Request) {

@@ -21,7 +21,7 @@
 //	                    ?format=json).
 //
 // The worker registry is driven by a periodic probe loop: /readyz
-// decides health, the serve queue gauges from /metrics become the load
+// decides health and its body's serve queue load becomes the load
 // hint, and every probe or dispatch outcome feeds a per-worker circuit
 // breaker (closed → open after consecutive failures → one half-open
 // trial after a cooldown). Dispatch always asks the worker for the

@@ -222,16 +222,13 @@ func TestDispatchOverCapBody(t *testing.T) {
 	}
 }
 
-// stubWorker serves a ready worker with an empty metrics snapshot and
-// the given handler on both dispatch routes.
+// stubWorker serves a ready, idle worker with the given handler on
+// both dispatch routes.
 func stubWorker(t *testing.T, h http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, `{"status":"ready"}`)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, `{}`)
 	})
 	mux.HandleFunc("POST /v1/harden", h)
 	mux.HandleFunc("POST /v1/analyze", h)
@@ -427,9 +424,6 @@ func TestTracePropagation(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, `{"status":"ready"}`)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, `{}`)
 	})
 	mux.HandleFunc("POST /v1/analyze", func(w http.ResponseWriter, r *http.Request) {
 		workerTrace.Store(r.Header.Get("traceparent"))

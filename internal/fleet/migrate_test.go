@@ -26,15 +26,15 @@ const migrateBody = `{"network":{"name":"TreeFlat"},"spec":{"seed":3},` +
 func TestDispatchRetriesTransient(t *testing.T) {
 	worker := newWorker(t)
 	// The proxy request sequence is fully scripted: the dispatch path's
-	// first pick finds no healthy worker and sweeps once — requests 0
-	// (readyz) and 1 (metrics) — then dispatches: 2 is the injected
-	// 500. markFailure eagerly flips the worker unhealthy, so each retry
-	// re-probes before it can dispatch again: 3/4 are the second sweep,
-	// 5 is the reset dispatch, 6/7 the third sweep, 8 the clean forward.
+	// first pick finds no healthy worker and sweeps once — request 0,
+	// its one readyz probe — then dispatches: 1 is the injected 500.
+	// markFailure eagerly flips the worker unhealthy, so each retry
+	// re-probes before it can dispatch again: 2 is the second sweep, 3
+	// is the reset dispatch, 4 the third sweep, 5 the clean forward.
 	p, err := chaos.NewProxy(worker.URL, []chaos.Fault{
-		{}, {},
+		{},
 		{Kind: chaos.FaultError500},
-		{}, {},
+		{},
 		{Kind: chaos.FaultReset},
 	})
 	if err != nil {
@@ -72,11 +72,11 @@ func TestDispatchRetriesTransient(t *testing.T) {
 func TestMigrationOnMidStreamKill(t *testing.T) {
 	worker1 := newWorker(t)
 	worker2 := newWorker(t)
-	// Worker 1 sits behind the chaos proxy: requests 0 and 1 are the
-	// sweep's probes, request 2 is the dispatch, killed right after the
-	// first streamed checkpoint event crosses the wire.
+	// Worker 1 sits behind the chaos proxy: request 0 is the sweep's
+	// probe, request 1 is the dispatch, killed right after the first
+	// streamed checkpoint event crosses the wire.
 	p, err := chaos.NewProxy(worker1.URL, []chaos.Fault{
-		{}, {},
+		{},
 		{Kind: chaos.FaultKillAfterEvents, Event: "checkpoint", Events: 1},
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestMigrationStreamingClient(t *testing.T) {
 	worker1 := newWorker(t)
 	worker2 := newWorker(t)
 	p, err := chaos.NewProxy(worker1.URL, []chaos.Fault{
-		{}, {},
+		{},
 		{Kind: chaos.FaultKillAfterEvents, Event: "checkpoint", Events: 1},
 	})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestMigrationAccounting(t *testing.T) {
 	worker1 := newWorker(t)
 	worker2 := newWorker(t)
 	p, err := chaos.NewProxy(worker1.URL, []chaos.Fault{
-		{}, {},
+		{},
 		{Kind: chaos.FaultKillAfterEvents, Event: "checkpoint", Events: 2},
 	})
 	if err != nil {

@@ -2,13 +2,14 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rsnrobust/internal/serve"
 )
 
 // Worker is one registered worker's live view, as reported by
@@ -37,9 +38,9 @@ type worker struct {
 const loadScale = 1000
 
 // registry tracks the fleet's workers: a periodic probe loop refreshes
-// health (GET /readyz) and load hints (GET /metrics?format=json, the
-// serve queue gauges), and dispatch outcomes feed each worker's
-// breaker. pick() is the routing decision: the least-loaded healthy
+// health and load hints with one GET /readyz per worker (the body
+// carries the serve admission queue), and dispatch outcomes feed each
+// worker's breaker. pick() is the routing decision: the least-loaded healthy
 // worker whose breaker admits traffic.
 type registry struct {
 	workers []*worker
@@ -130,12 +131,13 @@ func (rg *registry) sweep() {
 	rg.tel.setOpen(open)
 }
 
-// probeOne checks one worker: /readyz decides health, and on success
-// the serve queue gauges from /metrics become the load hint. Probe
-// outcomes feed the breaker, so a dead worker's breaker opens without
-// any dispatch traffic and a recovered worker's closes again.
+// probeOne checks one worker with one request: /readyz decides health,
+// and on success the admission queue its body reports becomes the load
+// hint. Probe outcomes feed the breaker, so a dead worker's breaker
+// opens without any dispatch traffic and a recovered worker's closes
+// again.
 func (rg *registry) probeOne(w *worker) {
-	ready, err := rg.checkReady(w.url)
+	ready, load, err := rg.checkReady(w.url)
 	if err != nil || !ready {
 		w.healthy.Store(false)
 		w.br.failure()
@@ -144,43 +146,25 @@ func (rg *registry) probeOne(w *worker) {
 	}
 	w.healthy.Store(true)
 	w.br.success()
-	if load, err := rg.fetchLoad(w.url); err == nil {
-		w.load.Store(int64(load * loadScale))
-	}
+	w.load.Store(int64(load * loadScale))
 }
 
-func (rg *registry) checkReady(url string) (bool, error) {
+// checkReady asks the worker's /readyz whether it takes jobs and reads
+// the running plus waiting jobs of its admission queue — exactly how
+// much work is ahead of a new dispatch. A body that does not decode
+// reports no load.
+func (rg *registry) checkReady(url string) (ready bool, load float64, err error) {
 	resp, err := rg.probe.Get(url + "/readyz")
 	if err != nil {
-		return false, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK, nil
-}
-
-// fetchLoad reads the worker's telemetry snapshot and sums the serve
-// admission-queue gauges — running plus waiting jobs is exactly how
-// much work is ahead of a new dispatch.
-func (rg *registry) fetchLoad(url string) (float64, error) {
-	resp, err := rg.probe.Get(url + "/metrics?format=json")
-	if err != nil {
-		return 0, err
+		return false, 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("metrics: status %d", resp.StatusCode)
-	}
-	var snap struct {
-		Gauges map[string]float64 `json:"gauges"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return 0, err
-	}
-	return snap.Gauges["serve.queue.running"] + snap.Gauges["serve.queue.waiting"], nil
+	var r serve.Readiness
+	_ = json.NewDecoder(resp.Body).Decode(&r)
+	return resp.StatusCode == http.StatusOK, r.Running + r.Waiting, nil
 }
 
 // pick selects the least-loaded healthy worker whose breaker admits

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -82,6 +85,44 @@ func urlOf(w *worker) string {
 		return "<nil>"
 	}
 	return w.url
+}
+
+// TestRegistryPickProbedQueueLoad: a sweep sends each worker one
+// request, GET /readyz, and the queue its body reports (running plus
+// waiting jobs) becomes the worker's load hint, which routes the next
+// pick.
+func TestRegistryPickProbedQueueLoad(t *testing.T) {
+	bodies := []string{
+		`{"status":"ready","running":2,"waiting":1}`,
+		`{"status":"ready","running":1,"waiting":0}`,
+	}
+	var reqs [2]atomic.Int64
+	urls := make([]string, len(bodies))
+	for i, body := range bodies {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			reqs[i].Add(1)
+			if r.URL.Path != "/readyz" {
+				http.NotFound(w, r)
+				return
+			}
+			fmt.Fprint(w, body)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	rg := newRegistry(urls, 3, time.Minute, time.Second, time.Hour, time.Now, nopSink{})
+	rg.sweep()
+	for i, w := range rg.snapshot() {
+		if n := reqs[i].Load(); n != 1 {
+			t.Errorf("worker %d got %d probe requests in one sweep, want 1", i, n)
+		}
+		if want := []float64{3, 1}[i]; !w.Healthy || w.Load != want {
+			t.Errorf("worker %d: healthy %v, load %v, want healthy at load %v", i, w.Healthy, w.Load, want)
+		}
+	}
+	if w := rg.pick(nil); w != rg.workers[1] {
+		t.Errorf("pick = %s, want the worker reporting the shorter queue", urlOf(w))
+	}
 }
 
 // TestRegistryMarkFailureEagerHealthFlip: the regression for the

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"rsnrobust/internal/telemetry"
 )
 
 // TestHardenBodyCacheKeyCanonical: the coordinator-facing key function
@@ -167,7 +169,7 @@ func TestCacheKeyHeaderAndJobs(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/v1/jobs status = %d", status)
 	}
-	jobs := decode[jobsSnapshot](t, jb)
+	jobs := decode[telemetry.JobList](t, jb)
 	if n := len(jobs.Recent); n != 1 {
 		t.Fatalf("%d recent jobs after one compute and one cache hit, want 1: %+v", n, jobs.Recent)
 	}

@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"rsnrobust/internal/chaos"
+	"rsnrobust/internal/telemetry"
 )
 
 // TestStreamClientDisconnect checks the server side of a client hanging
 // up mid-stream: the running job must be cancelled promptly (not run to
 // its 100k-generation budget), the handler goroutine must not leak, and
-// the job must land in the /v1/jobs recent ring as interrupted with its
-// partial progress recorded.
+// the job must show its live progress while it runs and land among the
+// recent /v1/jobs as interrupted with its partial progress recorded.
 func TestStreamClientDisconnect(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
 
@@ -59,14 +60,19 @@ func TestStreamClientDisconnect(t *testing.T) {
 	if events < 2 {
 		t.Fatalf("stream ended after %d generation events: %v", events, sc.Err())
 	}
+	// The running job shows its live progress: at least the two
+	// generations whose events arrived.
+	if active := srv.flight.Jobs().Active; len(active) != 1 || active[0].State != "running" || active[0].Generations < 2 {
+		t.Errorf("running jobs = %+v, want one running harden with >= 2 generations", active)
+	}
 	resp.Body.Close() // the disconnect
 
 	// The job must finish promptly: the request context cancels, the
 	// run stops at the next generation boundary.
 	deadline := time.Now().Add(10 * time.Second)
-	var done *JobInfo
+	var done *telemetry.FlightJob
 	for time.Now().Before(deadline) {
-		snap := srv.jobs.snapshot()
+		snap := srv.flight.Jobs()
 		for i := range snap.Recent {
 			if snap.Recent[i].Route == "harden" {
 				done = &snap.Recent[i]
@@ -84,8 +90,8 @@ func TestStreamClientDisconnect(t *testing.T) {
 	if done.Status != "interrupted" {
 		t.Errorf("job status = %q, want interrupted", done.Status)
 	}
-	if done.Generation < 1 {
-		t.Errorf("job recorded generation %d, want >= 1 (partial progress must be visible)", done.Generation)
+	if done.Generations < 2 {
+		t.Errorf("job recorded %d generations, want >= 2 (partial progress must be visible)", done.Generations)
 	}
 
 	// No goroutine may outlive the disconnected request.

@@ -87,56 +87,6 @@ func finishJobError(w http.ResponseWriter, r *http.Request, err error) {
 	WriteError(w, r, status, msg)
 }
 
-// jobStatus classifies a finished job for the registry and the flight
-// recorder: "ok", "error", "panic" or "interrupted".
-func jobStatus(err error, interrupted bool) string {
-	var pe *moea.PanicError
-	switch {
-	case errors.As(err, &pe):
-		return "panic"
-	case err != nil:
-		return "error"
-	case interrupted:
-		return "interrupted"
-	default:
-		return "ok"
-	}
-}
-
-// completeFlight seals one finished job into the flight recorder,
-// claiming the span tree that accumulated under the request's trace ID
-// while the job ran. Call it after runQueued returns — by then every
-// span of the job (the runset root included) has ended.
-func (s *Server) completeFlight(r *http.Request, label, detail string, start time.Time, gens int, err error, interrupted bool) {
-	if s.flight == nil {
-		return
-	}
-	tc, ok := telemetry.TraceFrom(r.Context())
-	if !ok {
-		return
-	}
-	job := telemetry.FlightJob{
-		TraceID:     tc.TraceID,
-		Label:       label,
-		Detail:      detail,
-		Start:       start,
-		DurMS:       float64(time.Since(start)) / float64(time.Millisecond),
-		Status:      jobStatus(err, interrupted),
-		Generations: gens,
-	}
-	if id, ok := telemetry.RequestIDFrom(r.Context()); ok {
-		job.RequestID = id
-	}
-	if err != nil {
-		job.Error = err.Error()
-		var pe *moea.PanicError
-		if errors.As(err, &pe) {
-			job.PanicStack = string(pe.Stack)
-		}
-	}
-	s.flight.Complete(job)
-}
-
 // handleAnalyze serves POST /v1/analyze: parse/generate → validate →
 // SP-tree → exact criticality analysis, as a queued job.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -154,41 +104,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := s.jobContext(r.Context())
-	defer cancel()
-	deadline := clampDeadline(req.DeadlineMS, s.cfg.MaxDeadline)
-	t0 := time.Now()
-	jobID := s.jobs.begin(s.jobInfo(r, "analyze", req.Network))
-	resp, err := runQueued(s, ctx, "analyze", deadline, func(jctx context.Context, sp *telemetry.Span) (*AnalyzeResponse, error) {
-		return s.analyze(&req, sp)
-	})
-	s.jobs.finish(jobID, jobStatus(err, false), errString(err), time.Since(t0))
-	s.completeFlight(r, "analyze", req.Network.Name, t0, 0, err, false)
+	job := telemetry.FlightJob{Route: "analyze", Network: req.Network.Name}
+	resp, dur, err := runJob(s, r, job, clampDeadline(req.DeadlineMS, s.cfg.MaxDeadline),
+		func(_ context.Context, sp *telemetry.Span, _ func(int)) (*AnalyzeResponse, error) {
+			return s.analyze(&req, sp)
+		})
 	if err != nil {
 		finishJobError(w, r, err)
 		return
 	}
-	resp.ElapsedMS = float64(time.Since(t0)) / float64(time.Millisecond)
+	resp.ElapsedMS = float64(dur) / float64(time.Millisecond)
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-// jobInfo seeds a registry entry with the request's correlation IDs.
-func (s *Server) jobInfo(r *http.Request, route string, net NetworkRef) JobInfo {
-	info := JobInfo{Route: route, Network: net.Name, Started: time.Now()}
-	if tc, ok := telemetry.TraceFrom(r.Context()); ok {
-		info.TraceID = tc.TraceID
-	}
-	if id, ok := telemetry.RequestIDFrom(r.Context()); ok {
-		info.RequestID = id
-	}
-	return info
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // analyze is the body of one analyze job. Each stage runs under its own
@@ -317,39 +243,30 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := s.jobContext(r.Context())
-	defer cancel()
-	deadline := clampDeadline(req.Options.DeadlineMS, s.cfg.MaxDeadline)
-
 	var sse *SSEWriter
 	if stream {
 		sse, _ = StartSSE(w) // nil when the writer cannot flush: answer plain
 	}
 
-	t0 := time.Now()
-	info := s.jobInfo(r, "harden", req.Network)
-	info.CacheKey = key
-	jobID := s.jobs.begin(info)
 	throttle := newStreamThrottle(req.Options.StreamEvery)
-	// The job runs on this goroutine (the queue degrades its single-job
-	// RunSet to a serial loop), so emitting SSE frames from the progress
-	// hook needs no synchronization. Only a generation the stream emits
-	// is measured, and so recorded in the server's collector; the jobs
-	// registry reads the generation index alone.
-	onProgress := func(p core.Progress) bool {
-		s.jobs.progress(jobID, p.Gen)
-		if sse != nil && sse.Err() == nil && throttle.admit(p.Gen, time.Now()) {
-			g := p.Record()
-			sse.Event("generation", generationEvent{
-				Gen:         g.Gen,
-				Front:       g.Front,
-				Hypervolume: g.Hypervolume,
-				NormHV:      g.NormHV,
-				Evaluations: g.Evaluations,
-				ElapsedMS:   g.ElapsedMS,
-			})
+	// streamProgress emits the generations the stream admits. The job
+	// runs on this goroutine (the queue degrades its single-job RunSet to
+	// a serial loop), so emitting SSE frames from the progress hook needs
+	// no synchronization. Only a generation the stream emits is measured,
+	// and so recorded in the server's collector.
+	streamProgress := func(p core.Progress) {
+		if sse == nil || sse.Err() != nil || !throttle.admit(p.Gen, time.Now()) {
+			return
 		}
-		return true
+		g := p.Record()
+		sse.Event("generation", generationEvent{
+			Gen:         g.Gen,
+			Front:       g.Front,
+			Hypervolume: g.Hypervolume,
+			NormHV:      g.NormHV,
+			Evaluations: g.Evaluations,
+			ElapsedMS:   g.ElapsedMS,
+		})
 	}
 	// Checkpoint streaming: every CheckpointEvery generations the full
 	// encoded run state rides the stream as a "checkpoint" event, so the
@@ -373,16 +290,16 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 	}
-	resp, err := runQueued(s, ctx, "harden", deadline, func(jctx context.Context, sp *telemetry.Span) (*HardenResponse, error) {
-		return s.harden(jctx, &req, sp, onProgress, onCheckpoint)
-	})
-	interrupted := err == nil && resp.Interrupted
-	s.jobs.finish(jobID, jobStatus(err, interrupted), errString(err), time.Since(t0))
-	gens := 0
-	if resp != nil {
-		gens = resp.Generations
-	}
-	s.completeFlight(r, "harden", req.Network.Name, t0, gens, err, interrupted)
+	job := telemetry.FlightJob{Route: "harden", Network: req.Network.Name, CacheKey: key}
+	resp, _, err := runJob(s, r, job, clampDeadline(req.Options.DeadlineMS, s.cfg.MaxDeadline),
+		func(ctx context.Context, sp *telemetry.Span, progress func(int)) (*HardenResponse, error) {
+			onProgress := func(p core.Progress) bool {
+				progress(p.Gen + 1)
+				streamProgress(p)
+				return true
+			}
+			return s.harden(ctx, &req, sp, onProgress, onCheckpoint)
+		})
 	if err != nil {
 		if sse != nil {
 			status, msg := jobErrorStatus(err)
@@ -516,14 +433,31 @@ func frontPoint(sol core.Solution, names []string) FrontPoint {
 	return fp
 }
 
-// handleReadyz reports readiness: 503 once draining so load balancers
-// rotate this instance out while in-flight work completes.
+// Readiness is the body of GET /readyz: "ready", or "draining" (503)
+// once draining, so load balancers rotate this instance out while
+// in-flight work completes. Running and Waiting are the admission
+// queue's jobs, the load a fleet coordinator routes by.
+type Readiness struct {
+	Status  string  `json:"status"`
+	Running float64 `json:"running"`
+	Waiting float64 `json:"waiting"`
+}
+
+// handleReadyz serves GET /readyz: the server's Readiness.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+	ready := Readiness{Status: "ready", Running: s.queue.running.Value(), Waiting: s.queue.waiting.Value()}
+	status := http.StatusOK
 	if s.Draining() {
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+		ready.Status, status = "draining", http.StatusServiceUnavailable
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, status, ready)
+}
+
+// handleJobs serves GET /v1/jobs: the flight recorder's running jobs
+// with their live generation progress, and its finished ones, without
+// span trees.
+func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, s.flight.Jobs())
 }
 
 // handleFlight serves GET /debug/flight: the flight recorder's ring of
@@ -531,12 +465,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // misbehaving) process can always be asked about. ?trace_id= narrows
 // the answer to one job.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
+	fr := s.Flight()
+	if fr == nil {
 		WriteError(w, r, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
 	if id := r.URL.Query().Get("trace_id"); id != "" {
-		job, ok := s.flight.Find(id)
+		job, ok := fr.Find(id)
 		if !ok {
 			WriteError(w, r, http.StatusNotFound, fmt.Sprintf("no recorded job with trace_id %q", id))
 			return
@@ -544,5 +479,5 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, job)
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.flight.Snapshot())
+	WriteJSON(w, http.StatusOK, fr.Snapshot())
 }

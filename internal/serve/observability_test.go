@@ -321,8 +321,8 @@ func TestFlightRecorderCapturesJobSpanTree(t *testing.T) {
 	if err := json.Unmarshal(b, &job); err != nil {
 		t.Fatal(err)
 	}
-	if job.Status != "ok" || job.Label != "harden" {
-		t.Errorf("job = %s/%s, want harden/ok", job.Label, job.Status)
+	if job.Status != "ok" || job.Route != "harden" {
+		t.Errorf("job = %s/%s, want harden/ok", job.Route, job.Status)
 	}
 	if job.Generations != 10 {
 		t.Errorf("job generations = %d, want 10", job.Generations)
@@ -370,8 +370,8 @@ func TestFlightRecorderCapturesJobSpanTree(t *testing.T) {
 	if err := json.Unmarshal(b, &job); err != nil {
 		t.Fatal(err)
 	}
-	if job.Status != "ok" || job.Label != "analyze" {
-		t.Errorf("job = %s/%s, want analyze/ok", job.Label, job.Status)
+	if job.Status != "ok" || job.Route != "analyze" {
+		t.Errorf("job = %s/%s, want analyze/ok", job.Route, job.Status)
 	}
 	var jobSpan int64
 	for _, sp := range job.Spans {
@@ -468,36 +468,60 @@ func TestRequestIDOn429(t *testing.T) {
 	}
 }
 
+// TestJobsEndpointListsRecentJobs: /v1/jobs lists a finished harden
+// with its route, status, generation count, correlation IDs and
+// duration, and no spans, whether or not the flight recorder keeps span
+// trees. With them off (FlightEntries < 0), /debug/flight answers 404
+// and the recorded job holds no spans.
 func TestJobsEndpointListsRecentJobs(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	status, _, b := post(t, ts, "/v1/harden",
-		`{"network":{"name":"TreeFlat"},"spec":{"seed":2},"options":{"generations":8,"population":20,"seed":4,"no_cache":true}}`)
-	if status != http.StatusOK {
-		t.Fatalf("harden: %d %s", status, b)
-	}
-	status, b = get(t, ts, "/v1/jobs")
-	if status != http.StatusOK {
-		t.Fatal(status)
-	}
-	var snap jobsSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Recent) == 0 {
-		t.Fatal("no recent jobs listed")
-	}
-	job := snap.Recent[0]
-	if job.Route != "harden" || job.State != "done" || job.Status != "ok" {
-		t.Errorf("job = %+v", job)
-	}
-	if job.Generation != 7 {
-		t.Errorf("last reported generation = %d, want 7 (8 generations, 0-based)", job.Generation)
-	}
-	if job.TraceID == "" || job.RequestID == "" {
-		t.Errorf("job missing correlation IDs: %+v", job)
-	}
-	if job.DurMS <= 0 {
-		t.Errorf("job duration %v", job.DurMS)
+	for _, tc := range []struct {
+		name    string
+		entries int
+	}{{"flight", 0}, {"flight-disabled", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{Workers: 1, FlightEntries: tc.entries})
+			status, _, b := post(t, ts, "/v1/harden",
+				`{"network":{"name":"TreeFlat"},"spec":{"seed":2},"options":{"generations":8,"population":20,"seed":4,"no_cache":true}}`)
+			if status != http.StatusOK {
+				t.Fatalf("harden: %d %s", status, b)
+			}
+			status, b = get(t, ts, "/v1/jobs")
+			if status != http.StatusOK {
+				t.Fatal(status)
+			}
+			snap := decode[telemetry.JobList](t, b)
+			if len(snap.Recent) == 0 {
+				t.Fatal("no recent jobs listed")
+			}
+			job := snap.Recent[0]
+			if job.Route != "harden" || job.State != "done" || job.Status != "ok" {
+				t.Errorf("job = %+v", job)
+			}
+			if job.Generations != 8 {
+				t.Errorf("job generations = %d, want 8", job.Generations)
+			}
+			if job.TraceID == "" || job.RequestID == "" {
+				t.Errorf("job missing correlation IDs: %+v", job)
+			}
+			if job.DurMS <= 0 {
+				t.Errorf("job duration %v", job.DurMS)
+			}
+			if job.Spans != nil {
+				t.Errorf("/v1/jobs lists %d spans", len(job.Spans))
+			}
+
+			keeps := tc.entries >= 0
+			want := http.StatusOK
+			if !keeps {
+				want = http.StatusNotFound
+			}
+			if status, b = get(t, ts, "/debug/flight"); status != want {
+				t.Errorf("/debug/flight = %d %s, want %d", status, b, want)
+			}
+			if spans := len(srv.flight.Snapshot().Jobs[0].Spans); (spans > 0) != keeps {
+				t.Errorf("recorded job holds %d spans, span trees kept = %v", spans, keeps)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
+	"net/http"
 	"time"
 
 	"rsnrobust/internal/moea"
@@ -107,24 +109,58 @@ func (q *jobQueue) retryAfterSeconds() int {
 	return sec
 }
 
-// runQueued executes fn as a single-job moea.RunSet run, inheriting the
+// jobResult is a job's response; partial reports a run its deadline or
+// a disconnect cut short.
+type jobResult interface{ partial() bool }
+
+func (*AnalyzeResponse) partial() bool  { return false }
+func (r *HardenResponse) partial() bool { return r.Interrupted }
+
+// runJob runs fn as the request's one job and keeps its record in the
+// flight recorder: the job enters before it runs, with the route,
+// network and cache key of job and the request's trace and request IDs;
+// fn reports the generations it completes through progress; and the job
+// ends with its status, error, panic stack and duration, which runJob
+// returns too. fn runs as a single-job moea.RunSet run, inheriting the
 // scheduler's panic isolation (a panicking job surfaces as a
 // *moea.PanicError, not a crashed process), its per-job deadline (a job
 // that outlives it drains cooperatively and hands back a partial
 // result), and its per-job telemetry span (the job's pipeline spans
-// parent under "job:<label>"). The job time lands in serve.job_ms,
+// parent under "job:<route>"). The job time lands in serve.job_ms,
 // feeding the Retry-After estimate.
-func runQueued[T any](s *Server, ctx context.Context, label string, deadline time.Duration, fn func(context.Context, *telemetry.Span) (T, error)) (T, error) {
+func runJob[T jobResult](s *Server, r *http.Request, job telemetry.FlightJob, deadline time.Duration,
+	fn func(ctx context.Context, sp *telemetry.Span, progress func(generations int)) (T, error)) (T, time.Duration, error) {
+	ctx, cancel := s.jobContext(r.Context())
+	defer cancel()
+	if tc, ok := telemetry.TraceFrom(ctx); ok {
+		job.TraceID = tc.TraceID
+	}
+	job.RequestID, _ = telemetry.RequestIDFrom(ctx)
+	job.Started = time.Now()
+	id := s.flight.Begin(job)
 	rs := moea.NewRunSet[T]()
-	rs.Add(label, fn)
+	rs.Add(job.Route, func(ctx context.Context, sp *telemetry.Span) (T, error) {
+		return fn(ctx, sp, func(n int) { s.flight.Progress(id, n) })
+	})
 	var out T
 	var outErr error
-	t0 := time.Now()
 	err := rs.Run(ctx, moea.RunOptions{Workers: 1, Telemetry: s.tel, JobDeadline: deadline},
 		func(_ int, _ string, v T, err error) { out, outErr = v, err })
-	s.queue.jobMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
+	dur := time.Since(job.Started)
+	s.queue.jobMS.Observe(float64(dur) / float64(time.Millisecond))
 	if outErr == nil {
 		outErr = err
 	}
-	return out, outErr
+	status, msg, stack := "ok", "", ""
+	var pe *moea.PanicError
+	switch {
+	case errors.As(outErr, &pe):
+		status, msg, stack = "panic", outErr.Error(), string(pe.Stack)
+	case outErr != nil:
+		status, msg = "error", outErr.Error()
+	case out.partial():
+		status = "interrupted"
+	}
+	s.flight.End(id, dur, status, msg, stack)
+	return out, dur, outErr
 }

@@ -10,9 +10,14 @@
 //	                    knobs, returning the Pareto front and the
 //	                    Table I constrained picks.
 //	GET  /healthz     — liveness (200 while the process runs).
-//	GET  /readyz      — readiness (503 once draining).
+//	GET  /readyz      — readiness (503 once draining) and the admission
+//	                    queue's load, a fleet coordinator's routing hint.
 //	GET  /metrics     — instrument exposition (text; ?format=json for
 //	                    the full telemetry snapshot).
+//	GET  /v1/jobs     — the running jobs with their live progress and
+//	                    the recently finished ones.
+//	GET  /debug/flight — the finished jobs with their span trees
+//	                    (?trace_id= for one).
 //
 // Every request-driven computation runs as a job on a moea.RunSet
 // behind a bounded admission queue: at most Workers jobs run at once,
@@ -72,17 +77,11 @@ type Config struct {
 	// Logger receives the structured access and job logs, every line
 	// correlated by the request's trace and request IDs. nil discards.
 	Logger *slog.Logger
-	// FlightEntries sizes the flight recorder's ring of completed jobs
-	// served at /debug/flight (0 = default 128, <0 disables).
+	// FlightEntries sizes the flight recorder, the ring of finished jobs
+	// served at /v1/jobs and, with their span trees, at /debug/flight
+	// (0 = default 128; <0 keeps the default ring without span trees and
+	// turns /debug/flight off).
 	FlightEntries int
-	// JobHistory sizes the recent-jobs ring served at /v1/jobs
-	// (0 = default 64).
-	JobHistory int
-	// SpanLimit bounds the collector's retained span history and its
-	// retained generation history, each to this many records — a
-	// long-running server must not accumulate either without bound
-	// (0 = default 4096, <0 keeps everything).
-	SpanLimit int
 }
 
 // Defaults returns cfg with every unset field filled in.
@@ -121,16 +120,18 @@ func (cfg Config) Defaults() Config {
 		cfg.Logger = telemetry.DiscardLogger()
 	}
 	if cfg.FlightEntries == 0 {
-		cfg.FlightEntries = 128
-	}
-	if cfg.JobHistory <= 0 {
-		cfg.JobHistory = 64
-	}
-	if cfg.SpanLimit == 0 {
-		cfg.SpanLimit = 4096
+		cfg.FlightEntries = defaultFlightEntries
 	}
 	return cfg
 }
+
+const (
+	defaultFlightEntries = 128
+	// spanLimit bounds the collector's retained span history and its
+	// retained generation history, each to this many records: a
+	// long-running server must not accumulate either without bound.
+	spanLimit = 4096
+)
 
 // Server is the hardening service. Create one with New, mount
 // Handler() on an http.Server, and on shutdown call StartDrain (stop
@@ -143,7 +144,6 @@ type Server struct {
 	cache  *ResultCache
 	queue  *jobQueue
 	flight *telemetry.FlightRecorder
-	jobs   *jobRegistry
 	edge   *Edge
 
 	draining atomic.Bool
@@ -162,14 +162,13 @@ func New(cfg Config) *Server {
 		log:   cfg.Logger,
 		cache: NewResultCache(cfg.CacheEntries, cfg.Telemetry, "serve.cache"),
 		queue: newJobQueue(cfg.Workers, cfg.QueueDepth, cfg.Telemetry),
-		jobs:  newJobRegistry(cfg.JobHistory),
 	}
-	if cfg.SpanLimit > 0 {
-		s.tel.SetSpanLimit(cfg.SpanLimit)
-	}
+	s.tel.SetSpanLimit(spanLimit)
 	if cfg.FlightEntries > 0 {
 		s.flight = telemetry.NewFlightRecorder(cfg.FlightEntries)
 		s.tel.OnSpanEnd(s.flight.ObserveSpan)
+	} else {
+		s.flight = telemetry.NewFlightRecorder(defaultFlightEntries)
 	}
 	s.hardCtx, s.hardStop = context.WithCancel(context.Background())
 	s.edge = NewEdge(cfg.Telemetry, cfg.Logger, "serve.http")
@@ -187,9 +186,15 @@ func (s *Server) Handler() http.Handler { return s.edge }
 // Telemetry returns the collector the service reports into.
 func (s *Server) Telemetry() *telemetry.Collector { return s.tel }
 
-// Flight returns the server's flight recorder (nil when disabled) —
-// the process's black box, dumped by rsnserve on SIGTERM drain.
-func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
+// Flight returns the server's flight recorder — the process's black
+// box, dumped by rsnserve on SIGTERM drain — or nil when it keeps no
+// span trees (FlightEntries < 0).
+func (s *Server) Flight() *telemetry.FlightRecorder {
+	if s.cfg.FlightEntries < 0 {
+		return nil
+	}
+	return s.flight
+}
 
 // StartDrain begins a graceful drain: /readyz flips to 503 so load
 // balancers stop routing here, and new analysis/harden requests are

@@ -245,6 +245,10 @@ func TestBackpressure429(t *testing.T) {
 	waitFor(t, "worker busy", func() bool {
 		return s.Telemetry().Snapshot().Gauges["serve.queue.running"] == 1
 	})
+	// /readyz reports the queue a fleet coordinator routes by.
+	if status, b := get(t, ts, "/readyz"); status != http.StatusOK || decode[Readiness](t, b) != (Readiness{Status: "ready", Running: 1}) {
+		t.Errorf("readyz with one job running = %d %s", status, b)
+	}
 
 	status, hdr, b := post(t, ts, "/v1/harden", long)
 	if status != http.StatusTooManyRequests {

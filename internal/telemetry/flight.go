@@ -1,181 +1,212 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
 
-// FlightJob is one completed unit of work in the flight recorder: the
-// job-level summary plus the span tree the job produced, keyed by the
-// W3C trace ID that correlates it with the originating request. It is
-// the queryable record root-cause work needs after the fact — what ran,
-// how long each stage took, and how it ended (ok, error, panic with
-// stack, deadline-truncated).
+// FlightJob is one unit of request-driven compute: its identity (trace
+// and request IDs, so it joins with logs and spans), what it is, how it
+// is going or how it ended (ok, error, panic with stack, interrupted),
+// and the span tree it produced. One record serves both views of a
+// service's jobs: the job list without spans, the flight recorder with
+// them.
 type FlightJob struct {
-	TraceID   string    `json:"trace_id"`
-	RequestID string    `json:"request_id,omitempty"`
-	Label     string    `json:"label"`
-	Detail    string    `json:"detail,omitempty"`
-	Start     time.Time `json:"start"`
-	DurMS     float64   `json:"dur_ms"`
-	// Status is "ok", "error", "panic" or "interrupted".
-	Status string `json:"status"`
+	ID        int64  `json:"id"`
+	Route     string `json:"route"`
+	Network   string `json:"network,omitempty"`
+	TraceID   string `json:"trace_id,omitempty"`
+	RequestID string `json:"request_id,omitempty"`
+	// CacheKey is the content address of the job's result, for routes
+	// whose results are content-addressed; empty for the others.
+	CacheKey string    `json:"cache_key,omitempty"`
+	Started  time.Time `json:"started"`
+	// State is "running" or "done".
+	State string `json:"state"`
+	// Status is set once done: "ok", "error", "panic" or "interrupted".
+	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// PanicStack is the recovered goroutine stack of a panicked job.
-	PanicStack string `json:"panic_stack,omitempty"`
-	// Generations is the evolutionary progress the job reached (0 for
-	// non-synthesis jobs).
-	Generations int `json:"generations,omitempty"`
-	// Spans is the job's completed span tree in end order (children
+	PanicStack string  `json:"panic_stack,omitempty"`
+	DurMS      float64 `json:"dur_ms,omitempty"`
+	// Generations counts the evolutionary generations the job has
+	// completed (live while it runs; 0 for jobs that do not evolve).
+	Generations int `json:"generations"`
+	// Spans is the job's finished span tree in end order (children
 	// before parents), reassemblable over ID/ParentID.
 	Spans []SpanRecord `json:"spans,omitempty"`
 }
 
-// FlightRecorder keeps the last N completed jobs (with their span
-// trees) in a fixed ring buffer — a bounded black box a live process
-// can always be asked about, and that gets dumped on SIGTERM drain.
-// Span records stream in via OnSpanEnd while jobs run; Complete seals
-// one job, claiming the spans that carry its trace ID. All methods are
-// cheap under one mutex (append/claim per map key, no scans) and safe
-// on a nil recorder.
+// FlightRecorder is a service's job store: the running jobs, and the
+// last N finished ones in a fixed ring buffer — a bounded black box a
+// live process can always be asked about, and that gets dumped on
+// SIGTERM drain. A job enters with Begin, reports progress, and moves
+// into the ring at End. Span records stream in through ObserveSpan
+// while jobs run, each attaching to the running job that has its trace
+// ID. All methods are cheap under one mutex.
 type FlightRecorder struct {
-	mu sync.Mutex
-	// ring holds up to cap jobs; next is the slot the following
-	// Complete writes, total counts completions ever.
+	mu  sync.Mutex
+	seq int64
+	// active holds the running jobs in Begin order.
+	active []FlightJob
+	// ring holds up to cap finished jobs; next is the slot the following
+	// End writes, total counts finished jobs ever.
 	ring  []FlightJob
 	next  int
 	total uint64
-	// pending accumulates finished spans by trace ID until Complete
-	// claims them. Both the number of in-flight traces and the spans
-	// kept per trace are bounded; beyond that, spans are dropped and
-	// counted.
-	pending      map[string][]SpanRecord
+	// droppedSpans counts spans beyond maxSpansPerJob.
 	droppedSpans uint64
 }
 
-// Bounds on the pending span store: more concurrent traces than
-// maxPendingTraces (or more spans per trace than maxSpansPerJob) drop
-// the excess rather than grow without limit.
-const (
-	maxPendingTraces = 1024
-	maxSpansPerJob   = 512
-)
+// maxSpansPerJob bounds the spans one job keeps; beyond it, spans are
+// dropped and counted.
+const maxSpansPerJob = 512
 
-// NewFlightRecorder builds a recorder holding the last capacity jobs
-// (minimum 1; a typical service uses 64-256).
+// NewFlightRecorder builds a recorder holding the last capacity
+// finished jobs (minimum 1; a typical service uses 64-256).
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{
-		ring:    make([]FlightJob, 0, capacity),
-		pending: make(map[string][]SpanRecord, 64),
-	}
+	return &FlightRecorder{ring: make([]FlightJob, 0, max(capacity, 1))}
 }
 
-// ObserveSpan feeds one finished span into the pending store. Spans
-// without a trace ID are not attributable to a job and are ignored.
-// Register it on the collector: c.OnSpanEnd(f.ObserveSpan).
-func (f *FlightRecorder) ObserveSpan(rec SpanRecord) {
-	if f == nil || rec.TraceID == "" {
-		return
-	}
+// Begin registers a starting job and returns its ID.
+func (f *FlightRecorder) Begin(job FlightJob) int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	spans, ok := f.pending[rec.TraceID]
-	if !ok && len(f.pending) >= maxPendingTraces {
-		f.droppedSpans++
-		return
-	}
-	if len(spans) >= maxSpansPerJob {
-		f.droppedSpans++
-		return
-	}
-	f.pending[rec.TraceID] = append(spans, rec)
+	f.seq++
+	job.ID = f.seq
+	job.State = "running"
+	f.active = append(f.active, job)
+	return job.ID
 }
 
-// Complete seals one job: the pending spans carrying job.TraceID move
-// into the job record, and the job takes the oldest slot of the ring.
-// Spans the job brought along in job.Spans are kept in front of the
-// claimed ones.
-func (f *FlightRecorder) Complete(job FlightJob) {
-	if f == nil {
-		return
+// running returns the index in active of the running job with the
+// given ID, -1 when there is none. Callers hold f.mu.
+func (f *FlightRecorder) running(id int64) int {
+	for i := range f.active {
+		if f.active[i].ID == id {
+			return i
+		}
 	}
+	return -1
+}
+
+// Progress records the number of generations a running job has
+// completed.
+func (f *FlightRecorder) Progress(id int64, generations int) {
+	f.mu.Lock()
+	if i := f.running(id); i >= 0 {
+		f.active[i].Generations = generations
+	}
+	f.mu.Unlock()
+}
+
+// End seals a running job with its outcome and moves it into the
+// oldest slot of the ring.
+func (f *FlightRecorder) End(id int64, dur time.Duration, status, errMsg, panicStack string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if spans, ok := f.pending[job.TraceID]; ok {
-		job.Spans = append(job.Spans, spans...)
-		delete(f.pending, job.TraceID)
+	i := f.running(id)
+	if i < 0 {
+		return
 	}
+	done := f.active[i]
+	f.active = slices.Delete(f.active, i, i+1)
+	done.State = "done"
+	done.Status, done.Error, done.PanicStack = status, errMsg, panicStack
+	done.DurMS = float64(dur) / float64(time.Millisecond)
 	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, job)
+		f.ring = append(f.ring, done)
 	} else {
-		f.ring[f.next] = job
+		f.ring[f.next] = done
 	}
 	f.next = (f.next + 1) % cap(f.ring)
 	f.total++
 }
 
-// Forget discards any pending spans for a trace that will never
-// complete (a request rejected before its job started), so abandoned
-// traces don't squat pending slots.
-func (f *FlightRecorder) Forget(traceID string) {
-	if f == nil || traceID == "" {
+// ObserveSpan attaches one finished span to the newest running job with
+// its trace ID. Spans of no running job are not a job's and are
+// ignored. Register it on the collector: c.OnSpanEnd(f.ObserveSpan).
+func (f *FlightRecorder) ObserveSpan(rec SpanRecord) {
+	if rec.TraceID == "" {
 		return
 	}
 	f.mu.Lock()
-	delete(f.pending, traceID)
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	for i := len(f.active) - 1; i >= 0; i-- {
+		job := &f.active[i]
+		if job.TraceID != rec.TraceID {
+			continue
+		}
+		if len(job.Spans) >= maxSpansPerJob {
+			f.droppedSpans++
+		} else {
+			job.Spans = append(job.Spans, rec)
+		}
+		return
+	}
 }
 
-// FlightSnapshot is a point-in-time view of the recorder.
+// finished returns the ring's jobs, newest first. Callers hold f.mu.
+func (f *FlightRecorder) finished() []FlightJob {
+	jobs := make([]FlightJob, 0, len(f.ring))
+	for i := range f.ring {
+		jobs = append(jobs, f.ring[(f.next-1-i+len(f.ring))%len(f.ring)])
+	}
+	return jobs
+}
+
+// FlightSnapshot is a point-in-time view of the finished jobs with
+// their span trees.
 type FlightSnapshot struct {
-	// Capacity is the ring size; Recorded counts completions ever (the
+	// Capacity is the ring size; Recorded counts finished jobs ever (the
 	// ring holds min(Capacity, Recorded) of them, newest first).
 	Capacity int    `json:"capacity"`
 	Recorded uint64 `json:"recorded"`
-	// PendingTraces counts traces with spans awaiting completion;
-	// DroppedSpans counts spans discarded at the bounds.
-	PendingTraces int         `json:"pending_traces"`
-	DroppedSpans  uint64      `json:"dropped_spans"`
-	Jobs          []FlightJob `json:"jobs"`
+	// DroppedSpans counts spans discarded at the per-job bound.
+	DroppedSpans uint64      `json:"dropped_spans"`
+	Jobs         []FlightJob `json:"jobs"`
 }
 
-// Snapshot copies the recorded jobs, newest first. Safe on a nil
-// recorder (zero value).
+// Snapshot copies the finished jobs, newest first, span trees included.
 func (f *FlightRecorder) Snapshot() FlightSnapshot {
-	if f == nil {
-		return FlightSnapshot{}
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := FlightSnapshot{
-		Capacity:      cap(f.ring),
-		Recorded:      f.total,
-		PendingTraces: len(f.pending),
-		DroppedSpans:  f.droppedSpans,
-		Jobs:          make([]FlightJob, 0, len(f.ring)),
+	return FlightSnapshot{
+		Capacity:     cap(f.ring),
+		Recorded:     f.total,
+		DroppedSpans: f.droppedSpans,
+		Jobs:         f.finished(),
 	}
-	// Walk backwards from the most recently written slot.
-	for i := 0; i < len(f.ring); i++ {
-		idx := (f.next - 1 - i + len(f.ring)) % len(f.ring)
-		s.Jobs = append(s.Jobs, f.ring[idx])
-	}
-	return s
 }
 
-// Find returns the newest recorded job with the given trace ID.
-func (f *FlightRecorder) Find(traceID string) (FlightJob, bool) {
-	if f == nil {
-		return FlightJob{}, false
-	}
+// JobList is the job view of the recorder, without span trees.
+type JobList struct {
+	// Active jobs, oldest first. Recent finished jobs, newest first.
+	Active []FlightJob `json:"active"`
+	Recent []FlightJob `json:"recent"`
+}
+
+// Jobs copies the running and the finished jobs without their spans.
+func (f *FlightRecorder) Jobs() JobList {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := 0; i < len(f.ring); i++ {
-		idx := (f.next - 1 - i + len(f.ring)) % len(f.ring)
-		if f.ring[idx].TraceID == traceID {
-			return f.ring[idx], true
+	l := JobList{Active: append(make([]FlightJob, 0, len(f.active)), f.active...), Recent: f.finished()}
+	for _, jobs := range [][]FlightJob{l.Active, l.Recent} {
+		for i := range jobs {
+			jobs[i].Spans = nil
+		}
+	}
+	return l
+}
+
+// Find returns the newest finished job with the given trace ID.
+func (f *FlightRecorder) Find(traceID string) (FlightJob, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, job := range f.finished() {
+		if job.TraceID == traceID {
+			return job, true
 		}
 	}
 	return FlightJob{}, false

@@ -6,43 +6,56 @@ import (
 	"time"
 )
 
+// run begins a job with the given trace and returns its ID.
+func run(f *FlightRecorder, traceID string) int64 {
+	return f.Begin(FlightJob{TraceID: traceID, Route: "harden", Started: time.Now()})
+}
+
 func TestFlightRecorderClaimsSpansByTrace(t *testing.T) {
 	f := NewFlightRecorder(8)
+	a, b := run(f, "aaaa"), run(f, "bbbb")
 	f.ObserveSpan(SpanRecord{ID: 1, Name: "runset", TraceID: "aaaa"})
 	f.ObserveSpan(SpanRecord{ID: 2, Name: "job:harden", TraceID: "aaaa"})
 	f.ObserveSpan(SpanRecord{ID: 3, Name: "other", TraceID: "bbbb"})
-	f.ObserveSpan(SpanRecord{ID: 4, Name: "untraced"}) // no trace — dropped
+	f.ObserveSpan(SpanRecord{ID: 4, Name: "untraced"})               // no trace: no job's
+	f.ObserveSpan(SpanRecord{ID: 5, Name: "stray", TraceID: "cccc"}) // no running job: no job's
+	f.Progress(b, 3)
 
-	f.Complete(FlightJob{TraceID: "aaaa", Label: "harden", Status: "ok", Start: time.Now()})
+	f.End(a, 20*time.Millisecond, "ok", "", "")
 
 	job, ok := f.Find("aaaa")
 	if !ok {
-		t.Fatal("completed job not findable by trace")
+		t.Fatal("finished job not findable by trace")
 	}
-	if len(job.Spans) != 2 {
-		t.Fatalf("job claimed %d spans, want 2", len(job.Spans))
+	if len(job.Spans) != 2 || job.Spans[0].Name != "runset" || job.Spans[1].Name != "job:harden" {
+		t.Errorf("job claimed spans %+v, want runset and job:harden", job.Spans)
 	}
-	if job.Spans[0].Name != "runset" || job.Spans[1].Name != "job:harden" {
-		t.Errorf("claimed wrong spans: %+v", job.Spans)
+	if job.State != "done" || job.Status != "ok" || job.DurMS != 20 {
+		t.Errorf("finished job = %s/%s after %v ms", job.State, job.Status, job.DurMS)
+	}
+	if _, ok := f.Find("bbbb"); ok {
+		t.Error("running job findable among the finished ones")
 	}
 
-	s := f.Snapshot()
-	if s.Recorded != 1 || len(s.Jobs) != 1 {
+	l := f.Jobs()
+	if len(l.Active) != 1 || len(l.Recent) != 1 {
+		t.Fatalf("jobs: %d active, %d recent, want 1 and 1", len(l.Active), len(l.Recent))
+	}
+	if r := l.Active[0]; r.ID != b || r.State != "running" || r.Generations != 3 || r.Spans != nil {
+		t.Errorf("running job = %+v, want job %d running at 3 generations without spans", r, b)
+	}
+	if l.Recent[0].ID != a || l.Recent[0].Spans != nil {
+		t.Errorf("recent job = %+v, want job %d without spans", l.Recent[0], a)
+	}
+	if s := f.Snapshot(); s.Recorded != 1 || len(s.Jobs) != 1 || len(s.Jobs[0].Spans) != 2 {
 		t.Errorf("snapshot recorded=%d jobs=%d", s.Recorded, len(s.Jobs))
-	}
-	if s.PendingTraces != 1 { // "bbbb" still pending
-		t.Errorf("pending traces = %d, want 1", s.PendingTraces)
-	}
-	f.Forget("bbbb")
-	if f.Snapshot().PendingTraces != 0 {
-		t.Error("Forget left pending spans behind")
 	}
 }
 
 func TestFlightRecorderRingEvictsOldest(t *testing.T) {
 	f := NewFlightRecorder(3)
 	for i := 0; i < 5; i++ {
-		f.Complete(FlightJob{TraceID: fmt.Sprintf("t%d", i), Label: "job", Status: "ok"})
+		f.End(run(f, fmt.Sprintf("t%d", i)), time.Millisecond, "ok", "", "")
 	}
 	s := f.Snapshot()
 	if s.Capacity != 3 || s.Recorded != 5 || len(s.Jobs) != 3 {
@@ -62,58 +75,39 @@ func TestFlightRecorderRingEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderBoundsPendingStore(t *testing.T) {
+func TestFlightRecorderBoundsJobSpans(t *testing.T) {
 	f := NewFlightRecorder(4)
-	// Overflow per-trace span cap.
+	id := run(f, "big")
 	for i := 0; i < maxSpansPerJob+10; i++ {
 		f.ObserveSpan(SpanRecord{ID: int64(i + 1), Name: "s", TraceID: "big"})
 	}
-	// Overflow the trace-count cap.
-	for i := 0; i < maxPendingTraces+10; i++ {
-		f.ObserveSpan(SpanRecord{ID: 1, Name: "s", TraceID: fmt.Sprintf("trace-%d", i)})
-	}
+	f.End(id, time.Millisecond, "ok", "", "")
 	s := f.Snapshot()
-	if s.PendingTraces > maxPendingTraces {
-		t.Errorf("pending traces %d exceeds cap %d", s.PendingTraces, maxPendingTraces)
+	if s.DroppedSpans != 10 {
+		t.Errorf("overflow counted %d dropped spans, want 10", s.DroppedSpans)
 	}
-	if s.DroppedSpans == 0 {
-		t.Error("overflow did not count dropped spans")
-	}
-	f.Complete(FlightJob{TraceID: "big", Label: "big", Status: "ok"})
-	job, _ := f.Find("big")
-	if len(job.Spans) > maxSpansPerJob {
-		t.Errorf("job kept %d spans, cap is %d", len(job.Spans), maxSpansPerJob)
-	}
-}
-
-func TestFlightRecorderNilSafe(t *testing.T) {
-	var f *FlightRecorder
-	f.ObserveSpan(SpanRecord{TraceID: "x"})
-	f.Complete(FlightJob{TraceID: "x"})
-	f.Forget("x")
-	if s := f.Snapshot(); s.Capacity != 0 || len(s.Jobs) != 0 {
-		t.Errorf("nil snapshot = %+v", s)
-	}
-	if _, ok := f.Find("x"); ok {
-		t.Error("nil recorder found a job")
+	if n := len(s.Jobs[0].Spans); n != maxSpansPerJob {
+		t.Errorf("job kept %d spans, cap is %d", n, maxSpansPerJob)
 	}
 }
 
 func TestFlightRecorderCollectorFeed(t *testing.T) {
-	// End-to-end: spans ended on a collector flow into the recorder via
-	// OnSpanEnd and get claimed at Complete.
+	// End-to-end: spans ended on a collector flow into the running job
+	// via OnSpanEnd and stay with it when it ends.
 	c := New()
 	f := NewFlightRecorder(4)
 	c.OnSpanEnd(f.ObserveSpan)
 
+	const trace = "feedfeedfeedfeedfeedfeedfeedfeed"
+	id := run(f, trace)
 	root := c.StartSpan("runset")
-	root.SetTrace("feedfeedfeedfeedfeedfeedfeedfeed")
+	root.SetTrace(trace)
 	job := root.Child("job:harden")
 	job.End()
 	root.End()
+	f.End(id, time.Millisecond, "ok", "", "")
 
-	f.Complete(FlightJob{TraceID: "feedfeedfeedfeedfeedfeedfeedfeed", Label: "harden", Status: "ok"})
-	got, ok := f.Find("feedfeedfeedfeedfeedfeedfeedfeed")
+	got, ok := f.Find(trace)
 	if !ok || len(got.Spans) != 2 {
 		t.Fatalf("found=%v spans=%d, want 2 spans", ok, len(got.Spans))
 	}
